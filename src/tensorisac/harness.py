@@ -364,13 +364,11 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
     a_rx_true = scene.rx_steering()
     a_tx_true = scene.tx_steering()
     perm = list(align_permutation(est.a_rx_hat, a_rx_true))
-    theta_hat = extract_angles(est.a_rx_hat)
-    phi_hat = extract_angles(est.a_tx_hat)
-    est = replace(est, theta_hat=theta_hat, phi_hat=phi_hat)
-    angle_err = np.concatenate([
-        theta_hat - np.sort(scene.theta),
-        phi_hat - np.sort(scene.phi),
-    ])
+    # Angles are extracted one column at a time, so each target keeps its
+    # own (theta, phi) pair through the alignment permutation.
+    theta_hat = [extract_angles(est.a_rx_hat[:, [j]])[0] for j in perm]
+    phi_hat = [extract_angles(est.a_tx_hat[:, [j]])[0] for j in perm]
+    angle_err = np.concatenate([theta_hat - scene.theta, phi_hat - scene.phi])
 
     comm = semi_blind_receive(y_comm, frame.c, frame.s_data[0, :], pt.constellation)
     s_zf = zf_benchmark(y_comm, link.h, frame.c, pt.constellation)

@@ -6,9 +6,16 @@ with known ``code`` and ``pilots``.  The receiver alternates exact
 least-squares updates of the receive steering matrix, the transmit steering
 matrix and the reflection matrix, always using the freshest estimates of
 the other two blocks, until the normalized squared reconstruction error
-stops changing.  Every update is a pseudoinverse solve, so each iteration
-is dominated by the SVDs behind those solves; the stacked transmit-steering
-system (``n*p*m_r`` rows) is the largest of the three.
+stops changing.  Every update is one SVD-based pseudoinverse solve over all
+slots (the per-slot reflection systems as one stack).
+
+Before iterating, :func:`als_fit` compresses the pilot mode (Bro & Andersson,
+1998): for ``Z_n = Y_n conj(U)``, ``U`` the left singular vectors of the
+pilots ``S``, ``||Y_n - M S^T||^2 = ||Z_n - M (U^H S)^T||^2 + ||Y_n - Z_n U^T||^2``
+for every ``M``, and the last term is constant.  So every update (min-norm
+solution and ``rcond`` cutoff included, as the systems keep their singular
+values) is the same on ``Z`` with pilots ``U^H S``; the constant is added back
+to the error.  Skipped when ``p <= m_t`` or when ``Z`` fails the gate below.
 
 Plain alternating updates crawl through long plateaus when steering columns
 are strongly correlated (closely spaced angles on a small array), so after
@@ -39,7 +46,7 @@ import numpy as np
 
 from .exceptions import AlsDivergenceError, IdentifiabilityError
 from .signal_model import TransmitFrame, steering_vector
-from .tensor_ops import frontal_slice, khatri_rao, kronecker, pinv, row_diag, unfold1_flat, unvec, vec
+from .tensor_ops import pinv, unfold1_flat, unfold3_tall
 
 __all__ = [
     "AlsConfig",
@@ -110,8 +117,6 @@ class SensingEstimate:
     nmse_trace: list[float]
     converged: bool
     iters: int
-    theta_hat: np.ndarray | None = None
-    phi_hat: np.ndarray | None = None
 
 
 def check_identifiability(m_r: int, m_t: int, p: int, n: int, k: int) -> IdentifiabilityReport:
@@ -141,13 +146,8 @@ def build_right_factor(gamma: np.ndarray, a_tx: np.ndarray, code: np.ndarray, pi
     so the flat unfolding of the sensing tensor equals
     ``a_rx @ build_right_factor(...)``.
     """
-    gamma = np.asarray(gamma)
-    n_slots = gamma.shape[0]
-    blocks = [
-        row_diag(gamma, n) @ a_tx.T @ row_diag(code, n) @ pilots.T
-        for n in range(n_slots)
-    ]
-    return np.concatenate(blocks, axis=1)
+    blocks = pilots @ (np.asarray(code)[:, :, None] * a_tx) * np.asarray(gamma)[:, None, :]
+    return blocks.transpose(2, 0, 1).reshape(blocks.shape[2], -1)
 
 
 def estimate_rx_steering(y1: np.ndarray, right_factor: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
@@ -183,14 +183,10 @@ def estimate_tx_steering(
         raise IdentifiabilityError(
             f"n*p*m_r >= m_t*k fails: {n_slots * p * m_r} < {m_t * k}"
         )
-    blocks = [
-        kronecker(pilots @ row_diag(code, n), a_rx @ row_diag(gamma, n))
-        for n in range(n_slots)
-    ]
-    stacked = np.concatenate(blocks, axis=0)
-    rhs = np.concatenate([vec(frontal_slice(t, n)) for n in range(n_slots)])
-    at_t = unvec(pinv(stacked, rcond) @ rhs, k, m_t)
-    return at_t.T
+    left = pilots * np.asarray(code)[:, None, :]
+    right = a_rx * np.asarray(gamma)[:, None, :]
+    stacked = (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(n_slots * p * m_r, m_t * k)
+    return (pinv(stacked, rcond) @ unfold3_tall(t).T.reshape(-1)).reshape(m_t, k)
 
 
 def estimate_reflections(
@@ -204,19 +200,16 @@ def estimate_reflections(
     """Least-squares update of the reflection matrix, one slot row at a time.
 
     Slice ``n`` satisfies ``vec(Y_n) = khatri_rao(g_n, a_rx) @ gamma[n]``
-    with ``g_n = pilots @ diag(code[n]) @ a_tx``.
+    with ``g_n = pilots @ diag(code[n]) @ a_tx``; all slots are one stacked solve.
     """
     t = np.asarray(tensor)
     m_r, p, n_slots = t.shape
     k = np.asarray(a_rx).shape[1]
     if p * m_r < k:
         raise IdentifiabilityError(f"p*m_r >= k fails: {p * m_r} < {k}")
-    rows = []
-    for n in range(n_slots):
-        g_n = pilots @ row_diag(code, n) @ a_tx
-        basis = khatri_rao(g_n, a_rx)
-        rows.append(pinv(basis, rcond) @ vec(frontal_slice(t, n)))
-    return np.array(rows)
+    g = pilots @ (np.asarray(code)[:, :, None] * a_tx)
+    basis = (g[:, :, None, :] * a_rx).reshape(n_slots, p * m_r, k)
+    return (pinv(basis, rcond) @ unfold3_tall(t).T[:, :, None])[:, :, 0]
 
 
 def _random_factors(rng: np.random.Generator, m_r: int, m_t: int, n: int, k: int):
@@ -264,10 +257,16 @@ def als_fit(
     if not report.ok:
         raise IdentifiabilityError("; ".join(report.violations))
 
-    y1 = unfold1_flat(t)
     y_energy = np.vdot(t, t).real
     if y_energy == 0.0:
         raise ValueError("cannot fit an all-zero tensor")
+    outside = 0.0  # ||Y - Z U^T||^2 of the pilot-mode compression, fixed for all factors
+    if p > m_t and check_identifiability(m_r, m_t, m_t, n_slots, num_targets).ok:
+        u = np.linalg.svd(pilots, full_matrices=False)[0]
+        z = np.einsum("ipn,pr->irn", t, u.conj())
+        resid = t - np.einsum("irn,pr->ipn", z, u)
+        t, pilots, outside = z, u.conj().T @ pilots, np.vdot(resid, resid).real
+    y1 = unfold1_flat(t)
 
     best: SensingEstimate | None = None
     for restart in range(cfg.n_restarts):
@@ -284,7 +283,7 @@ def als_fit(
             gamma = estimate_reflections(t, a_rx, a_tx, code, pilots, cfg.rcond)
             right = build_right_factor(gamma, a_tx, code, pilots)
             resid = y1 - a_rx @ right
-            err = np.vdot(resid, resid).real / y_energy
+            err = (np.vdot(resid, resid).real + outside) / y_energy
             if it > 2:
                 # Extrapolate along the sweep direction; the longer step is
                 # kept only when it strictly lowers the error, so the trace
@@ -295,7 +294,7 @@ def als_fit(
                 gamma_x = old[2] + step * (gamma - old[2])
                 right_x = build_right_factor(gamma_x, a_tx_x, code, pilots)
                 resid_x = y1 - a_rx_x @ right_x
-                err_x = np.vdot(resid_x, resid_x).real / y_energy
+                err_x = (np.vdot(resid_x, resid_x).real + outside) / y_energy
                 if err_x < err:
                     a_rx, a_tx, gamma, right, err = a_rx_x, a_tx_x, gamma_x, right_x, err_x
             if not np.isfinite(err):

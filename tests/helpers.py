@@ -121,3 +121,52 @@ def rebuild_comm_tensor(h, code, s_data) -> np.ndarray:
     n = code.shape[0]
     slices = [h @ np.diag(code[slot]) @ s_data.T for slot in range(n)]
     return np.stack(slices, axis=2)
+
+
+def oracle_right_factor(gamma, a_tx, code, pilots) -> np.ndarray:
+    """Slot-by-slot blocks ``diag(gamma_n) a_tx^T diag(c_n) S^T``, concatenated."""
+    blocks = [
+        np.diag(gamma[slot]) @ a_tx.T @ np.diag(code[slot]) @ pilots.T
+        for slot in range(code.shape[0])
+    ]
+    return np.concatenate(blocks, axis=1)
+
+
+def oracle_rx_step(y1, right, rcond=1e-12) -> np.ndarray:
+    return y1 @ np.linalg.pinv(right, rcond=rcond)
+
+
+def _column_stack(m: np.ndarray) -> np.ndarray:
+    return m.reshape(-1, order="F")
+
+
+def oracle_tx_step(tensor, a_rx, gamma, code, pilots, rcond=1e-12) -> np.ndarray:
+    """Stacked per-slot Kronecker systems solved for ``vec(a_tx^T)``."""
+    n = code.shape[0]
+    system = np.concatenate([
+        np.kron(pilots @ np.diag(code[slot]), a_rx @ np.diag(gamma[slot]))
+        for slot in range(n)
+    ])
+    rhs = np.concatenate([_column_stack(tensor[:, :, slot]) for slot in range(n)])
+    k, m_t = a_rx.shape[1], code.shape[1]
+    return (np.linalg.pinv(system, rcond=rcond) @ rhs).reshape(k, m_t, order="F").T
+
+
+def oracle_reflection_step(tensor, a_rx, a_tx, code, pilots, rcond=1e-12) -> np.ndarray:
+    """One Khatri-Rao system per slot, solved for that slot's reflections."""
+    rows = []
+    for slot in range(code.shape[0]):
+        g = pilots @ np.diag(code[slot]) @ a_tx
+        basis = oracle_khatri_rao(g, a_rx)
+        rows.append(np.linalg.pinv(basis, rcond=rcond) @ _column_stack(tensor[:, :, slot]))
+    return np.array(rows)
+
+
+def oracle_als_sweeps(tensor, code, pilots, a_rx, a_tx, gamma, sweeps, rcond=1e-12):
+    """Plain ALS sweeps (rx, tx, reflections) on the uncompressed tensor."""
+    y1 = oracle_unfold1_flat(tensor)
+    for _ in range(sweeps):
+        a_rx = oracle_rx_step(y1, oracle_right_factor(gamma, a_tx, code, pilots), rcond)
+        a_tx = oracle_tx_step(tensor, a_rx, gamma, code, pilots, rcond)
+        gamma = oracle_reflection_step(tensor, a_rx, a_tx, code, pilots, rcond)
+    return a_rx, a_tx, gamma

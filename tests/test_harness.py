@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tensorisac import harness
 from tensorisac.exceptions import ConfigError
 from tensorisac.harness import (
     CSV_COLUMNS,
@@ -23,6 +24,8 @@ from tensorisac.harness import (
     run_trial,
     ser,
 )
+from tensorisac.sensing_als import SensingEstimate
+from tensorisac.signal_model import build_steering_matrix
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "default_experiment.json")
 
@@ -161,6 +164,27 @@ class TestRunTrial:
     def test_different_trials_differ(self):
         cfg = default_config()
         assert run_trial(cfg, 10.0, 0) != run_trial(cfg, 10.0, 1)
+
+    @pytest.mark.parametrize("theta, phi, expected", [
+        # columns swapped together: each target keeps its pair, no error
+        ([27.0, 15.0], [65.0, -37.0], 0.0),
+        # the departure angles of the two targets swapped: sorting theta
+        # and phi separately would report 0, pairing reports the swap
+        ([15.0, 27.0], [65.0, -37.0], 102.0 / math.sqrt(2.0)),
+    ])
+    def test_angle_error_pairs_each_target(self, monkeypatch, theta, phi, expected):
+        cfg = default_config()  # targets at (15, -37) and (27, 65) degrees
+        fixed = SensingEstimate(
+            a_rx_hat=build_steering_matrix(theta, cfg.m_r),
+            a_tx_hat=build_steering_matrix(phi, cfg.m_t),
+            gamma_hat=np.ones((cfg.n, 2), dtype=complex),
+            nmse_trace=[0.0],
+            converged=True,
+            iters=1,
+        )
+        monkeypatch.setattr(harness, "als_fit", lambda *args: fixed)
+        rec = run_trial(cfg, 20.0, 0)
+        assert abs(rec.angle_rmse_deg - expected) < 1e-5
 
 
 class TestRunSweep:

@@ -19,6 +19,7 @@ from tensorisac.sensing_als import (
     extract_angles,
     remove_sensing_ambiguity,
     SensingEstimate,
+    _random_factors,
 )
 from tensorisac.signal_model import (
     add_noise,
@@ -30,7 +31,14 @@ from tensorisac.signal_model import (
 )
 from tensorisac.tensor_ops import unfold1_flat
 
-from helpers import rebuild_sensing_tensor
+from helpers import (
+    oracle_als_sweeps,
+    oracle_reflection_step,
+    oracle_right_factor,
+    oracle_rx_step,
+    oracle_tx_step,
+    rebuild_sensing_tensor,
+)
 
 
 def reference_instance(seed, noise_db=None):
@@ -109,6 +117,95 @@ class TestLeastSquaresSteps:
         est = estimate_reflections(self.y, self.a_rx, self.a_tx,
                                    self.frame.c, self.frame.s_pilot)
         assert np.abs(est - self.scene.gamma).max() < 1e-10
+
+
+def random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestVectorizedSteps:
+    """The broadcast step functions match per-slot diag/kron/pinv oracles
+    at random (non-truth) factors on noisy data."""
+
+    @pytest.mark.parametrize("m_r, m_t, k, n, p", [(2, 2, 2, 3, 8), (4, 4, 3, 4, 64)])
+    def test_steps_match_per_slot_oracles(self, m_r, m_t, k, n, p):
+        rng = np.random.default_rng(m_t * 100 + p)
+        frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=p)
+        y = random_complex(rng, m_r, p, n)
+        a_rx, a_tx, gamma = random_complex(rng, m_r, k), random_complex(rng, m_t, k), random_complex(rng, n, k)
+        c, s = frame.c, frame.s_pilot
+        right = build_right_factor(gamma, a_tx, c, s)
+        pairs = [
+            (right, oracle_right_factor(gamma, a_tx, c, s)),
+            (estimate_rx_steering(unfold1_flat(y), right), oracle_rx_step(unfold1_flat(y), right)),
+            (estimate_tx_steering(y, a_rx, gamma, c, s), oracle_tx_step(y, a_rx, gamma, c, s)),
+            (estimate_reflections(y, a_rx, a_tx, c, s), oracle_reflection_step(y, a_rx, a_tx, c, s)),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def parallel_pilot_columns(frame):
+    """The frame with its last pilot column made parallel to the first (still on the QAM grid)."""
+    pilots = frame.s_pilot.copy()
+    pilots[:, -1] = 1j * pilots[:, 0]
+    return replace(frame, s_pilot=pilots)
+
+
+def uncompressed_error(y, est, frame):
+    rebuilt = rebuild_sensing_tensor(est.a_rx_hat, est.a_tx_hat, est.gamma_hat, frame.c, frame.s_pilot)
+    return np.vdot(y - rebuilt, y - rebuilt).real / np.vdot(y, y).real
+
+
+class TestPilotCompression:
+    """als_fit solves on the pilot-compressed tensor; its error trace is still
+    the error on the full tensor, and shapes the compression cannot serve
+    are fitted uncompressed."""
+
+    @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", [
+        (2, 2, 2, 3, 8, False), (4, 4, 3, 4, 64, False), (2, 3, 2, 3, 8, True),
+    ])
+    def test_first_sweeps_match_uncompressed_oracle(self, m_r, m_t, k, n, p, parallel):
+        # Extrapolation starts at the third iteration, so two iterations
+        # are two plain sweeps from the seeded random start.
+        scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=p)
+        frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=p + 1)
+        if parallel:
+            frame = parallel_pilot_columns(frame)
+        y = add_noise(sensing_forward(scene, frame), 10.0, seed=p + 2)
+        est = als_fit(y, frame, k, AlsConfig(init_seed=p, max_iters=2))
+        rng = np.random.default_rng(np.random.SeedSequence([p, 0]))
+        start = _random_factors(rng, m_r, m_t, n, k)
+        want = oracle_als_sweeps(y, frame.c, frame.s_pilot, *start, sweeps=2)
+        for got, ref in zip((est.a_rx_hat, est.a_tx_hat, est.gamma_hat), want):
+            assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_final_error_is_uncompressed_error(self):
+        scene = sample_scene(k=3, n=4, sigma=1.0, m_r=4, m_t=4, seed=3)
+        frame = sample_frame(p=64, m_t=4, n=4, order=4, seed=4)
+        y = add_noise(sensing_forward(scene, frame), 15.0, seed=5)
+        est = als_fit(y, frame, 3, AlsConfig(init_seed=6))
+        direct = uncompressed_error(y, est, frame)
+        assert abs(est.nmse_trace[-1] - direct) <= 1e-12 * direct
+
+    @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", [
+        (1, 2, 3, 2, 8, False),   # compressed to p=2 it would fail n*p*m_r >= m_t*k
+        (2, 2, 2, 3, 2, False),   # p <= m_t: nothing to compress
+        (2, 4, 2, 4, 3, False),
+        (2, 3, 2, 3, 8, True),    # two parallel pilot columns
+    ])
+    def test_edge_shapes_fit(self, m_r, m_t, k, n, p, parallel):
+        assert check_identifiability(m_r, m_t, p, n, k).ok
+        scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=8)
+        frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=9)
+        if parallel:
+            frame = parallel_pilot_columns(frame)
+        y = add_noise(sensing_forward(scene, frame), 20.0, seed=10)
+        est = als_fit(y, frame, k, AlsConfig(init_seed=11, max_iters=200))
+        assert np.all(np.diff(est.nmse_trace) <= 1e-9)
+        direct = uncompressed_error(y, est, frame)
+        assert abs(est.nmse_trace[-1] - direct) <= 1e-12 * direct
 
 
 class TestAlsFit:
