@@ -17,6 +17,14 @@ solution and ``rcond`` cutoff included, as the systems keep their singular
 values) is the same on ``Z`` with pilots ``U^H S``; the constant is added back
 to the error.  Skipped when ``p <= m_t`` or when ``Z`` fails the gate below.
 
+The first restart starts from a closed-form estimate (:func:`gevd_start`):
+once the pilots are inverted slot by slot, every slice is
+``A_rx diag(gamma[n]) A_tx^T``, and when ``k <= min(m_r, m_t)`` simultaneous
+diagonalization of two random slice combinations recovers all three factors,
+exactly on noiseless data.  ALS then refines that estimate to the
+least-squares fit.  Where the closed form does not apply, and for every
+further restart, the start is seeded random.
+
 Plain alternating updates crawl through long plateaus when steering columns
 are strongly correlated (closely spaced angles on a small array), so after
 every sweep the iterate is extrapolated along the last step and the longer
@@ -39,14 +47,16 @@ physical steering vectors because their first entry is one by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .exceptions import AlsDivergenceError, IdentifiabilityError
-from .signal_model import TransmitFrame, steering_vector
-from .tensor_ops import pinv, unfold1_flat, unfold3_tall
+from .signal_model import TransmitFrame
+from .tensor_ops import best_rank_one, pinv, unfold1_flat, unfold3_tall
 
 __all__ = [
     "AlsConfig",
@@ -57,6 +67,7 @@ __all__ = [
     "estimate_rx_steering",
     "estimate_tx_steering",
     "estimate_reflections",
+    "gevd_start",
     "als_fit",
     "remove_sensing_ambiguity",
     "align_permutation",
@@ -77,9 +88,12 @@ class AlsConfig:
 
     ``tol`` bounds the relative change of the normalized squared
     reconstruction error between consecutive iterations; ``rcond`` is the
-    relative singular-value cutoff of every pseudoinverse; ``n_restarts``
-    independent random initializations are run and the best final error
-    kept.
+    relative singular-value cutoff of every pseudoinverse.  ``n_restarts``
+    fits are run and the best final error kept: restart 0 starts from
+    :func:`gevd_start` (or its seeded random fallback), every further
+    restart from an independent random start.  ``init_seed`` seeds the
+    random numbers of every restart: the slice weights of the closed-form
+    start and the random starts.
     """
 
     max_iters: int = 1000
@@ -219,6 +233,60 @@ def _random_factors(rng: np.random.Generator, m_r: int, m_t: int, n: int, k: int
     return cn(m_r, k), cn(m_t, k), cn(n, k)
 
 
+def gevd_start(
+    tensor: np.ndarray,
+    code: np.ndarray,
+    pilots: np.ndarray,
+    num_targets: int,
+    rng: np.random.Generator,
+    rcond: float = 1e-12,
+):
+    """Closed-form start ``(a_rx, a_tx, gamma)`` by simultaneous diagonalization.
+
+    With ``X_n = pilots @ diag(code[n])`` of full column rank, each slot gives
+    ``M_n = Y_n @ pinv(X_n).T = A_rx diag(gamma[n]) A_tx^T``.  Projected onto
+    the leading ``k`` left singular vectors ``U_1``, ``U_2`` of the mode-1 and
+    mode-2 unfoldings of ``M``, the slices become ``B diag(gamma[n]) C^T`` with
+    ``B = U_1^H A_rx``, so for two random combinations ``G_a``, ``G_b`` of them
+    the eigenvectors of ``G_a G_b^{-1}`` are the columns of ``B`` (Leurgans,
+    Ross & Abel, 1993; the GEVD start of De Lathauwer, 2006).  Row ``j`` of
+    ``pinv(A_rx) M_n`` is ``gamma[n, j] A_tx[:, j]^T``, a rank-one matrix over
+    the slots that :func:`best_rank_one` splits.  Exact on noiseless data.
+
+    Falls back to the seeded random start when the model does not allow it:
+    ``k > min(m_r, m_t)``, fewer than two slots, or a slot whose pilot system
+    ``X_n`` has rank below ``m_t`` (fewer pilots than transmit antennas,
+    parallel pilot columns, a zero code entry).  The fallback draws the same
+    numbers from ``rng`` as the random start would.
+    """
+    tensor = np.asarray(tensor)
+    code = np.asarray(code)
+    m_r, p, n_slots = tensor.shape
+    m_t = code.shape[1]
+    k = num_targets
+    if k > min(m_r, m_t) or n_slots < 2 or p < m_t:
+        return _random_factors(rng, m_r, m_t, n_slots, k)
+    u, s, vh = np.linalg.svd(pilots * code[:, None, :], full_matrices=False)
+    if np.any(s[:, -1] <= rcond * s[:, 0]):
+        return _random_factors(rng, m_r, m_t, n_slots, k)
+    # M[:, :, n] = Y_n conj(U_n) diag(1/s_n) conj(Vh_n), i.e. Y_n @ pinv(X_n).T
+    m = np.einsum("ipn,npr,nrt->itn", tensor, u.conj(), vh.conj() / s[:, :, None])
+    u1 = np.linalg.svd(m.reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
+    u2 = np.linalg.svd(m.transpose(1, 0, 2).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
+    core = np.einsum("ik,itn,tl->nkl", u1.conj(), m, u2.conj())
+    weights = rng.standard_normal((2, n_slots)) + 1j * rng.standard_normal((2, n_slots))
+    g_a, g_b = np.einsum("wn,nkl->wkl", weights, core)
+    a_rx = u1 @ np.linalg.eig(np.linalg.solve(g_b.T, g_a.T).T)[1]
+    rows = np.einsum("ki,itn->ktn", pinv(a_rx, rcond), m)
+    a_tx = np.empty((m_t, k), dtype=complex)
+    gamma = np.empty((n_slots, k), dtype=complex)
+    for j in range(k):
+        left, right, sigma = best_rank_one(rows[j])
+        a_tx[:, j] = left
+        gamma[:, j] = sigma * right.conj()
+    return a_rx, a_tx, gamma
+
+
 def als_fit(
     tensor: np.ndarray,
     frame: TransmitFrame,
@@ -227,9 +295,10 @@ def als_fit(
 ) -> SensingEstimate:
     """Fit the three sensing factors by alternating least squares.
 
-    Runs ``cfg.n_restarts`` independent random initializations and returns
+    Runs ``cfg.n_restarts`` restarts, the first from the closed-form
+    :func:`gevd_start`, the others from seeded random factors, and returns
     the restart with the smallest final normalized squared reconstruction
-    error.  Within a restart, each iteration solves the three exact LS
+    error, so more restarts never raise it.  Within a restart, each iteration solves the three exact LS
     subproblems in turn, then tries an extrapolated step along the sweep
     direction (kept only if it lowers the error).  The iteration stops once
     ``|e_i - e_{i-1}| < tol * e_{i-1} + FLOOR_DELTA`` or after
@@ -271,7 +340,10 @@ def als_fit(
     best: SensingEstimate | None = None
     for restart in range(cfg.n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed) & (2**63 - 1), restart]))
-        a_rx, a_tx, gamma = _random_factors(rng, m_r, m_t, n_slots, num_targets)
+        if restart == 0:
+            a_rx, a_tx, gamma = gevd_start(t, code, pilots, num_targets, rng, cfg.rcond)
+        else:
+            a_rx, a_tx, gamma = _random_factors(rng, m_r, m_t, n_slots, num_targets)
         trace: list[float] = []
         converged = False
         prev_err = np.inf
@@ -323,8 +395,9 @@ def remove_sensing_ambiguity(est: SensingEstimate) -> SensingEstimate:
 
     The fit is invariant under two diagonal column scalings (one between
     the receive steering matrix and the reflections, one between the
-    transmit steering matrix and the reflections), so a random start leaves
-    both estimates arbitrarily scaled.  Every physical steering vector has
+    transmit steering matrix and the reflections), so the fit leaves both
+    estimates with the arbitrary column scaling of its start, closed-form
+    or random.  Every physical steering vector has
     first entry one; dividing each steering column by its own first entry
     and multiplying the matching reflection column by both pivots restores
     the physical normalization of all three factors while leaving every
@@ -373,9 +446,27 @@ def align_permutation(est_cols: np.ndarray, true_cols: np.ndarray) -> tuple[int,
     return best_perm
 
 
-def _column_correlation(angle_deg: float, col: np.ndarray) -> float:
-    a = steering_vector(angle_deg, col.size)
-    return abs(np.vdot(a, col)) / (np.linalg.norm(a) * np.linalg.norm(col))
+@lru_cache(maxsize=16)
+def _scan_grid(m: int, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid angles and the conjugated steering vectors on them, one per row;
+    shared between calls, so both arrays are read-only."""
+    npts = max(2, int(round(179.8 / grid_step)) + 1)
+    grid = np.linspace(-89.9, 89.9, npts)
+    manifold_h = np.exp(1j * np.pi * np.outer(np.sin(np.deg2rad(grid)), np.arange(m))).conj()
+    grid.flags.writeable = False
+    manifold_h.flags.writeable = False
+    return grid, manifold_h
+
+
+def _correlation(angle_deg: float, coeffs: list[complex]) -> float:
+    """``|a(angle)^H col|`` by Horner's rule in ``conj(exp(j*pi*sin(angle)))``;
+    ``coeffs`` is the column from its last entry to its first."""
+    phase = math.pi * math.sin(math.radians(angle_deg))
+    z = complex(math.cos(phase), -math.sin(phase))
+    acc = 0j
+    for c in coeffs:
+        acc = acc * z + c
+    return abs(acc)
 
 
 def extract_angles(a_hat: np.ndarray, grid_step: float = 0.1) -> np.ndarray:
@@ -389,36 +480,32 @@ def extract_angles(a_hat: np.ndarray, grid_step: float = 0.1) -> np.ndarray:
     a = np.asarray(a_hat)
     if a.ndim != 2:
         raise ValueError("expected a steering-matrix estimate")
-    m = a.shape[0]
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    npts = max(2, int(round(179.8 / grid_step)) + 1)
-    grid = np.linspace(-89.9, 89.9, npts)
-    manifold = np.exp(1j * np.pi * np.outer(np.arange(m), np.sin(np.deg2rad(grid))))
-    norms = np.linalg.norm(a, axis=0)
-    norms[norms == 0.0] = 1.0
-    corr = np.abs(manifold.conj().T @ a) / (np.sqrt(m) * norms[None, :])
+    grid, manifold_h = _scan_grid(a.shape[0], float(grid_step))
+    # The correlation's normalization by both norms is constant per column,
+    # so it changes neither the grid winner nor the golden-section steps.
+    centers = grid[np.argmax(np.abs(manifold_h @ a), axis=0)].tolist()
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     angles = []
-    for j in range(a.shape[1]):
-        center = grid[int(np.argmax(corr[:, j]))]
+    for j, center in enumerate(centers):
         lo = max(center - grid_step, -89.999)
         hi = min(center + grid_step, 89.999)
-        col = a[:, j]
+        coeffs = a[::-1, j].tolist()
         x1 = hi - invphi * (hi - lo)
         x2 = lo + invphi * (hi - lo)
-        f1 = _column_correlation(x1, col)
-        f2 = _column_correlation(x2, col)
+        f1 = _correlation(x1, coeffs)
+        f2 = _correlation(x2, coeffs)
         for _ in range(60):
             if f1 < f2:
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + invphi * (hi - lo)
-                f2 = _column_correlation(x2, col)
+                f2 = _correlation(x2, coeffs)
             else:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - invphi * (hi - lo)
-                f1 = _column_correlation(x1, col)
+                f1 = _correlation(x1, coeffs)
             if hi - lo < 1e-9:
                 break
         angles.append(0.5 * (lo + hi))

@@ -170,3 +170,39 @@ def oracle_als_sweeps(tensor, code, pilots, a_rx, a_tx, gamma, sweeps, rcond=1e-
         a_tx = oracle_tx_step(tensor, a_rx, gamma, code, pilots, rcond)
         gamma = oracle_reflection_step(tensor, a_rx, a_tx, code, pilots, rcond)
     return a_rx, a_tx, gamma
+
+
+def oracle_extract_angles(a_hat, grid_step=0.1) -> np.ndarray:
+    """Grid scan plus golden-section refinement of the normalized correlation
+    ``|a(angle)^H col| / (|a(angle)| |col|)``, with every steering vector
+    built by ``steering_vector``."""
+    from tensorisac.signal_model import steering_vector
+
+    def correlation(angle, col):
+        a = steering_vector(angle, col.size)
+        return abs(np.vdot(a, col)) / (np.linalg.norm(a) * np.linalg.norm(col))
+
+    a_hat = np.asarray(a_hat)
+    grid = np.linspace(-89.9, 89.9, max(2, int(round(179.8 / grid_step)) + 1))
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    angles = []
+    for j in range(a_hat.shape[1]):
+        col = a_hat[:, j]
+        center = grid[int(np.argmax([correlation(g, col) for g in grid]))]
+        lo = max(center - grid_step, -89.999)
+        hi = min(center + grid_step, 89.999)
+        x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        f1, f2 = correlation(x1, col), correlation(x2, col)
+        for _ in range(60):
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + invphi * (hi - lo)
+                f2 = correlation(x2, col)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - invphi * (hi - lo)
+                f1 = correlation(x1, col)
+            if hi - lo < 1e-9:
+                break
+        angles.append(0.5 * (lo + hi))
+    return np.sort(np.asarray(angles))

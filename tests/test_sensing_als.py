@@ -17,6 +17,7 @@ from tensorisac.sensing_als import (
     estimate_rx_steering,
     estimate_tx_steering,
     extract_angles,
+    gevd_start,
     remove_sensing_ambiguity,
     SensingEstimate,
     _random_factors,
@@ -33,6 +34,7 @@ from tensorisac.tensor_ops import unfold1_flat
 
 from helpers import (
     oracle_als_sweeps,
+    oracle_extract_angles,
     oracle_reflection_step,
     oracle_right_factor,
     oracle_rx_step,
@@ -168,7 +170,7 @@ class TestPilotCompression:
     ])
     def test_first_sweeps_match_uncompressed_oracle(self, m_r, m_t, k, n, p, parallel):
         # Extrapolation starts at the third iteration, so two iterations
-        # are two plain sweeps from the seeded random start.
+        # are two plain sweeps from the start of restart 0.
         scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=p)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=p + 1)
         if parallel:
@@ -176,7 +178,7 @@ class TestPilotCompression:
         y = add_noise(sensing_forward(scene, frame), 10.0, seed=p + 2)
         est = als_fit(y, frame, k, AlsConfig(init_seed=p, max_iters=2))
         rng = np.random.default_rng(np.random.SeedSequence([p, 0]))
-        start = _random_factors(rng, m_r, m_t, n, k)
+        start = gevd_start(y, frame.c, frame.s_pilot, k, rng)
         want = oracle_als_sweeps(y, frame.c, frame.s_pilot, *start, sweeps=2)
         for got, ref in zip((est.a_rx_hat, est.a_tx_hat, est.gamma_hat), want):
             assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
@@ -206,6 +208,41 @@ class TestPilotCompression:
         assert np.all(np.diff(est.nmse_trace) <= 1e-9)
         direct = uncompressed_error(y, est, frame)
         assert abs(est.nmse_trace[-1] - direct) <= 1e-12 * direct
+
+
+class TestGevdStart:
+    """The closed-form start recovers noiseless factors before any ALS sweep
+    and falls back to the seeded random start where the model forbids it."""
+
+    @pytest.mark.parametrize("m_r, m_t, k, n, p", [(2, 2, 2, 3, 8), (4, 4, 3, 4, 64)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noiseless_start_is_exact(self, m_r, m_t, k, n, p, seed):
+        theta, phi = ([15.0, 27.0], [-37.0, 65.0]) if k == 2 else (None, None)
+        scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, theta=theta, phi=phi, seed=seed)
+        frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=seed + 1)
+        y = sensing_forward(scene, frame)
+        start = gevd_start(y, frame.c, frame.s_pilot, k, np.random.default_rng(seed))
+        rebuilt = rebuild_sensing_tensor(*start, frame.c, frame.s_pilot)
+        assert np.linalg.norm(rebuilt - y) ** 2 < 1e-10 * np.linalg.norm(y) ** 2
+        # the restart-0 fit starts there, so one sweep keeps the fit exact
+        fit = als_fit(y, frame, k, AlsConfig(init_seed=seed, max_iters=1))
+        assert fit.nmse_trace[-1] < 1e-10
+
+    @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", [
+        (1, 2, 3, 2, 8, False),   # k > min(m_r, m_t)
+        (2, 4, 2, 4, 3, False),   # p < m_t
+        (2, 3, 2, 3, 8, True),    # two parallel pilot columns
+    ])
+    def test_fallback_is_seeded_random_start(self, m_r, m_t, k, n, p, parallel):
+        scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=12)
+        frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=13)
+        if parallel:
+            frame = parallel_pilot_columns(frame)
+        y = sensing_forward(scene, frame)
+        got = gevd_start(y, frame.c, frame.s_pilot, k, np.random.default_rng(14))
+        want = _random_factors(np.random.default_rng(14), m_r, m_t, n, k)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestAlsFit:
@@ -319,3 +356,11 @@ class TestAngleExtraction:
         a = build_steering_matrix([15.0, 27.0], 2)
         got = extract_angles(a)
         assert np.abs(got - np.array([15.0, 27.0])).max() < 1e-5
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_matches_steering_vector_oracle(self, m):
+        rng = np.random.default_rng(70 + m)
+        angles = rng.uniform(-80.0, 80.0, 4)
+        near = build_steering_matrix(angles, m) + 0.05 * random_complex(rng, m, 4)
+        cols = np.concatenate([random_complex(rng, m, 4), near], axis=1)
+        assert np.abs(extract_angles(cols) - oracle_extract_angles(cols)).max() < 1e-4
