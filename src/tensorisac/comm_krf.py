@@ -81,16 +81,11 @@ def krf_factorize(q: np.ndarray, m_u: int, p: int) -> tuple[np.ndarray, np.ndarr
         raise ValueError("expected a matrix of stacked columns")
     if q.shape[0] != m_u * p:
         raise ValueError(f"rows {q.shape[0]} != m_u*p = {m_u * p}")
-    m_t = q.shape[1]
-    s = np.empty((p, m_t), dtype=complex)
-    h = np.empty((m_u, m_t), dtype=complex)
-    for m in range(m_t):
-        block = unvec(q[:, m], m_u, p)
-        u, v, sigma = best_rank_one(block)
-        root = np.sqrt(sigma)
-        h[:, m] = root * u
-        s[:, m] = root * v.conj()
-    return s, h
+    # blocks[m] = unvec(q[:, m], m_u, p), all columns split in one call
+    blocks = q.T.reshape(q.shape[1], p, m_u).swapaxes(1, 2)
+    u, v, sigma = best_rank_one(blocks)
+    root = np.sqrt(sigma)[:, None]
+    return (root * v.conj()).T, (root * u).T
 
 
 def remove_scaling(s: np.ndarray, h: np.ndarray, reference_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

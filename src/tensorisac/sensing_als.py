@@ -6,8 +6,14 @@ with known ``code`` and ``pilots``.  The receiver alternates exact
 least-squares updates of the receive steering matrix, the transmit steering
 matrix and the reflection matrix, always using the freshest estimates of
 the other two blocks, until the normalized squared reconstruction error
-stops changing.  Every update is one SVD-based pseudoinverse solve over all
-slots (the per-slot reflection systems as one stack).
+stops changing.  Every update is one SVD-based least-squares solve over all
+slots, on operands (the pilot systems ``X_n = pilots @ diag(code[n])`` and the
+unfoldings of the tensor) built once per fit: ``numpy.linalg.lstsq`` (LAPACK
+gelsd) for the transmit steering matrix, and :func:`~tensorisac.tensor_ops.pinv`
+for the receive steering matrix and for the per-slot reflection systems as
+one stack, which ``lstsq`` does not take.  Both solvers treat singular values
+at or below ``rcond`` times the largest as zero and return the minimum-norm
+solution, so they agree to rounding.
 
 Before iterating, :func:`als_fit` compresses the pilot mode (Bro & Andersson,
 1998): for ``Z_n = Y_n conj(U)``, ``U`` the left singular vectors of the
@@ -88,7 +94,11 @@ class AlsConfig:
 
     ``tol`` bounds the relative change of the normalized squared
     reconstruction error between consecutive iterations; ``rcond`` is the
-    relative singular-value cutoff of every pseudoinverse.  ``n_restarts``
+    relative singular-value cutoff of every SVD-based least-squares solve
+    (singular values at or below ``rcond`` times the largest count as zero).
+    ``rcond = 0`` keeps every nonzero singular value, so on an exactly
+    singular system it inverts a rounding-noise singular value and gives a
+    noise-dominated solution.  ``n_restarts``
     fits are run and the best final error kept: restart 0 starts from
     :func:`gevd_start` (or its seeded random fallback), every further
     restart from an independent random start.  ``init_seed`` seeds the
@@ -153,14 +163,14 @@ def check_identifiability(m_r: int, m_t: int, p: int, n: int, k: int) -> Identif
     return IdentifiabilityReport(ok=not violations, violations=violations)
 
 
-def build_right_factor(gamma: np.ndarray, a_tx: np.ndarray, code: np.ndarray, pilots: np.ndarray) -> np.ndarray:
+def build_right_factor(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Right factor of the flat 1-mode unfolding.
 
-    Block ``n`` is ``diag(gamma[n]) @ a_tx.T @ diag(code[n]) @ pilots.T``,
-    so the flat unfolding of the sensing tensor equals
-    ``a_rx @ build_right_factor(...)``.
+    ``g[n] = X_n @ a_tx`` with ``X_n = pilots @ diag(code[n])``.  Block ``n``
+    is ``diag(gamma[n]) @ g[n].T``, so the flat unfolding of the sensing
+    tensor equals ``a_rx @ build_right_factor(gamma, g)``.
     """
-    blocks = pilots @ (np.asarray(code)[:, :, None] * a_tx) * np.asarray(gamma)[:, None, :]
+    blocks = g * gamma[:, None, :]
     return blocks.transpose(2, 0, 1).reshape(blocks.shape[2], -1)
 
 
@@ -176,54 +186,43 @@ def estimate_rx_steering(y1: np.ndarray, right_factor: np.ndarray, rcond: float 
 
 
 def estimate_tx_steering(
-    tensor: np.ndarray,
+    y_vec: np.ndarray,
+    x: np.ndarray,
     a_rx: np.ndarray,
     gamma: np.ndarray,
-    code: np.ndarray,
-    pilots: np.ndarray,
     rcond: float = 1e-12,
 ) -> np.ndarray:
     """Least-squares update of the transmit steering matrix.
 
-    Column-stacking each slice gives
-    ``vec(Y_n) = kron(pilots @ diag(code[n]), a_rx @ diag(gamma[n])) @ vec(a_tx.T)``;
-    the slot blocks are stacked into one tall system and solved jointly.
+    ``y_vec[n] = vec(Y_n)`` (``unfold3_tall(tensor).T``) and
+    ``x[n] = X_n = pilots @ diag(code[n])``.  Column-stacking each slice gives
+    ``vec(Y_n) = kron(X_n, a_rx @ diag(gamma[n])) @ vec(a_tx.T)``; the slot
+    blocks are stacked into one tall system and solved jointly.
     """
-    t = np.asarray(tensor)
-    m_r, p, n_slots = t.shape
-    m_t = np.asarray(code).shape[1]
-    k = np.asarray(a_rx).shape[1]
+    n_slots, p, m_t = x.shape
+    m_r, k = a_rx.shape
     if n_slots * p * m_r < m_t * k:
         raise IdentifiabilityError(
             f"n*p*m_r >= m_t*k fails: {n_slots * p * m_r} < {m_t * k}"
         )
-    left = pilots * np.asarray(code)[:, None, :]
-    right = a_rx * np.asarray(gamma)[:, None, :]
-    stacked = (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(n_slots * p * m_r, m_t * k)
-    return (pinv(stacked, rcond) @ unfold3_tall(t).T.reshape(-1)).reshape(m_t, k)
+    right = a_rx * gamma[:, None, :]
+    stacked = (x[:, :, None, :, None] * right[:, None, :, None, :]).reshape(n_slots * p * m_r, m_t * k)
+    return np.linalg.lstsq(stacked, y_vec.reshape(-1), rcond=rcond)[0].reshape(m_t, k)
 
 
-def estimate_reflections(
-    tensor: np.ndarray,
-    a_rx: np.ndarray,
-    a_tx: np.ndarray,
-    code: np.ndarray,
-    pilots: np.ndarray,
-    rcond: float = 1e-12,
-) -> np.ndarray:
+def estimate_reflections(y_vec: np.ndarray, a_rx: np.ndarray, g: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     """Least-squares update of the reflection matrix, one slot row at a time.
 
-    Slice ``n`` satisfies ``vec(Y_n) = khatri_rao(g_n, a_rx) @ gamma[n]``
-    with ``g_n = pilots @ diag(code[n]) @ a_tx``; all slots are one stacked solve.
+    Slice ``n`` satisfies ``vec(Y_n) = khatri_rao(g[n], a_rx) @ gamma[n]``
+    with ``g[n] = X_n @ a_tx`` and ``y_vec[n] = vec(Y_n)``; all slots are one
+    stacked solve.
     """
-    t = np.asarray(tensor)
-    m_r, p, n_slots = t.shape
-    k = np.asarray(a_rx).shape[1]
+    n_slots, p, k = g.shape
+    m_r = a_rx.shape[0]
     if p * m_r < k:
         raise IdentifiabilityError(f"p*m_r >= k fails: {p * m_r} < {k}")
-    g = pilots @ (np.asarray(code)[:, :, None] * a_tx)
     basis = (g[:, :, None, :] * a_rx).reshape(n_slots, p * m_r, k)
-    return (pinv(basis, rcond) @ unfold3_tall(t).T[:, :, None])[:, :, 0]
+    return (pinv(basis, rcond) @ y_vec[:, :, None])[:, :, 0]
 
 
 def _random_factors(rng: np.random.Generator, m_r: int, m_t: int, n: int, k: int):
@@ -277,14 +276,8 @@ def gevd_start(
     weights = rng.standard_normal((2, n_slots)) + 1j * rng.standard_normal((2, n_slots))
     g_a, g_b = np.einsum("wn,nkl->wkl", weights, core)
     a_rx = u1 @ np.linalg.eig(np.linalg.solve(g_b.T, g_a.T).T)[1]
-    rows = np.einsum("ki,itn->ktn", pinv(a_rx, rcond), m)
-    a_tx = np.empty((m_t, k), dtype=complex)
-    gamma = np.empty((n_slots, k), dtype=complex)
-    for j in range(k):
-        left, right, sigma = best_rank_one(rows[j])
-        a_tx[:, j] = left
-        gamma[:, j] = sigma * right.conj()
-    return a_rx, a_tx, gamma
+    left, right, sigma = best_rank_one(np.einsum("ki,itn->ktn", pinv(a_rx, rcond), m))
+    return a_rx, left.T, (sigma[:, None] * right.conj()).T
 
 
 def als_fit(
@@ -335,7 +328,11 @@ def als_fit(
         z = np.einsum("ipn,pr->irn", t, u.conj())
         resid = t - np.einsum("irn,pr->ipn", z, u)
         t, pilots, outside = z, u.conj().T @ pilots, np.vdot(resid, resid).real
+    # Loop-invariant operands: the pilot systems X_n = pilots @ diag(code[n])
+    # of all slots, and the two unfoldings the sub-steps solve against.
+    x = pilots * code[:, None, :]
     y1 = unfold1_flat(t)
+    y_vec = unfold3_tall(t).T
 
     best: SensingEstimate | None = None
     for restart in range(cfg.n_restarts):
@@ -347,13 +344,14 @@ def als_fit(
         trace: list[float] = []
         converged = False
         prev_err = np.inf
-        right = build_right_factor(gamma, a_tx, code, pilots)
+        right = build_right_factor(gamma, x @ a_tx)
         for it in range(1, cfg.max_iters + 1):
             old = (a_rx, a_tx, gamma)
             a_rx = estimate_rx_steering(y1, right, cfg.rcond)
-            a_tx = estimate_tx_steering(t, a_rx, gamma, code, pilots, cfg.rcond)
-            gamma = estimate_reflections(t, a_rx, a_tx, code, pilots, cfg.rcond)
-            right = build_right_factor(gamma, a_tx, code, pilots)
+            a_tx = estimate_tx_steering(y_vec, x, a_rx, gamma, cfg.rcond)
+            g = x @ a_tx
+            gamma = estimate_reflections(y_vec, a_rx, g, cfg.rcond)
+            right = build_right_factor(gamma, g)
             resid = y1 - a_rx @ right
             err = (np.vdot(resid, resid).real + outside) / y_energy
             if it > 2:
@@ -364,7 +362,7 @@ def als_fit(
                 a_rx_x = old[0] + step * (a_rx - old[0])
                 a_tx_x = old[1] + step * (a_tx - old[1])
                 gamma_x = old[2] + step * (gamma - old[2])
-                right_x = build_right_factor(gamma_x, a_tx_x, code, pilots)
+                right_x = build_right_factor(gamma_x, x @ a_tx_x)
                 resid_x = y1 - a_rx_x @ right_x
                 err_x = (np.vdot(resid_x, resid_x).real + outside) / y_energy
                 if err_x < err:

@@ -115,35 +115,42 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pinv(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
+    """Moore-Penrose pseudoinverse via SVD, of a matrix or of each matrix in
+    a stack ``(..., rows, cols)``.
 
     Singular values at or below ``rcond`` times the largest singular value
-    are treated as zero.  Raises ``numpy.linalg.LinAlgError`` if the SVD
-    fails to converge.
+    are treated as zero.  The arithmetic is ``numpy.linalg.pinv``'s, bit for
+    bit, without its argument handling.  Raises
+    ``numpy.linalg.LinAlgError`` if the SVD fails to converge.
     """
-    return np.linalg.pinv(np.asarray(m), rcond=rcond)
+    u, s, vh = np.linalg.svd(np.conj(m), full_matrices=False)
+    # LAPACK returns the singular values in descending order, so the first
+    # is the largest; a dropped value gets 1/inf = 0.
+    s_inv = 1.0 / np.where(s > rcond * s[..., :1], s, np.inf)
+    return vh.swapaxes(-1, -2) @ (s_inv[..., None] * u.swapaxes(-1, -2))
 
 
-def best_rank_one(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best rank-one approximation ``sigma * outer(u, conj(v))`` of a matrix.
+def best_rank_one(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Best rank-one approximation ``sigma * outer(u, conj(v))`` of a matrix,
+    or of each matrix in a stack ``(..., rows, cols)``.
 
-    Returns ``(u, v, sigma)`` with unit-norm ``u`` and ``v`` and ``sigma``
-    the largest singular value.  The pair is rotated so the first entry of
-    ``u`` whose magnitude exceeds 1e-12 is real and nonnegative, which
-    makes the output deterministic across backends.
+    Returns ``(u, v, sigma)``: unit-norm ``u`` of shape ``(..., rows)``,
+    unit-norm ``v`` of shape ``(..., cols)`` and the largest singular value
+    ``sigma`` of shape ``(...)`` (a scalar for one matrix).  Each pair is
+    rotated so the first entry of ``u`` whose magnitude exceeds 1e-12 is
+    real and nonnegative, which makes the output deterministic across
+    backends.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"best_rank_one expects a matrix, got ndim={m.ndim}")
-    if not np.any(m):
+    if m.ndim < 2:
+        raise ValueError(f"best_rank_one expects a matrix or a stack of matrices, got ndim={m.ndim}")
+    if not np.all(np.any(m, axis=(-2, -1))):
         raise ValueError("best_rank_one is undefined for an all-zero matrix")
     u_full, s, vh = np.linalg.svd(m, full_matrices=False)
-    u = u_full[:, 0]
-    v = vh[0, :].conj()
-    sigma = float(s[0])
-    nz = np.flatnonzero(np.abs(u) > 1e-12)
-    if nz.size:
-        phase = u[nz[0]] / abs(u[nz[0]])
-        u = u * phase.conj()
-        v = v * phase.conj()
-    return u, v, sigma
+    u = u_full[..., 0]
+    v = vh[..., 0, :].conj()
+    big = np.abs(u) > 1e-12
+    lead = np.take_along_axis(u, np.argmax(big, axis=-1)[..., None], axis=-1)
+    lead = np.where(np.any(big, axis=-1, keepdims=True), lead, 1.0)
+    phase = (lead / np.abs(lead)).conj()
+    return u * phase, v * phase, s[..., 0]

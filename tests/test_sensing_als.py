@@ -30,7 +30,7 @@ from tensorisac.signal_model import (
     sensing_forward,
     steering_vector,
 )
-from tensorisac.tensor_ops import unfold1_flat
+from tensorisac.tensor_ops import unfold1_flat, unfold3_tall
 
 from helpers import (
     oracle_als_sweeps,
@@ -83,6 +83,13 @@ def replace_frame_pilots(frame, p):
     return dc_replace(frame, s_pilot=frame.s_pilot[:p, :], s_data=frame.s_data[:p, :])
 
 
+def step_operands(y, code, pilots):
+    """The operands als_fit builds once per fit for the step functions: the
+    pilot systems ``X_n = pilots @ diag(code[n])``, the flat unfolding and
+    the per-slot ``vec(Y_n)`` rows."""
+    return pilots * code[:, None, :], unfold1_flat(y), unfold3_tall(y).T
+
+
 class TestLeastSquaresSteps:
     """Each ALS step is an exact LS solve: with the other factors at truth
     and noiseless data, one step recovers the remaining factor."""
@@ -91,9 +98,11 @@ class TestLeastSquaresSteps:
         self.scene, self.frame, self.y = reference_instance(seed=100)
         self.a_rx = self.scene.rx_steering()
         self.a_tx = self.scene.tx_steering()
+        self.x, self.y1, self.y_vec = step_operands(self.y, self.frame.c, self.frame.s_pilot)
+        self.g = self.x @ self.a_tx
 
     def test_right_factor_block_structure(self):
-        right = build_right_factor(self.scene.gamma, self.a_tx, self.frame.c, self.frame.s_pilot)
+        right = build_right_factor(self.scene.gamma, self.g)
         n, p = self.frame.c.shape[0], self.frame.s_pilot.shape[0]
         assert right.shape == (2, n * p)
         for slot in range(n):
@@ -106,18 +115,16 @@ class TestLeastSquaresSteps:
             assert np.abs(right[:, slot * p:(slot + 1) * p] - block).max() < 1e-14
 
     def test_rx_step_exact(self):
-        right = build_right_factor(self.scene.gamma, self.a_tx, self.frame.c, self.frame.s_pilot)
-        est = estimate_rx_steering(unfold1_flat(self.y), right)
+        right = build_right_factor(self.scene.gamma, self.g)
+        est = estimate_rx_steering(self.y1, right)
         assert np.abs(est - self.a_rx).max() < 1e-10
 
     def test_tx_step_exact(self):
-        est = estimate_tx_steering(self.y, self.a_rx, self.scene.gamma,
-                                   self.frame.c, self.frame.s_pilot)
+        est = estimate_tx_steering(self.y_vec, self.x, self.a_rx, self.scene.gamma)
         assert np.abs(est - self.a_tx).max() < 1e-10
 
     def test_reflection_step_exact(self):
-        est = estimate_reflections(self.y, self.a_rx, self.a_tx,
-                                   self.frame.c, self.frame.s_pilot)
+        est = estimate_reflections(self.y_vec, self.a_rx, self.g)
         assert np.abs(est - self.scene.gamma).max() < 1e-10
 
 
@@ -129,23 +136,42 @@ class TestVectorizedSteps:
     """The broadcast step functions match per-slot diag/kron/pinv oracles
     at random (non-truth) factors on noisy data."""
 
+    @staticmethod
+    def assert_steps_match_oracles(y, c, s, a_rx, a_tx, gamma):
+        x, y1, y_vec = step_operands(y, c, s)
+        g = x @ a_tx
+        right = build_right_factor(gamma, g)
+        pairs = [
+            (right, oracle_right_factor(gamma, a_tx, c, s)),
+            (estimate_rx_steering(y1, right), oracle_rx_step(unfold1_flat(y), right)),
+            (estimate_tx_steering(y_vec, x, a_rx, gamma), oracle_tx_step(y, a_rx, gamma, c, s)),
+            (estimate_reflections(y_vec, a_rx, g), oracle_reflection_step(y, a_rx, a_tx, c, s)),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     @pytest.mark.parametrize("m_r, m_t, k, n, p", [(2, 2, 2, 3, 8), (4, 4, 3, 4, 64)])
     def test_steps_match_per_slot_oracles(self, m_r, m_t, k, n, p):
         rng = np.random.default_rng(m_t * 100 + p)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=p)
         y = random_complex(rng, m_r, p, n)
         a_rx, a_tx, gamma = random_complex(rng, m_r, k), random_complex(rng, m_t, k), random_complex(rng, n, k)
-        c, s = frame.c, frame.s_pilot
-        right = build_right_factor(gamma, a_tx, c, s)
-        pairs = [
-            (right, oracle_right_factor(gamma, a_tx, c, s)),
-            (estimate_rx_steering(unfold1_flat(y), right), oracle_rx_step(unfold1_flat(y), right)),
-            (estimate_tx_steering(y, a_rx, gamma, c, s), oracle_tx_step(y, a_rx, gamma, c, s)),
-            (estimate_reflections(y, a_rx, a_tx, c, s), oracle_reflection_step(y, a_rx, a_tx, c, s)),
-        ]
-        for got, want in pairs:
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        self.assert_steps_match_oracles(y, frame.c, frame.s_pilot, a_rx, a_tx, gamma)
+
+    def test_rank_deficient_systems_match_pinv_oracles(self):
+        # One slot with two parallel pilot columns: X_0 has rank 2 < m_t = 3,
+        # so the tx system kron(X_0, a_rx diag(gamma_0)) is exactly
+        # rank-deficient, and at rcond = 1e-12 the lstsq solve must return the
+        # pinv oracle's minimum-norm solution.  (At rcond = 0 both would
+        # invert a rounding-noise singular value, so they are not compared.)
+        rng = np.random.default_rng(308)
+        frame = parallel_pilot_columns(sample_frame(p=8, m_t=3, n=3, order=4, seed=8))
+        c, s = frame.c[:1], frame.s_pilot
+        assert np.linalg.matrix_rank(s * c[0]) == 2
+        y = random_complex(rng, 2, 8, 1)
+        a_rx, a_tx, gamma = random_complex(rng, 2, 2), random_complex(rng, 3, 2), random_complex(rng, 1, 2)
+        self.assert_steps_match_oracles(y, c, s, a_rx, a_tx, gamma)
 
 
 def parallel_pilot_columns(frame):
@@ -277,6 +303,26 @@ class TestAlsFit:
         est = als_fit(y, frame, 2, AlsConfig(max_iters=3, init_seed=1))
         assert not est.converged
         assert est.iters == 3
+
+    def test_every_iteration_calls_the_step_functions(self, monkeypatch):
+        # Per-sub-step timings are taken by wrapping these four module-level
+        # functions, so the loop must call them rather than inline copies.
+        import tensorisac.sensing_als as als
+
+        calls = dict.fromkeys(
+            ("estimate_rx_steering", "estimate_tx_steering", "estimate_reflections", "build_right_factor"), 0
+        )
+        for name in calls:
+            def counted(*args, _fn=getattr(als, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(als, name, counted)
+        scene, frame, y = reference_instance(seed=2, noise_db=0.0)
+        est = als_fit(y, frame, 2, AlsConfig(max_iters=6, init_seed=1))
+        assert est.iters == 6
+        assert calls["estimate_rx_steering"] == calls["estimate_tx_steering"] == calls["estimate_reflections"] == 6
+        # one before the first sweep, one per sweep, one per extrapolation (from the third)
+        assert calls["build_right_factor"] == 1 + 6 + 4
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

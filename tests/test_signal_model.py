@@ -185,6 +185,16 @@ class TestSceneAndFrame:
         )
         assert np.abs(link.h - expected).max() < 1e-12
 
+    def test_comm_link_derives_h(self):
+        gains = [0.7 - 0.2j, 1.1 + 0.4j]
+        link = CommLink(theta_ue=[10.0, -50.0], phi_ue=[5.0, 60.0], gains=gains, m_u=4, m_t=3)
+        a_u = np.column_stack([steering_vector(a, 4) for a in (10.0, -50.0)])
+        a_t = np.column_stack([steering_vector(a, 3) for a in (5.0, 60.0)])
+        assert np.abs(link.h - a_u @ np.diag(gains) @ a_t.T).max() < 1e-12
+        # h is derived, never passed in, so it cannot disagree with the paths
+        with pytest.raises(TypeError):
+            CommLink(theta_ue=[10.0], phi_ue=[5.0], gains=[1.0], m_u=4, m_t=3, h=np.ones((4, 3)))
+
 
 class TestForwardModels:
     def test_sensing_forward_matches_oracle(self):

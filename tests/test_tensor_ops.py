@@ -146,6 +146,21 @@ class TestPinv:
         mp = pinv(m)
         assert penrose_deviation(m, mp) < 1e-12
 
+    @pytest.mark.parametrize("rcond", [1e-12, 0.0, 1e-3])
+    def test_bitwise_equal_to_numpy_pinv(self, rcond):
+        rng = np.random.default_rng(18)
+        col = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
+        inputs = [
+            rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)),
+            rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4)),
+            rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2)),  # stacked
+            np.hstack([col, 2j * col, col]),  # rank one
+            np.zeros((3, 2), dtype=complex),
+            rng.standard_normal((4, 3)),  # real
+        ]
+        for m in inputs:
+            assert np.array_equal(pinv(m, rcond), np.linalg.pinv(m, rcond=rcond))
+
 
 class TestBestRankOne:
     def test_exact_on_rank_one_input(self):
@@ -179,3 +194,19 @@ class TestBestRankOne:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             best_rank_one(np.zeros((3, 3), dtype=complex))
+        stack = np.ones((3, 2, 2), dtype=complex)
+        stack[1] = 0.0
+        with pytest.raises(ValueError):
+            best_rank_one(stack)
+
+    def test_stack_equals_per_matrix_loop(self):
+        rng = np.random.default_rng(19)
+        stack = rng.standard_normal((2, 4, 3, 5)) + 1j * rng.standard_normal((2, 4, 3, 5))
+        stack[0, 1, 0, :] = 0.0  # u's first entry is zero: the phase pivot moves on
+        u, v, sigma = best_rank_one(stack)
+        assert u.shape == (2, 4, 3) and v.shape == (2, 4, 5) and sigma.shape == (2, 4)
+        for idx in np.ndindex(2, 4):
+            want = best_rank_one(stack[idx])
+            for got, ref in zip((u[idx], v[idx], sigma[idx]), want):
+                assert np.array_equal(got, ref)
+        assert abs(u[0, 1, 0]) < 1e-12 and abs(u[0, 1, 1].imag) < 1e-12 and u[0, 1, 1].real > 0
