@@ -65,7 +65,6 @@ from .signal_model import (
 )
 from .tensor_ops import (
     best_rank_one,
-    frontal_slice,
     khatri_rao,
     kronecker,
     pinv,
@@ -103,7 +102,6 @@ __all__ = [
     "emit_plot_data",
     "estimate_symbol_channel_product",
     "extract_angles",
-    "frontal_slice",
     "khatri_rao",
     "krf_factorize",
     "kronecker",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import IdentifiabilityError
 from .signal_model import qam_constellation, qam_demodulate
-from .tensor_ops import best_rank_one, unfold3_tall, unvec
+from .tensor_ops import best_rank_one, unfold3_tall
 
 __all__ = [
     "CommEstimate",
@@ -158,8 +158,6 @@ def zf_benchmark(tensor: np.ndarray, h_true: np.ndarray, code: np.ndarray, order
     if np.any(col_energy == 0.0):
         raise ValueError("channel has a zero column; that stream is unobservable")
     q = estimate_symbol_channel_product(t, code)
-    s_soft = np.empty((p, m_t), dtype=complex)
-    for m in range(m_t):
-        block = unvec(q[:, m], m_u, p)
-        s_soft[:, m] = h_true[:, m].conj() @ block / col_energy[m]
-    return detect_symbols(s_soft, order)
+    # Stream m: unvec(q[:, m], m_u, p).T @ conj(h_true[:, m]), all streams at once.
+    combined = q.T.reshape(m_t, p, m_u) @ h_true.T.conj()[:, :, None]
+    return detect_symbols(combined[:, :, 0].T / col_energy, order)

@@ -9,12 +9,12 @@ dispatched to worker processes (``jobs`` > 1) without affecting output.
 
 Artifacts per sweep:
 
-* ``results.csv``: one row per trial in the fixed column order
-  ``sweep_var, sweep_value, trial, seed, converged, als_iters, nmse_ar,
-  nmse_at, nmse_gamma, angle_rmse_deg, nmse_h, ser_krf, ser_zf``, followed
-  by one summary row per grid point (``trial`` = -1, metric columns hold
-  the across-trial median, ``converged`` holds the count of converged
-  trials).
+* ``results.csv``: one row per trial, with the fields of
+  :class:`MetricsRecord` as columns in field order (``CSV_COLUMNS``:
+  ``sweep_var, sweep_value, trial, seed, converged``, then the metric
+  columns ``METRIC_COLUMNS``), followed by one summary row per grid point
+  (``trial`` = -1, metric columns hold the across-trial median,
+  ``converged`` holds the count of converged trials).
 * ``summary.csv``: per grid point, median and mean of every metric column.
 
 Floats are written with 17 significant digits and rows are sorted before
@@ -28,7 +28,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -58,41 +58,15 @@ __all__ = [
     "METRIC_COLUMNS",
 ]
 
-CSV_COLUMNS = (
-    "sweep_var",
-    "sweep_value",
-    "trial",
-    "seed",
-    "converged",
-    "als_iters",
-    "nmse_ar",
-    "nmse_at",
-    "nmse_gamma",
-    "angle_rmse_deg",
-    "nmse_h",
-    "ser_krf",
-    "ser_zf",
-)
-
-METRIC_COLUMNS = (
-    "als_iters",
-    "nmse_ar",
-    "nmse_at",
-    "nmse_gamma",
-    "angle_rmse_deg",
-    "nmse_h",
-    "ser_krf",
-    "ser_zf",
-)
-
 SWEEP_VARIABLES = ("es_n0", "n", "p", "m_u")
+DIMS = ("m_t", "m_r", "m_u", "p", "n", "k", "l")
 
 
 # ------------------------------ configuration ------------------------------ #
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; see ``load_config`` for the file schema."""
+    """Validated experiment description; ``_SCHEMA`` maps the file keys to its fields."""
 
     m_t: int = 2
     m_r: int = 2
@@ -120,7 +94,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming every violated requirement."""
         problems: list[str] = []
-        for name in ("m_t", "m_r", "m_u", "p", "n", "k", "l"):
+        for name in DIMS:
             if int(getattr(self, name)) < 1:
                 problems.append(f"{name} must be at least 1")
         if len(self.sensing_aoa) != self.k or len(self.sensing_aod) != self.k:
@@ -149,37 +123,29 @@ class ExperimentConfig:
         # Every point of the sweep must be a runnable experiment.
         for value in self.sweep_values:
             pt = apply_sweep(self, value)
-            report = check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k)
-            if not report.ok:
-                raise ConfigError(
-                    f"sweep point {self.sweep_variable}={value}: " + "; ".join(report.violations)
-                )
-            if pt.n < pt.m_t:
-                raise ConfigError(
-                    f"sweep point {self.sweep_variable}={value}: code projection needs "
-                    f"n >= m_t: {pt.n} < {pt.m_t}"
-                )
-            if pt.m_u < pt.m_t:
-                raise ConfigError(
-                    f"sweep point {self.sweep_variable}={value}: benchmark needs "
-                    f"m_u >= m_t: {pt.m_u} < {pt.m_t}"
-                )
+            violations = check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k).violations
+            # The code projection and the benchmark are checked in turn, and
+            # only on an identifiable point; the first failure is reported.
+            for need, dim in (("code projection", "n"), ("benchmark", "m_u")):
+                if not violations and getattr(pt, dim) < pt.m_t:
+                    violations = [f"{need} needs {dim} >= m_t: {getattr(pt, dim)} < {pt.m_t}"]
+            if violations:
+                raise ConfigError(f"sweep point {self.sweep_variable}={value}: " + "; ".join(violations))
 
 
-_SCHEMA = {
-    "dims": {"m_t", "m_r", "m_u", "p", "n", "k", "l"},
-    "angles": {"sensing_aoa", "sensing_aod", "comm_aoa", "comm_aod"},
-    "comm_gains": None,
-    "constellation": None,
-    "gamma_std": None,
-    "sweep": {"variable", "values"},
-    "es_n0_db": None,
-    "trials": None,
-    "base_seed": None,
-    "als": {"max_iters", "tol", "rcond", "init_seed", "n_restarts"},
-    "output_dir": None,
-    "jobs": None,
-}
+def _integral(value):
+    """``value`` itself, unless it is a number with a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _int(value) -> int:
+    return int(_integral(value))
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
 
 
 def _as_gain(value) -> complex:
@@ -190,19 +156,34 @@ def _as_gain(value) -> complex:
     return complex(float(value), 0.0)
 
 
+# File key -> (ExperimentConfig field, parser); a nested object maps each
+# subkey the same way.  The ``als`` subkeys are the AlsConfig fields; their
+# values reach AlsConfig unconverted (an integer field only refuses a
+# fractional number), and AlsConfig checks them.
+_SCHEMA = {
+    "dims": {name: (name, _int) for name in DIMS},
+    "angles": {name: (name, _floats) for name in ("sensing_aoa", "sensing_aod", "comm_aoa", "comm_aod")},
+    "comm_gains": ("comm_gains", lambda gains: [_as_gain(g) for g in gains]),
+    "constellation": ("constellation", _int),
+    "gamma_std": ("gamma_std", float),
+    "sweep": {"variable": ("sweep_variable", str), "values": ("sweep_values", _floats)},
+    "es_n0_db": ("es_n0_db", float),
+    "trials": ("trials", _int),
+    "base_seed": ("base_seed", _int),
+    "als": {f.name: (f.name, _integral if f.type == "int" else lambda v: v) for f in fields(AlsConfig)},
+    "output_dir": ("output_dir", str),
+    "jobs": ("jobs", _int),
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Load and validate a JSON experiment file.
 
-    Top-level keys: ``dims`` (``m_t``, ``m_r``, ``m_u``, ``p``, ``n``,
-    ``k``, ``l``), ``angles`` (``sensing_aoa``, ``sensing_aod``,
-    ``comm_aoa``, ``comm_aod``, degrees), ``comm_gains`` (numbers or
-    ``[re, im]`` pairs), ``constellation``, ``gamma_std``, ``sweep``
-    (``variable`` in {es_n0, n, p, m_u} and sorted ``values``),
-    ``es_n0_db`` (noise level used when sweeping a dimension), ``trials``,
-    ``base_seed``, ``als`` (``max_iters``, ``tol``, ``rcond``,
-    ``init_seed``, ``n_restarts``), ``output_dir``, ``jobs``.  Every key is
-    optional, unknown keys are rejected, and the merged configuration is
-    validated (including identifiability of every sweep point) before
+    The keys are those of ``_SCHEMA`` (README describes each one), and
+    every key is optional.  Unknown keys, integer keys holding a number
+    with a fractional part, and values that do not parse are rejected,
+    each error naming its key (``dims.p: ...``).  The merged configuration
+    is validated, identifiability of every sweep point included, before
     anything runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -215,49 +196,34 @@ def load_config(path: str) -> ExperimentConfig:
     unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    for key, subkeys in _SCHEMA.items():
-        if subkeys is not None and key in raw:
+    for key, spec in _SCHEMA.items():
+        if isinstance(spec, dict) and key in raw:
             if not isinstance(raw[key], dict):
                 raise ConfigError(f"{key} must be an object")
-            bad = set(raw[key]) - subkeys
+            bad = set(raw[key]) - set(spec)
             if bad:
                 raise ConfigError(f"unknown keys under {key}: {sorted(bad)}")
 
     kwargs: dict = {}
-    for name in _SCHEMA["dims"]:
-        if name in raw.get("dims", {}):
-            kwargs[name] = int(raw["dims"][name])
-    for name in _SCHEMA["angles"]:
-        if name in raw.get("angles", {}):
-            kwargs[name] = [float(a) for a in raw["angles"][name]]
-    if "comm_gains" in raw:
-        kwargs["comm_gains"] = [_as_gain(g) for g in raw["comm_gains"]]
-    if "constellation" in raw:
-        kwargs["constellation"] = int(raw["constellation"])
-    if "gamma_std" in raw:
-        kwargs["gamma_std"] = float(raw["gamma_std"])
-    if "sweep" in raw:
-        sweep = raw["sweep"]
-        if "variable" in sweep:
-            kwargs["sweep_variable"] = str(sweep["variable"])
-        if "values" in sweep:
-            kwargs["sweep_values"] = [float(v) for v in sweep["values"]]
-    if "es_n0_db" in raw:
-        kwargs["es_n0_db"] = float(raw["es_n0_db"])
-    if "trials" in raw:
-        kwargs["trials"] = int(raw["trials"])
-    if "base_seed" in raw:
-        kwargs["base_seed"] = int(raw["base_seed"])
-    if "als" in raw:
-        als_kwargs = dict(raw["als"])
-        try:
-            kwargs["als"] = AlsConfig(**als_kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"als section: {exc}") from exc
-    if "output_dir" in raw:
-        kwargs["output_dir"] = str(raw["output_dir"])
-    if "jobs" in raw:
-        kwargs["jobs"] = int(raw["jobs"])
+    for key, spec in _SCHEMA.items():
+        if key not in raw:
+            continue
+        if isinstance(spec, dict):
+            entries = [(f"{key}.{sub}", value, spec[sub]) for sub, value in raw[key].items()]
+        else:
+            entries = [(key, raw[key], spec)]
+        parsed = {}
+        for name, value, (target, parse) in entries:
+            try:
+                parsed[target] = parse(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+        if key == "als":
+            try:
+                parsed = {"als": AlsConfig(**parsed)}
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"als section: {exc}") from exc
+        kwargs.update(parsed)
 
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
@@ -304,7 +270,7 @@ def ser(s_hat: np.ndarray, s_true: np.ndarray, atol: float = 1e-9) -> float:
 
 @dataclass
 class MetricsRecord:
-    """One CSV row; field order matches ``CSV_COLUMNS``."""
+    """One ``results.csv`` row; the field order is the column order."""
 
     sweep_var: str
     sweep_value: float
@@ -319,6 +285,11 @@ class MetricsRecord:
     nmse_h: float
     ser_krf: float
     ser_zf: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+# The per-trial metrics: every column after ``converged``.
+METRIC_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("converged") + 1 :]
 
 
 # ------------------------------- trial driver ------------------------------- #
@@ -392,9 +363,6 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
 
 # ------------------------------- sweep driver ------------------------------- #
 
-def _run_trial_args(args) -> MetricsRecord:
-    return run_trial(*args)
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -426,15 +394,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
     tasks = [(cfg, value, trial) for value in cfg.sweep_values for trial in range(cfg.trials)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_run_trial_args, tasks, chunksize=16))
+            records = list(pool.map(run_trial, *zip(*tasks), chunksize=16))
     else:
         records = [run_trial(*task) for task in tasks]
     records.sort(key=lambda r: (r.sweep_value, r.trial))
 
     data_rows = [[_fmt(getattr(rec, col)) for col in CSV_COLUMNS] for rec in records]
 
-    summary_rows = []
-    wide_rows = []
+    summary_rows, wide_rows = [], []
     for value in cfg.sweep_values:
         group = [r for r in records if r.sweep_value == float(value)]
         med = {m: float(np.median([getattr(r, m) for r in group])) for m in METRIC_COLUMNS}
@@ -476,10 +443,7 @@ def emit_plot_data(csv_path: str, out_dir: str | None = None) -> list[str]:
         if reader.fieldnames is None or list(reader.fieldnames) != list(CSV_COLUMNS):
             raise ValueError(f"{csv_path} does not have the expected column header")
         rows = [row for row in reader if int(row["trial"]) >= 0]
-    if not rows:
-        sweep_var = "sweep"
-    else:
-        sweep_var = rows[0]["sweep_var"]
+    sweep_var = rows[0]["sweep_var"] if rows else "sweep"
 
     def _parse(cell: str) -> float:
         try:

@@ -325,9 +325,10 @@ def als_fit(
     outside = 0.0  # ||Y - Z U^T||^2 of the pilot-mode compression, fixed for all factors
     if p > m_t and check_identifiability(m_r, m_t, m_t, n_slots, num_targets).ok:
         u = np.linalg.svd(pilots, full_matrices=False)[0]
-        z = np.einsum("ipn,pr->irn", t, u.conj())
-        resid = t - np.einsum("irn,pr->ipn", z, u)
-        t, pilots, outside = z, u.conj().T @ pilots, np.vdot(resid, resid).real
+        slots = t.transpose(2, 0, 1)  # slots[n] = Y_n
+        z = slots @ u.conj()
+        resid = slots - z @ u.T
+        t, pilots, outside = z.transpose(1, 2, 0), u.conj().T @ pilots, np.vdot(resid, resid).real
     # Loop-invariant operands: the pilot systems X_n = pilots @ diag(code[n])
     # of all slots, and the two unfoldings the sub-steps solve against.
     x = pilots * code[:, None, :]

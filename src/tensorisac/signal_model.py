@@ -171,10 +171,6 @@ class SensingScene:
             raise ValueError("antenna counts must be positive")
 
     @property
-    def num_targets(self) -> int:
-        return self.theta.size
-
-    @property
     def num_slots(self) -> int:
         return self.gamma.shape[0]
 
@@ -212,10 +208,6 @@ class CommLink:
             @ np.diag(self.gains)
             @ build_steering_matrix(self.phi_ue, self.m_t).T
         )
-
-    @property
-    def num_paths(self) -> int:
-        return self.theta_ue.size
 
 
 def build_comm_link(theta_ue, phi_ue, gains, m_u: int, m_t: int) -> CommLink:
@@ -258,10 +250,6 @@ class TransmitFrame:
     @property
     def num_slots(self) -> int:
         return self.c.shape[0]
-
-    @property
-    def num_symbols(self) -> int:
-        return self.s_pilot.shape[0]
 
 
 # -------------------------------- samplers -------------------------------- #

@@ -20,12 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "frontal_slice",
     "unfold1_flat",
     "unfold3_tall",
     "vec",
     "unvec",
-    "row_diag",
     "kronecker",
     "khatri_rao",
     "pinv",
@@ -38,14 +36,6 @@ def _require_tensor3(t: np.ndarray) -> np.ndarray:
     if t.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
     return t
-
-
-def frontal_slice(tensor: np.ndarray, n: int) -> np.ndarray:
-    """Return the ``n``-th frontal slice ``tensor[:, :, n]``."""
-    t = _require_tensor3(tensor)
-    if not 0 <= n < t.shape[2]:
-        raise IndexError(f"slice index {n} out of range for {t.shape[2]} slices")
-    return t[:, :, n]
 
 
 def unfold1_flat(tensor: np.ndarray) -> np.ndarray:
@@ -83,16 +73,6 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     if v.size != rows * cols:
         raise ValueError(f"cannot unvec length {v.size} into {rows}x{cols}")
     return v.reshape(rows, cols, order="F")
-
-
-def row_diag(m: np.ndarray, n: int) -> np.ndarray:
-    """Diagonal matrix built from row ``n`` of ``m``."""
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError(f"row_diag expects a matrix, got ndim={m.ndim}")
-    if not 0 <= n < m.shape[0]:
-        raise IndexError(f"row index {n} out of range for {m.shape[0]} rows")
-    return np.diag(m[n, :])
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from tensorisac.signal_model import (
     qam_constellation,
     sample_frame,
 )
-from tensorisac.tensor_ops import khatri_rao
+from tensorisac.tensor_ops import khatri_rao, unvec
 
 from helpers import rebuild_comm_tensor
 
@@ -159,6 +159,21 @@ class TestZfBenchmark:
         frame, link, y = comm_instance(90)
         s = zf_benchmark(y, link.h, frame.c, 4)
         assert np.array_equal(s, detect_symbols(frame.s_data, 4))
+
+    @pytest.mark.parametrize("m_u, m_t, noise_db", [(2, 2, -5.0), (4, 3, -10.0), (5, 2, -12.0)])
+    def test_matches_per_stream_loop(self, m_u, m_t, noise_db):
+        # Reference: the separated block of stream m is unvec(q[:, m], m_u, p);
+        # combine it with the conjugated true channel column, one stream at a time.
+        frame, link, y = comm_instance(93, m_u=m_u, m_t=m_t, n=m_t + 1, noise_db=noise_db)
+        p = frame.s_data.shape[0]
+        q = estimate_symbol_channel_product(y, frame.c)
+        s_soft = np.empty((p, m_t), dtype=complex)
+        for m in range(m_t):
+            block = unvec(q[:, m], m_u, p)
+            s_soft[:, m] = link.h[:, m].conj() @ block / np.vdot(link.h[:, m], link.h[:, m]).real
+        expected = detect_symbols(s_soft, 4)
+        assert np.mean(expected != detect_symbols(frame.s_data, 4)) > 0  # noise flips decisions
+        assert np.array_equal(zf_benchmark(y, link.h, frame.c, 4), expected)
 
     def test_fewer_user_antennas_rejected(self):
         frame, link, y = comm_instance(91, m_u=2, m_t=2)

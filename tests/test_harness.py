@@ -4,9 +4,10 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tensorisac.exceptions import ConfigError
 from tensorisac.harness import (
     CSV_COLUMNS,
     METRIC_COLUMNS,
+    ExperimentConfig,
     default_config,
     emit_plot_data,
     load_config,
@@ -24,7 +26,7 @@ from tensorisac.harness import (
     run_trial,
     ser,
 )
-from tensorisac.sensing_als import SensingEstimate
+from tensorisac.sensing_als import AlsConfig, SensingEstimate
 from tensorisac.signal_model import build_steering_matrix
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "default_experiment.json")
@@ -136,6 +138,76 @@ class TestConfig:
         path = write_config(tmp_path, angles={"sensing_aoa": [95.0, 27.0]})
         with pytest.raises(ConfigError, match="-90, 90"):
             load_config(path)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dims": {"p": "x"}}, r"^dims\.p: invalid literal for int\(\)"),
+        ({"trials": None}, r"^trials: int\(\) argument"),
+        ({"angles": {"comm_aod": 5}}, r"^angles\.comm_aod: 'int' object is not iterable"),
+        ({"sweep": {"values": ["a"]}}, r"^sweep\.values: could not convert"),
+        ({"comm_gains": [[1.0, 0.0, 2.0]]}, r"^comm_gains: complex gain must be \[re, im\]"),
+        ({"gamma_std": "wide"}, r"^gamma_std: could not convert"),
+    ])
+    def test_unparsable_value_names_its_key(self, tmp_path, overrides, message):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"trials": 3.7}, "trials"),
+        ({"dims": {"p": 8.5}}, "dims.p"),
+        ({"constellation": 16.5}, "constellation"),
+        ({"base_seed": 1.5}, "base_seed"),
+        ({"jobs": 1.25}, "jobs"),
+        ({"als": {"max_iters": 3.5}}, "als.max_iters"),
+        ({"trials": float("inf")}, "trials"),
+    ])
+    def test_non_integral_integer_rejected(self, tmp_path, overrides, key):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: .* is not an integer$"):
+            load_config(path)
+
+    def test_integral_float_accepted_as_int(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, trials=3.0, dims={"p": 16.0}))
+        assert cfg.trials == 3 and type(cfg.trials) is int
+        assert cfg.p == 16 and type(cfg.p) is int
+
+    def test_every_key_round_trips(self, tmp_path):
+        raw = {
+            "dims": {"m_t": 3, "m_r": 4, "m_u": 5, "p": 9, "n": 4, "k": 3, "l": 2},
+            "angles": {
+                "sensing_aoa": [10, 20.5, 30],
+                "sensing_aod": [-10, -20, 40],
+                "comm_aoa": [5, 50],
+                "comm_aod": [-5, 15],
+            },
+            "comm_gains": [[0.5, 0.25], 2],
+            "constellation": 16,
+            "gamma_std": 0.5,
+            "sweep": {"variable": "p", "values": [9, 12]},
+            "es_n0_db": 12.5,
+            "trials": 7,
+            "base_seed": 11,
+            "als": {"max_iters": 50, "tol": 1e-8, "rcond": 1e-10, "init_seed": 3, "n_restarts": 2},
+            "output_dir": "elsewhere",
+            "jobs": 2,
+        }
+        path = tmp_path / "every_key.json"
+        path.write_text(json.dumps(raw))
+        expected = ExperimentConfig(
+            m_t=3, m_r=4, m_u=5, p=9, n=4, k=3, l=2,
+            sensing_aoa=[10.0, 20.5, 30.0], sensing_aod=[-10.0, -20.0, 40.0],
+            comm_aoa=[5.0, 50.0], comm_aod=[-5.0, 15.0], comm_gains=[0.5 + 0.25j, 2 + 0j],
+            constellation=16, gamma_std=0.5, sweep_variable="p", sweep_values=[9.0, 12.0],
+            es_n0_db=12.5, trials=7, base_seed=11,
+            als=AlsConfig(max_iters=50, tol=1e-8, rcond=1e-10, init_seed=3, n_restarts=2),
+            output_dir="elsewhere", jobs=2,
+        )
+        assert load_config(str(path)) == expected
+        # Every field is set away from its default, so a key that loads
+        # into the wrong field, or not at all, fails the comparison above.
+        for cfg, default in ((expected, ExperimentConfig()), (expected.als, AlsConfig())):
+            for f in fields(cfg):
+                assert getattr(cfg, f.name) != getattr(default, f.name), f.name
 
 
 class TestRunTrial:

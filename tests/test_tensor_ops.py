@@ -5,7 +5,6 @@ import pytest
 
 from tensorisac.tensor_ops import (
     best_rank_one,
-    frontal_slice,
     khatri_rao,
     kronecker,
     pinv,
@@ -26,20 +25,6 @@ from helpers import (
 
 def random_tensor(rng, d1, d2, d3):
     return rng.standard_normal((d1, d2, d3)) + 1j * rng.standard_normal((d1, d2, d3))
-
-
-class TestSlicing:
-    def test_frontal_slice_picks_third_index(self):
-        t = np.arange(24).reshape(2, 3, 4)
-        for n in range(4):
-            assert np.array_equal(frontal_slice(t, n), t[:, :, n])
-
-    def test_frontal_slice_out_of_range(self):
-        t = np.zeros((2, 3, 4))
-        with pytest.raises(IndexError):
-            frontal_slice(t, 4)
-        with pytest.raises(IndexError):
-            frontal_slice(t, -5)
 
 
 class TestUnfoldings:
