@@ -133,15 +133,11 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep point {self.sweep_variable}={value}: " + "; ".join(violations))
 
 
-def _integral(value):
-    """``value`` itself, unless it is a number with a fractional part."""
+def _int(value) -> int:
+    """``int(value)``, unless ``value`` is a number with a fractional part."""
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
-def _int(value) -> int:
-    return int(_integral(value))
+    return int(value)
 
 
 def _floats(values) -> list[float]:
@@ -157,9 +153,8 @@ def _as_gain(value) -> complex:
 
 
 # File key -> (ExperimentConfig field, parser); a nested object maps each
-# subkey the same way.  The ``als`` subkeys are the AlsConfig fields; their
-# values reach AlsConfig unconverted (an integer field only refuses a
-# fractional number), and AlsConfig checks them.
+# subkey the same way.  The ``als`` subkeys are the AlsConfig fields, parsed
+# by their type; AlsConfig checks their ranges.
 _SCHEMA = {
     "dims": {name: (name, _int) for name in DIMS},
     "angles": {name: (name, _floats) for name in ("sensing_aoa", "sensing_aod", "comm_aoa", "comm_aod")},
@@ -170,7 +165,7 @@ _SCHEMA = {
     "es_n0_db": ("es_n0_db", float),
     "trials": ("trials", _int),
     "base_seed": ("base_seed", _int),
-    "als": {f.name: (f.name, _integral if f.type == "int" else lambda v: v) for f in fields(AlsConfig)},
+    "als": {f.name: (f.name, _int if f.type == "int" else float) for f in fields(AlsConfig)},
     "output_dir": ("output_dir", str),
     "jobs": ("jobs", _int),
 }

@@ -206,3 +206,57 @@ def oracle_extract_angles(a_hat, grid_step=0.1) -> np.ndarray:
                 break
         angles.append(0.5 * (lo + hi))
     return np.sort(np.asarray(angles))
+
+
+def oracle_als_fixed_schedule(tensor, frame, num_targets, init_seed=0, max_iters=1000, tol=1e-6, rcond=1e-12):
+    """Error trace of restart 0 of ``als_fit`` with the fixed extrapolation
+    step ``it ** (1/3)`` that preceded the adaptive schedule.
+
+    Built from the package's start and step functions, on the uncompressed
+    tensor (the pilot-mode compression leaves every update unchanged), so it
+    is a reference for the schedule alone.
+    """
+    from tensorisac.sensing_als import (
+        FLOOR_DELTA,
+        build_right_factor,
+        estimate_reflections,
+        estimate_rx_steering,
+        estimate_tx_steering,
+        gevd_start,
+    )
+    from tensorisac.tensor_ops import unfold1_flat, unfold3_tall
+
+    t = np.asarray(tensor, dtype=complex)
+    code, pilots = frame.c, frame.s_pilot
+    x = pilots * code[:, None, :]
+    y1, y_vec = unfold1_flat(t), unfold3_tall(t).T
+    y_energy = np.vdot(t, t).real
+
+    def error(a_rx, right):
+        resid = y1 - a_rx @ right
+        return np.vdot(resid, resid).real / y_energy
+
+    rng = np.random.default_rng(np.random.SeedSequence([init_seed, 0]))
+    a_rx, a_tx, gamma = gevd_start(t, code, pilots, num_targets, rng, rcond)
+    right = build_right_factor(gamma, x @ a_tx)
+    trace, prev_err = [], np.inf
+    for it in range(1, max_iters + 1):
+        old = (a_rx, a_tx, gamma)
+        a_rx = estimate_rx_steering(y1, right, rcond)
+        a_tx = estimate_tx_steering(y_vec, x, a_rx, gamma, rcond)
+        g = x @ a_tx
+        gamma = estimate_reflections(y_vec, a_rx, g, rcond)
+        right = build_right_factor(gamma, g)
+        err = error(a_rx, right)
+        if it > 2:
+            step = it ** (1.0 / 3.0)
+            new = [o + step * (f - o) for o, f in zip(old, (a_rx, a_tx, gamma))]
+            right_x = build_right_factor(new[2], x @ new[1])
+            err_x = error(new[0], right_x)
+            if err_x < err:
+                (a_rx, a_tx, gamma), right, err = new, right_x, err_x
+        trace.append(err)
+        if abs(err - prev_err) < tol * prev_err + FLOOR_DELTA:
+            break
+        prev_err = err
+    return trace

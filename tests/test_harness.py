@@ -171,6 +171,20 @@ class TestConfig:
         assert cfg.trials == 3 and type(cfg.trials) is int
         assert cfg.p == 16 and type(cfg.p) is int
 
+    def test_als_values_parsed_by_field_type(self, tmp_path):
+        # Newly accepted: 50.0 becomes the int 50 rather than reaching range().
+        cfg = load_config(write_config(tmp_path, als={"max_iters": 50.0, "n_restarts": 2.0, "tol": 1}))
+        assert (cfg.als.max_iters, cfg.als.n_restarts, cfg.als.tol) == (50, 2, 1.0)
+        assert type(cfg.als.max_iters) is int and type(cfg.als.n_restarts) is int and type(cfg.als.tol) is float
+        # Newly rejected: "abc" used to load silently.
+        for als, message in (
+            ({"init_seed": "abc"}, r"^als\.init_seed: invalid literal for int\(\)"),
+            ({"tol": "abc"}, r"^als\.tol: could not convert"),
+            ({"rcond": [1e-12]}, r"^als\.rcond: float\(\) argument"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                load_config(write_config(tmp_path, als=als))
+
     def test_every_key_round_trips(self, tmp_path):
         raw = {
             "dims": {"m_t": 3, "m_r": 4, "m_u": 5, "p": 9, "n": 4, "k": 3, "l": 2},
@@ -401,6 +415,12 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (out / "ser_krf_vs_es_n0.txt").exists()
 
+    def test_run_with_integral_float_als_key(self, tmp_path):
+        config = write_config(tmp_path, sweep={"values": [10.0]}, trials=1, als={"max_iters": 50.0})
+        assert self.run_cli("check", "--config", config).returncode == 0
+        proc = self.run_cli("run", "--config", config, "--out", str(tmp_path / "artifacts"))
+        assert proc.returncode == 0, proc.stderr
+
     def test_run_noiseless_flag(self, tmp_path):
         config = write_config(tmp_path, trials=1)
         out = tmp_path / "artifacts"
@@ -420,3 +440,32 @@ class TestCli:
         pb = self.run_cli("run", "--config", config, "--out", str(out_b), "--seed", "2")
         assert pa.returncode == 0 and pb.returncode == 0
         assert (out_a / "results.csv").read_text() != (out_b / "results.csv").read_text()
+
+
+class TestReplayTool:
+    """``tools/replay_als.py`` reports the fits ``run_trial`` makes and
+    compares a run with a saved one."""
+
+    TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "replay_als.py")
+
+    def run_tool(self, *args):
+        proc = subprocess.run([sys.executable, self.TOOL, CONFIG_PATH, "--trials", "1", *args],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_rows_match_run_trial_and_compare_with_saved_run(self, tmp_path):
+        out = self.run_tool()
+        rows = [line.split("\t") for line in out.splitlines() if not line.startswith("#")]
+        cfg = default_config()
+        assert len(rows) == len(cfg.sweep_values)
+        for row, value in zip(rows, cfg.sweep_values):
+            record = run_trial(cfg, value, 0)
+            assert (float(row[0]), int(row[1]), int(row[2])) == (value, 0, record.als_iters)
+            assert (row[3], float(row[5])) == (str(record.converged).lower(), record.nmse_ar)
+        saved = tmp_path / "saved.tsv"
+        saved.write_text(out)
+        against = self.run_tool("--against", str(saved)).splitlines()
+        total = sum(int(row[2]) for row in rows)
+        assert f"# against: iters total {total} -> {total} (+0.0 %)" in against
+        assert any(line.startswith("# against: worst objective ratio 1.000000 ") for line in against)
