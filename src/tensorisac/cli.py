@@ -61,7 +61,6 @@ def main(argv: list[str] | None = None) -> int:
                     cfg = replace(cfg, sweep_values=[float("inf")])
                 else:
                     cfg = replace(cfg, es_n0_db=float("inf"))
-            cfg.validate()
             results_path, summary_path = run_sweep(cfg, out_dir=args.out)
             print(results_path)
             print(summary_path)

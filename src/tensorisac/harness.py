@@ -134,22 +134,31 @@ class ExperimentConfig:
 
 
 def _int(value) -> int:
-    """``int(value)``, unless ``value`` is a number with a fractional part."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)``, unless ``value`` is a string, a boolean or a fractional number."""
+    if isinstance(value, (str, bool)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
+def _float(value) -> float:
+    """``float(value)``, unless ``value`` is a string or a boolean."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"could not convert {value!r} to a number")
+    return float(value)
+
+
 def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+    if isinstance(values, str):
+        raise ValueError(f"expected a list of numbers, got {values!r}")
+    return [_float(v) for v in values]
 
 
 def _as_gain(value) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise ConfigError(f"complex gain must be [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
-    return complex(float(value), 0.0)
+        return complex(_float(value[0]), _float(value[1]))
+    return complex(_float(value), 0.0)
 
 
 # File key -> (ExperimentConfig field, parser); a nested object maps each
@@ -160,12 +169,12 @@ _SCHEMA = {
     "angles": {name: (name, _floats) for name in ("sensing_aoa", "sensing_aod", "comm_aoa", "comm_aod")},
     "comm_gains": ("comm_gains", lambda gains: [_as_gain(g) for g in gains]),
     "constellation": ("constellation", _int),
-    "gamma_std": ("gamma_std", float),
+    "gamma_std": ("gamma_std", _float),
     "sweep": {"variable": ("sweep_variable", str), "values": ("sweep_values", _floats)},
-    "es_n0_db": ("es_n0_db", float),
+    "es_n0_db": ("es_n0_db", _float),
     "trials": ("trials", _int),
     "base_seed": ("base_seed", _int),
-    "als": {f.name: (f.name, _int if f.type == "int" else float) for f in fields(AlsConfig)},
+    "als": {f.name: (f.name, _int if f.type == "int" else _float) for f in fields(AlsConfig)},
     "output_dir": ("output_dir", str),
     "jobs": ("jobs", _int),
 }
@@ -176,10 +185,10 @@ def load_config(path: str) -> ExperimentConfig:
 
     The keys are those of ``_SCHEMA`` (README describes each one), and
     every key is optional.  Unknown keys, integer keys holding a number
-    with a fractional part, and values that do not parse are rejected,
-    each error naming its key (``dims.p: ...``).  The merged configuration
-    is validated, identifiability of every sweep point included, before
-    anything runs.
+    with a fractional part, strings or booleans where a number is due, and
+    values that do not parse are rejected, each error naming its key
+    (``dims.p: ...``).  The merged configuration is validated,
+    identifiability of every sweep point included, before anything runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -19,9 +19,11 @@ Before iterating, :func:`als_fit` compresses the pilot mode (Bro & Andersson,
 1998): for ``Z_n = Y_n conj(U)``, ``U`` the left singular vectors of the
 pilots ``S``, ``||Y_n - M S^T||^2 = ||Z_n - M (U^H S)^T||^2 + ||Y_n - Z_n U^T||^2``
 for every ``M``, and the last term is constant.  So every update (min-norm
-solution and ``rcond`` cutoff included, as the systems keep their singular
-values) is the same on ``Z`` with pilots ``U^H S``; the constant is added back
-to the error.  Skipped when ``p <= m_t`` or when ``Z`` fails the gate below.
+solution and ``rcond`` cutoff included, as the systems keep their nonzero
+singular values) is the same on ``Z`` with pilots ``U^H S``; the constant is
+added back to the error.  This holds for every shape, also where a compressed
+system has fewer rows than unknowns, so every fit is compressed, and the
+identifiability gate is checked once, on the caller's dimensions.
 
 The first restart starts from a closed-form estimate (:func:`gevd_start`):
 once the pilots are inverted slot by slot, every slice is
@@ -98,6 +100,9 @@ FLOOR_DELTA = 1e-20
 # and REJECTIONS rejected steps in a row raise it by POWER_UP.
 START_POWER, MIN_POWER, POWER_DOWN, POWER_UP, REJECTIONS = 3.0, 1.5, 0.5, 1.0, 4
 
+# Spacing in degrees of the angle grid :func:`extract_angles` scans.
+GRID_STEP = 0.1
+
 
 @dataclass
 class AlsConfig:
@@ -158,9 +163,10 @@ class SensingEstimate:
 def check_identifiability(m_r: int, m_t: int, p: int, n: int, k: int) -> IdentifiabilityReport:
     """Dimension gate for unique least-squares recovery of all three factors.
 
-    The receive-steering step needs ``n*p >= k``, the stacked
-    transmit-steering step needs ``n*p*m_r >= m_t*k`` and the per-slot
-    reflection step needs ``p*m_r >= k``.
+    Counted on the uncompressed tensor, the receive-steering system needs
+    ``n*p >= k`` rows, the stacked transmit-steering system ``n*p*m_r >= m_t*k``
+    and each per-slot reflection system ``p*m_r >= k``.  :func:`als_fit`
+    checks them once; the step functions solve whatever system they get.
     """
     for name, value in (("m_r", m_r), ("m_t", m_t), ("p", p), ("n", n), ("k", k)):
         if value < 1:
@@ -209,14 +215,11 @@ def estimate_tx_steering(
     ``y_vec[n] = vec(Y_n)`` (``unfold3_tall(tensor).T``) and
     ``x[n] = X_n = pilots @ diag(code[n])``.  Column-stacking each slice gives
     ``vec(Y_n) = kron(X_n, a_rx @ diag(gamma[n])) @ vec(a_tx.T)``; the slot
-    blocks are stacked into one tall system and solved jointly.
+    blocks are stacked into one system, and ``lstsq`` returns its minimum-norm
+    least-squares solution with the ``rcond`` cutoff.
     """
     n_slots, p, m_t = x.shape
     m_r, k = a_rx.shape
-    if n_slots * p * m_r < m_t * k:
-        raise IdentifiabilityError(
-            f"n*p*m_r >= m_t*k fails: {n_slots * p * m_r} < {m_t * k}"
-        )
     right = a_rx * gamma[:, None, :]
     stacked = (x[:, :, None, :, None] * right[:, None, :, None, :]).reshape(n_slots * p * m_r, m_t * k)
     return np.linalg.lstsq(stacked, y_vec.reshape(-1), rcond=rcond)[0].reshape(m_t, k)
@@ -227,12 +230,10 @@ def estimate_reflections(y_vec: np.ndarray, a_rx: np.ndarray, g: np.ndarray, rco
 
     Slice ``n`` satisfies ``vec(Y_n) = khatri_rao(g[n], a_rx) @ gamma[n]``
     with ``g[n] = X_n @ a_tx`` and ``y_vec[n] = vec(Y_n)``; all slots are one
-    stacked solve.
+    stacked ``pinv`` solve, minimum-norm with the ``rcond`` cutoff.
     """
     n_slots, p, k = g.shape
     m_r = a_rx.shape[0]
-    if p * m_r < k:
-        raise IdentifiabilityError(f"p*m_r >= k fails: {p * m_r} < {k}")
     basis = (g[:, :, None, :] * a_rx).reshape(n_slots, p * m_r, k)
     return (pinv(basis, rcond) @ y_vec[:, :, None])[:, :, 0]
 
@@ -334,13 +335,12 @@ def als_fit(
     y_energy = np.vdot(t, t).real
     if y_energy == 0.0:
         raise ValueError("cannot fit an all-zero tensor")
-    outside = 0.0  # ||Y - Z U^T||^2 of the pilot-mode compression, fixed for all factors
-    if p > m_t and check_identifiability(m_r, m_t, m_t, n_slots, num_targets).ok:
-        u = np.linalg.svd(pilots, full_matrices=False)[0]
-        slots = t.transpose(2, 0, 1)  # slots[n] = Y_n
-        z = slots @ u.conj()
-        resid = slots - z @ u.T
-        t, pilots, outside = z.transpose(1, 2, 0), u.conj().T @ pilots, np.vdot(resid, resid).real
+    # Pilot-mode compression (module docstring); outside = ||Y - Z U^T||^2 for all factors.
+    u = np.linalg.svd(pilots, full_matrices=False)[0]
+    slots = t.transpose(2, 0, 1)  # slots[n] = Y_n
+    z = slots @ u.conj()
+    resid = slots - z @ u.T
+    t, pilots, outside = z.transpose(1, 2, 0), u.conj().T @ pilots, np.vdot(resid, resid).real
     # Loop-invariant operands: the pilot systems X_n = pilots @ diag(code[n])
     # of all slots, and the two unfoldings the sub-steps solve against.
     x = pilots * code[:, None, :]
@@ -461,11 +461,10 @@ def align_permutation(est_cols: np.ndarray, true_cols: np.ndarray) -> tuple[int,
 
 
 @lru_cache(maxsize=16)
-def _scan_grid(m: int, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+def _scan_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid angles and the conjugated steering vectors on them, one per row;
     shared between calls, so both arrays are read-only."""
-    npts = max(2, int(round(179.8 / grid_step)) + 1)
-    grid = np.linspace(-89.9, 89.9, npts)
+    grid = np.linspace(-89.9, 89.9, int(round(179.8 / GRID_STEP)) + 1)
     manifold_h = np.exp(1j * np.pi * np.outer(np.sin(np.deg2rad(grid)), np.arange(m))).conj()
     grid.flags.writeable = False
     manifold_h.flags.writeable = False
@@ -483,20 +482,19 @@ def _correlation(angle_deg: float, coeffs: list[complex]) -> float:
     return abs(acc)
 
 
-def extract_angles(a_hat: np.ndarray, grid_step: float = 0.1) -> np.ndarray:
+def extract_angles(a_hat: np.ndarray) -> np.ndarray:
     """Per-column angle estimates from a steering-matrix estimate.
 
-    Scans a uniform grid over [-89.9, 89.9] degrees for the angle whose
-    steering vector best correlates with each column (scale and phase
-    invariant), then refines inside the winning grid cell with a
-    golden-section search.  Returns the angles sorted ascending.
+    Scans a uniform ``GRID_STEP`` grid over [-89.9, 89.9] degrees for the
+    angle whose steering vector best correlates with each column (scale and
+    phase invariant), then refines inside the winning grid cell with a
+    golden-section search down to a 1e-9 degree bracket.  Returns the angles
+    sorted ascending.
     """
     a = np.asarray(a_hat)
     if a.ndim != 2:
         raise ValueError("expected a steering-matrix estimate")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    grid, manifold_h = _scan_grid(a.shape[0], float(grid_step))
+    grid, manifold_h = _scan_grid(a.shape[0])
     # The correlation's normalization by both norms is constant per column,
     # so it changes neither the grid winner nor the golden-section steps.
     centers = grid[np.argmax(np.abs(manifold_h @ a), axis=0)].tolist()
@@ -504,14 +502,14 @@ def extract_angles(a_hat: np.ndarray, grid_step: float = 0.1) -> np.ndarray:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     angles = []
     for j, center in enumerate(centers):
-        lo = max(center - grid_step, -89.999)
-        hi = min(center + grid_step, 89.999)
+        lo = max(center - GRID_STEP, -89.999)
+        hi = min(center + GRID_STEP, 89.999)
         coeffs = a[::-1, j].tolist()
         x1 = hi - invphi * (hi - lo)
         x2 = lo + invphi * (hi - lo)
         f1 = _correlation(x1, coeffs)
         f2 = _correlation(x2, coeffs)
-        for _ in range(60):
+        while hi - lo >= 1e-9:
             if f1 < f2:
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + invphi * (hi - lo)
@@ -520,7 +518,5 @@ def extract_angles(a_hat: np.ndarray, grid_step: float = 0.1) -> np.ndarray:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - invphi * (hi - lo)
                 f1 = _correlation(x1, coeffs)
-            if hi - lo < 1e-9:
-                break
         angles.append(0.5 * (lo + hi))
     return np.sort(np.asarray(angles))

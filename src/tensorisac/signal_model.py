@@ -71,11 +71,16 @@ def steering_vector(angle_deg: float, m: int) -> np.ndarray:
 
 
 def build_steering_matrix(angles_deg, m: int) -> np.ndarray:
-    """Stack steering vectors for a list of angles into an ``m x len(angles)`` matrix."""
+    """Steering vectors for a list of angles as the columns of an ``m x len(angles)`` matrix."""
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     if angles.size == 0:
         raise ValueError("need at least one angle")
-    return np.column_stack([steering_vector(a, m) for a in angles])
+    outside = angles[~((-90.0 < angles) & (angles < 90.0))]
+    if outside.size:
+        raise ValueError(f"angle {outside[0]} deg outside the open interval (-90, 90)")
+    if m < 1:
+        raise ValueError(f"array needs at least one element, got {m}")
+    return np.exp(1j * np.pi * np.arange(m)[:, None] * np.sin(np.deg2rad(angles)))
 
 
 # ------------------------------ code matrix ------------------------------- #
@@ -96,7 +101,8 @@ def krst_code(n: int, m_t: int) -> np.ndarray:
 # ------------------------------ constellation ------------------------------ #
 
 @lru_cache(maxsize=None)
-def _constellation_cached(order: int) -> np.ndarray:
+def qam_constellation(order: int) -> np.ndarray:
+    """Unit-average-energy square QAM constellation indexed 0..order-1 (read-only, shared)."""
     side = isqrt(order)
     if order < 4 or side * side != order:
         raise ValueError(f"QAM order must be a square (4, 16, 64, ...), got {order}")
@@ -106,11 +112,6 @@ def _constellation_cached(order: int) -> np.ndarray:
     points = (levels[idx // side] + 1j * levels[idx % side]) / scale
     points.setflags(write=False)
     return points
-
-
-def qam_constellation(order: int) -> np.ndarray:
-    """Unit-average-energy square QAM constellation indexed 0..order-1."""
-    return _constellation_cached(order)
 
 
 def qam_modulate(indices, order: int) -> np.ndarray:
@@ -169,10 +170,6 @@ class SensingScene:
                 raise ValueError(f"angle {a} deg outside the open interval (-90, 90)")
         if self.m_r < 1 or self.m_t < 1:
             raise ValueError("antenna counts must be positive")
-
-    @property
-    def num_slots(self) -> int:
-        return self.gamma.shape[0]
 
     def rx_steering(self) -> np.ndarray:
         return build_steering_matrix(self.theta, self.m_r)
@@ -247,10 +244,6 @@ class TransmitFrame:
             if off.size and off.max() > 1e-9:
                 raise ValueError(f"{name} contains symbols off the QAM grid")
 
-    @property
-    def num_slots(self) -> int:
-        return self.c.shape[0]
-
 
 # -------------------------------- samplers -------------------------------- #
 
@@ -303,7 +296,7 @@ def sensing_forward(scene: SensingScene, frame: TransmitFrame) -> np.ndarray:
     every scatterer scales the pilot block by its slot reflection, seen
     through the transmit and receive array responses.
     """
-    if scene.num_slots != frame.num_slots:
+    if scene.gamma.shape[0] != frame.c.shape[0]:
         raise ValueError("scene and frame disagree on the number of slots")
     if scene.m_t != frame.c.shape[1]:
         raise ValueError("scene and frame disagree on the transmit antenna count")

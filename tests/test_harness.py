@@ -140,7 +140,7 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"dims": {"p": "x"}}, r"^dims\.p: invalid literal for int\(\)"),
+        ({"dims": {"p": "x"}}, r"^dims\.p: 'x' is not an integer$"),
         ({"trials": None}, r"^trials: int\(\) argument"),
         ({"angles": {"comm_aod": 5}}, r"^angles\.comm_aod: 'int' object is not iterable"),
         ({"sweep": {"values": ["a"]}}, r"^sweep\.values: could not convert"),
@@ -166,6 +166,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: .* is not an integer$"):
             load_config(path)
 
+    @pytest.mark.parametrize("overrides, key", [
+        # Each of these loaded as a number before the parsers checked JSON types.
+        ({"angles": {"sensing_aoa": "15"}}, "angles.sensing_aoa"),   # was [1.0, 5.0]
+        ({"angles": {"sensing_aoa": ["15", "27"]}}, "angles.sensing_aoa"),
+        ({"angles": {"comm_aod": [True]}}, "angles.comm_aod"),
+        ({"sweep": {"values": "0123"}}, "sweep.values"),             # was [0, 1, 2, 3]
+        ({"sweep": {"values": [False, True]}}, "sweep.values"),
+        ({"comm_gains": [["1", "0"]]}, "comm_gains"),
+        ({"comm_gains": [True]}, "comm_gains"),
+        ({"trials": True}, "trials"),
+        ({"gamma_std": True}, "gamma_std"),
+        ({"es_n0_db": "10"}, "es_n0_db"),
+        ({"constellation": "4"}, "constellation"),
+        ({"base_seed": "7"}, "base_seed"),
+        ({"jobs": True}, "jobs"),
+        ({"dims": {"p": "16"}}, "dims.p"),
+        ({"dims": {"l": True}}, "dims.l"),
+        ({"als": {"max_iters": "50"}}, "als.max_iters"),
+        ({"als": {"n_restarts": True}}, "als.n_restarts"),
+        ({"als": {"tol": "1e-7"}}, "als.tol"),
+        ({"als": {"rcond": False}}, "als.rcond"),
+    ])
+    def test_strings_and_booleans_rejected_where_numbers_are_due(self, tmp_path, overrides, key):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            load_config(path)
+
     def test_integral_float_accepted_as_int(self, tmp_path):
         cfg = load_config(write_config(tmp_path, trials=3.0, dims={"p": 16.0}))
         assert cfg.trials == 3 and type(cfg.trials) is int
@@ -178,7 +205,7 @@ class TestConfig:
         assert type(cfg.als.max_iters) is int and type(cfg.als.n_restarts) is int and type(cfg.als.tol) is float
         # Newly rejected: "abc" used to load silently.
         for als, message in (
-            ({"init_seed": "abc"}, r"^als\.init_seed: invalid literal for int\(\)"),
+            ({"init_seed": "abc"}, r"^als\.init_seed: 'abc' is not an integer$"),
             ({"tol": "abc"}, r"^als\.tol: could not convert"),
             ({"rcond": [1e-12]}, r"^als\.rcond: float\(\) argument"),
         ):
@@ -407,6 +434,10 @@ class TestCli:
     def test_run_and_plotdata(self, tmp_path):
         config = write_config(tmp_path, sweep={"values": [0.0, 10.0]}, trials=2)
         out = tmp_path / "artifacts"
+        # run_sweep validates the overridden config before writing anything
+        proc = self.run_cli("run", "--config", config, "--out", str(out), "--trials", "0")
+        assert proc.returncode == 2
+        assert "trials must be at least 1" in proc.stderr and not out.exists()
         proc = self.run_cli("run", "--config", config, "--out", str(out), "--trials", "2")
         assert proc.returncode == 0, proc.stderr
         results = out / "results.csv"

@@ -174,6 +174,13 @@ class TestVectorizedSteps:
         y = random_complex(rng, 2, 8, 1)
         a_rx, a_tx, gamma = random_complex(rng, 2, 2), random_complex(rng, 3, 2), random_complex(rng, 1, 2)
         self.assert_steps_match_oracles(y, c, s, a_rx, a_tx, gamma)
+        # Fewer rows than unknowns (m_r=1, m_t=2, k=3, n=p=2, the compressed
+        # shape of a p=8 fit): 4 tx rows for 6 unknowns, 2 rows per slot for
+        # 3 reflections.  Both steps still give the minimum-norm solution.
+        frame = sample_frame(p=2, m_t=2, n=2, order=4, seed=9)
+        y = random_complex(rng, 1, 2, 2)
+        a_rx, a_tx, gamma = random_complex(rng, 1, 3), random_complex(rng, 2, 3), random_complex(rng, 2, 3)
+        self.assert_steps_match_oracles(y, frame.c, frame.s_pilot, a_rx, a_tx, gamma)
 
 
 def parallel_pilot_columns(frame):
@@ -189,12 +196,16 @@ def uncompressed_error(y, est, frame):
 
 
 class TestPilotCompression:
-    """als_fit solves on the pilot-compressed tensor; its error trace is still
-    the error on the full tensor, and shapes the compression cannot serve
-    are fitted uncompressed."""
+    """als_fit solves every fit on the pilot-compressed tensor.  For every
+    shape, p <= m_t, compressed systems with fewer rows than unknowns and
+    rank-deficient pilots included, its updates are those of plain sweeps on
+    the full tensor, and its error trace is the error on the full tensor."""
 
     @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", [
         (2, 2, 2, 3, 8, False), (4, 4, 3, 4, 64, False), (2, 3, 2, 3, 8, True),
+        (1, 2, 3, 2, 8, False),   # compressed to p=2: underdetermined tx and reflection systems
+        (2, 2, 2, 3, 2, False),   # p = m_t: the compression only rotates the pilot mode
+        (2, 4, 2, 4, 3, False),   # p < m_t
     ])
     def test_first_sweeps_match_uncompressed_oracle(self, m_r, m_t, k, n, p, parallel):
         # Extrapolation starts at the third iteration, so two iterations
@@ -220,9 +231,9 @@ class TestPilotCompression:
         assert abs(est.nmse_trace[-1] - direct) <= 1e-12 * direct
 
     @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", [
-        (1, 2, 3, 2, 8, False),   # compressed to p=2 it would fail n*p*m_r >= m_t*k
-        (2, 2, 2, 3, 2, False),   # p <= m_t: nothing to compress
-        (2, 4, 2, 4, 3, False),
+        (1, 2, 3, 2, 8, False),   # compressed to p=2: underdetermined tx and reflection systems
+        (2, 2, 2, 3, 2, False),   # p = m_t: the compression only rotates the pilot mode
+        (2, 4, 2, 4, 3, False),   # p < m_t
         (2, 3, 2, 3, 8, True),    # two parallel pilot columns
     ])
     def test_edge_shapes_fit(self, m_r, m_t, k, n, p, parallel):
