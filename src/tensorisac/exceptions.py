@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["IdentifiabilityError", "AlsDivergenceError", "ConfigError"]
+
 
 class IdentifiabilityError(ValueError):
     """A dimension requirement for unique estimation is violated."""

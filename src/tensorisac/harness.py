@@ -147,6 +147,13 @@ def _float(value) -> float:
     return float(value)
 
 
+def _str(value) -> str:
+    """``value``, unless it is not a string (``null`` and numbers included)."""
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
 def _floats(values) -> list[float]:
     if isinstance(values, str):
         raise ValueError(f"expected a list of numbers, got {values!r}")
@@ -170,12 +177,12 @@ _SCHEMA = {
     "comm_gains": ("comm_gains", lambda gains: [_as_gain(g) for g in gains]),
     "constellation": ("constellation", _int),
     "gamma_std": ("gamma_std", _float),
-    "sweep": {"variable": ("sweep_variable", str), "values": ("sweep_values", _floats)},
+    "sweep": {"variable": ("sweep_variable", _str), "values": ("sweep_values", _floats)},
     "es_n0_db": ("es_n0_db", _float),
     "trials": ("trials", _int),
     "base_seed": ("base_seed", _int),
     "als": {f.name: (f.name, _int if f.type == "int" else _float) for f in fields(AlsConfig)},
-    "output_dir": ("output_dir", str),
+    "output_dir": ("output_dir", _str),
     "jobs": ("jobs", _int),
 }
 
@@ -185,8 +192,9 @@ def load_config(path: str) -> ExperimentConfig:
 
     The keys are those of ``_SCHEMA`` (README describes each one), and
     every key is optional.  Unknown keys, integer keys holding a number
-    with a fractional part, strings or booleans where a number is due, and
-    values that do not parse are rejected, each error naming its key
+    with a fractional part, strings or booleans where a number is due,
+    anything but a string where a string is due, and values that do not
+    parse are rejected, each error naming its key
     (``dims.p: ...``).  The merged configuration is validated,
     identifiability of every sweep point included, before anything runs.
     """

@@ -144,8 +144,11 @@ class AlsConfig:
 class IdentifiabilityReport:
     """Outcome of the dimension gate; ``violations`` names each failed inequality."""
 
-    ok: bool
     violations: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 @dataclass
@@ -178,7 +181,7 @@ def check_identifiability(m_r: int, m_t: int, p: int, n: int, k: int) -> Identif
         violations.append(f"n*p*m_r >= m_t*k fails: {n * p * m_r} < {m_t * k}")
     if p * m_r < k:
         violations.append(f"p*m_r >= k fails: {p * m_r} < {k}")
-    return IdentifiabilityReport(ok=not violations, violations=violations)
+    return IdentifiabilityReport(violations)
 
 
 def build_right_factor(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -247,15 +250,14 @@ def _random_factors(rng: np.random.Generator, m_r: int, m_t: int, n: int, k: int
 
 def gevd_start(
     tensor: np.ndarray,
-    code: np.ndarray,
-    pilots: np.ndarray,
+    x: np.ndarray,
     num_targets: int,
     rng: np.random.Generator,
     rcond: float = 1e-12,
 ):
     """Closed-form start ``(a_rx, a_tx, gamma)`` by simultaneous diagonalization.
 
-    With ``X_n = pilots @ diag(code[n])`` of full column rank, each slot gives
+    With ``x[n] = X_n = pilots @ diag(code[n])`` of full column rank, each slot gives
     ``M_n = Y_n @ pinv(X_n).T = A_rx diag(gamma[n]) A_tx^T``.  Projected onto
     the leading ``k`` left singular vectors ``U_1``, ``U_2`` of the mode-1 and
     mode-2 unfoldings of ``M``, the slices become ``B diag(gamma[n]) C^T`` with
@@ -272,13 +274,12 @@ def gevd_start(
     numbers from ``rng`` as the random start would.
     """
     tensor = np.asarray(tensor)
-    code = np.asarray(code)
-    m_r, p, n_slots = tensor.shape
-    m_t = code.shape[1]
+    m_r = tensor.shape[0]
+    n_slots, p, m_t = x.shape
     k = num_targets
     if k > min(m_r, m_t) or n_slots < 2 or p < m_t:
         return _random_factors(rng, m_r, m_t, n_slots, k)
-    u, s, vh = np.linalg.svd(pilots * code[:, None, :], full_matrices=False)
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
     if np.any(s[:, -1] <= rcond * s[:, 0]):
         return _random_factors(rng, m_r, m_t, n_slots, k)
     # M[:, :, n] = Y_n conj(U_n) diag(1/s_n) conj(Vh_n), i.e. Y_n @ pinv(X_n).T
@@ -347,11 +348,15 @@ def als_fit(
     y1 = unfold1_flat(t)
     y_vec = unfold3_tall(t).T
 
+    def error(a_rx, right):
+        resid = y1 - a_rx @ right
+        return (np.vdot(resid, resid).real + outside) / y_energy
+
     best: SensingEstimate | None = None
     for restart in range(cfg.n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed) & (2**63 - 1), restart]))
         if restart == 0:
-            a_rx, a_tx, gamma = gevd_start(t, code, pilots, num_targets, rng, cfg.rcond)
+            a_rx, a_tx, gamma = gevd_start(t, x, num_targets, rng, cfg.rcond)
         else:
             a_rx, a_tx, gamma = _random_factors(rng, m_r, m_t, n_slots, num_targets)
         trace: list[float] = []
@@ -366,16 +371,14 @@ def als_fit(
             g = x @ a_tx
             gamma = estimate_reflections(y_vec, a_rx, g, cfg.rcond)
             right = build_right_factor(gamma, g)
-            resid = y1 - a_rx @ right
-            err = (np.vdot(resid, resid).real + outside) / y_energy
+            err = error(a_rx, right)
             if it > 2:
                 # Extrapolate along the sweep; the longer step is kept only
                 # when it strictly lowers the error (module docstring).
                 step = it ** (1.0 / power)
                 a_rx_x, a_tx_x, gamma_x = (o + step * (f - o) for o, f in zip(old, (a_rx, a_tx, gamma)))
                 right_x = build_right_factor(gamma_x, x @ a_tx_x)
-                resid_x = y1 - a_rx_x @ right_x
-                err_x = (np.vdot(resid_x, resid_x).real + outside) / y_energy
+                err_x = error(a_rx_x, right_x)
                 if err_x < err:
                     a_rx, a_tx, gamma, right, err = a_rx_x, a_tx_x, gamma_x, right_x, err_x
                     power, rejected = max(power - POWER_DOWN, MIN_POWER), 0

@@ -237,7 +237,7 @@ def oracle_als_fixed_schedule(tensor, frame, num_targets, init_seed=0, max_iters
         return np.vdot(resid, resid).real / y_energy
 
     rng = np.random.default_rng(np.random.SeedSequence([init_seed, 0]))
-    a_rx, a_tx, gamma = gevd_start(t, code, pilots, num_targets, rng, rcond)
+    a_rx, a_tx, gamma = gevd_start(t, x, num_targets, rng, rcond)
     right = build_right_factor(gamma, x @ a_tx)
     trace, prev_err = [], np.inf
     for it in range(1, max_iters + 1):

@@ -146,6 +146,10 @@ class TestConfig:
         ({"sweep": {"values": ["a"]}}, r"^sweep\.values: could not convert"),
         ({"comm_gains": [[1.0, 0.0, 2.0]]}, r"^comm_gains: complex gain must be \[re, im\]"),
         ({"gamma_std": "wide"}, r"^gamma_std: could not convert"),
+        ({"output_dir": None}, r"^output_dir: None is not a string$"),
+        ({"output_dir": 5}, r"^output_dir: 5 is not a string$"),
+        ({"output_dir": ["a"]}, r"^output_dir: \['a'\] is not a string$"),
+        ({"sweep": {"variable": 5}}, r"^sweep\.variable: 5 is not a string$"),
     ])
     def test_unparsable_value_names_its_key(self, tmp_path, overrides, message):
         path = write_config(tmp_path, **overrides)
@@ -479,8 +483,8 @@ class TestReplayTool:
 
     TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "replay_als.py")
 
-    def run_tool(self, *args):
-        proc = subprocess.run([sys.executable, self.TOOL, CONFIG_PATH, "--trials", "1", *args],
+    def run_tool(self, *args, config=CONFIG_PATH, trials="1"):
+        proc = subprocess.run([sys.executable, self.TOOL, config, "--trials", trials, *args],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
@@ -500,3 +504,15 @@ class TestReplayTool:
         total = sum(int(row[2]) for row in rows)
         assert f"# against: iters total {total} -> {total} (+0.0 %)" in against
         assert any(line.startswith("# against: worst objective ratio 1.000000 ") for line in against)
+
+    def test_totals_printed_when_a_fit_reads_exactly_zero(self, tmp_path):
+        # With one receive antenna the normalized a_rx estimate is all ones
+        # up to rounding, as is the truth, so some fits read nmse_ar = 0.
+        config = write_config(tmp_path, dims={"m_r": 1, "m_t": 2, "n": 2, "k": 3, "p": 8},
+                              angles={"sensing_aoa": [15.0, 27.0, 40.0], "sensing_aod": [-37.0, 65.0, 5.0]},
+                              sweep={"variable": "es_n0", "values": [10.0]})
+        lines = self.run_tool(config=config, trials="3").splitlines()
+        rows = [line.split("\t") for line in lines if not line.startswith("#")]
+        zeros = sum(float(row[5]) == 0.0 for row in rows)
+        assert len(rows) == 3 and zeros > 0
+        assert lines[-1].endswith(f" over nonzero fits, exactly zero {zeros}")

@@ -217,7 +217,7 @@ class TestPilotCompression:
         y = add_noise(sensing_forward(scene, frame), 10.0, seed=p + 2)
         est = als_fit(y, frame, k, AlsConfig(init_seed=p, max_iters=2))
         rng = np.random.default_rng(np.random.SeedSequence([p, 0]))
-        start = gevd_start(y, frame.c, frame.s_pilot, k, rng)
+        start = gevd_start(y, frame.s_pilot * frame.c[:, None, :], k, rng)
         want = oracle_als_sweeps(y, frame.c, frame.s_pilot, *start, sweeps=2)
         for got, ref in zip((est.a_rx_hat, est.a_tx_hat, est.gamma_hat), want):
             assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
@@ -260,7 +260,7 @@ class TestGevdStart:
         scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, theta=theta, phi=phi, seed=seed)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=seed + 1)
         y = sensing_forward(scene, frame)
-        start = gevd_start(y, frame.c, frame.s_pilot, k, np.random.default_rng(seed))
+        start = gevd_start(y, frame.s_pilot * frame.c[:, None, :], k, np.random.default_rng(seed))
         rebuilt = rebuild_sensing_tensor(*start, frame.c, frame.s_pilot)
         assert np.linalg.norm(rebuilt - y) ** 2 < 1e-10 * np.linalg.norm(y) ** 2
         # the restart-0 fit starts there, so one sweep keeps the fit exact
@@ -278,7 +278,7 @@ class TestGevdStart:
         if parallel:
             frame = parallel_pilot_columns(frame)
         y = sensing_forward(scene, frame)
-        got = gevd_start(y, frame.c, frame.s_pilot, k, np.random.default_rng(14))
+        got = gevd_start(y, frame.s_pilot * frame.c[:, None, :], k, np.random.default_rng(14))
         want = _random_factors(np.random.default_rng(14), m_r, m_t, n, k)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)

@@ -9,10 +9,11 @@ to the fit shows as a per-fit difference rather than as benchmark noise.
 
 Prints one tab-separated row per fit (grid value, trial, iterations,
 converged, final objective, ``nmse_ar``), then ``#`` lines with the totals:
-iterations (total, p50, p90, max), capped fits and the geometric mean of
-``nmse_ar``.  With ``--against`` it also compares with a file this tool wrote
-for another checkout: iteration totals, capped fits and the worst ratio of a
-fit's final objective to the saved one.  Run from the repository root::
+iterations (total, p50, p90, max), capped fits, the geometric mean of the
+nonzero ``nmse_ar`` values and the count of fits that read exactly zero.
+With ``--against`` it also compares with a file this tool wrote for another
+checkout: iteration totals, capped fits and the worst ratio of a fit's final
+objective to the saved one.  Run from the repository root::
 
     PYTHONPATH=src python3 tools/replay_als.py bench/configs/snr_sweep.json --trials 60 > parent.tsv
     PYTHONPATH=src python3 tools/replay_als.py bench/configs/snr_sweep.json --trials 60 --against parent.tsv
@@ -73,13 +74,16 @@ def read_rows(path: str) -> list[tuple]:
 
 def summary(rows: list[tuple]) -> list[str]:
     iters = np.array([r[2] for r in rows])
-    geomean = math.exp(sum(math.log(r[5]) for r in rows) / len(rows))
+    # A fit can recover a_rx exactly (m_r = 1 leaves only the pinned first
+    # entry), so zeros are counted apart from the geometric mean.
+    nonzero = [r[5] for r in rows if r[5] != 0.0]
+    geomean = math.exp(sum(map(math.log, nonzero)) / len(nonzero)) if nonzero else math.nan
     return [
         f"# fits {len(rows)}",
         f"# iters total {iters.sum()} p50 {np.percentile(iters, 50):g} "
         f"p90 {np.percentile(iters, 90):g} max {iters.max()}",
         f"# capped {sum(not r[3] for r in rows)}",
-        f"# nmse_ar geomean {geomean:.8g}",
+        f"# nmse_ar geomean {geomean:.8g} over nonzero fits, exactly zero {len(rows) - len(nonzero)}",
     ]
 
 
