@@ -27,7 +27,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -118,6 +117,8 @@ class ExperimentConfig:
             problems.append("sweep values must be non-empty")
         elif sorted(self.sweep_values) != list(self.sweep_values):
             problems.append("sweep values must be sorted ascending")
+        elif self.sweep_variable != "es_n0" and not all(map(math.isfinite, self.sweep_values)):
+            problems.append(f"sweep values must be finite when sweeping {self.sweep_variable}")
         if problems:
             raise ConfigError("; ".join(problems))
         # Every point of the sweep must be a runnable experiment.
@@ -141,10 +142,18 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """``float(value)``, unless ``value`` is a string or a boolean."""
+    """``float(value)``, unless ``value`` is a string, a boolean, NaN or infinite."""
     if isinstance(value, (str, bool)):
         raise ValueError(f"could not convert {value!r} to a number")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{number!r} is not a finite number")
+    return number
+
+
+def _es_n0(value) -> float:
+    """:func:`_float`, but ``+Infinity``, the noiseless sentinel, is accepted."""
+    return math.inf if value == math.inf else _float(value)
 
 
 def _str(value) -> str:
@@ -154,10 +163,10 @@ def _str(value) -> str:
     return value
 
 
-def _floats(values) -> list[float]:
+def _floats(values, parse=_float) -> list[float]:
     if isinstance(values, str):
         raise ValueError(f"expected a list of numbers, got {values!r}")
-    return [_float(v) for v in values]
+    return [parse(v) for v in values]
 
 
 def _as_gain(value) -> complex:
@@ -177,8 +186,8 @@ _SCHEMA = {
     "comm_gains": ("comm_gains", lambda gains: [_as_gain(g) for g in gains]),
     "constellation": ("constellation", _int),
     "gamma_std": ("gamma_std", _float),
-    "sweep": {"variable": ("sweep_variable", _str), "values": ("sweep_values", _floats)},
-    "es_n0_db": ("es_n0_db", _float),
+    "sweep": {"variable": ("sweep_variable", _str), "values": ("sweep_values", lambda v: _floats(v, _es_n0))},
+    "es_n0_db": ("es_n0_db", _es_n0),
     "trials": ("trials", _int),
     "base_seed": ("base_seed", _int),
     "als": {f.name: (f.name, _int if f.type == "int" else _float) for f in fields(AlsConfig)},
@@ -193,7 +202,9 @@ def load_config(path: str) -> ExperimentConfig:
     The keys are those of ``_SCHEMA`` (README describes each one), and
     every key is optional.  Unknown keys, integer keys holding a number
     with a fractional part, strings or booleans where a number is due,
-    anything but a string where a string is due, and values that do not
+    NaN and infinite numbers (but ``+Infinity``, the noiseless sentinel, in
+    ``es_n0_db`` and in ``sweep.values`` of an ``es_n0`` sweep), anything
+    but a string where a string is due, and values that do not
     parse are rejected, each error naming its key
     (``dims.p: ...``).  The merged configuration is validated,
     identifiability of every sweep point included, before anything runs.
@@ -405,6 +416,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
 
     tasks = [(cfg, value, trial) for value in cfg.sweep_values for trial in range(cfg.trials)]
     if cfg.jobs > 1:
+        # Imported here, so that importing the package skips the ~25 ms the pool module takes.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             records = list(pool.map(run_trial, *zip(*tasks), chunksize=16))
     else:

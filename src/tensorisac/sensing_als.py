@@ -55,6 +55,15 @@ collapses into those scalings and needs no separate treatment.
 :func:`remove_sensing_ambiguity` pins both scalings by normalizing the
 first array element of each steering column to one, which is exact for
 physical steering vectors because their first entry is one by construction.
+
+:func:`extract_angles` scans a ``GRID_STEP`` grid for the steering vector
+best correlated with a column, then takes safeguarded Newton steps on the
+slope of the squared correlation in ``u = pi * sin(angle)`` inside the
+winning grid cell, about three per column.  They end at the stationary
+point, so on two-element columns the result is the closed-form maximizer
+``asin(arg(c_1 / c_0) / pi)`` to about 1e-10 degrees; a search that compares
+correlation values instead stops up to a few 1e-6 degrees away, where
+rounding makes the values near a flat peak equal.
 """
 
 from __future__ import annotations
@@ -100,8 +109,13 @@ FLOOR_DELTA = 1e-20
 # and REJECTIONS rejected steps in a row raise it by POWER_UP.
 START_POWER, MIN_POWER, POWER_DOWN, POWER_UP, REJECTIONS = 3.0, 1.5, 0.5, 1.0, 4
 
-# Spacing in degrees of the angle grid :func:`extract_angles` scans.
+# extract_angles: grid spacing and largest returned magnitude in degrees, the
+# angle change in radians that ends the Newton refinement (about three steps;
+# a bisection down to it about forty), and a cap on the steps.
 GRID_STEP = 0.1
+ANGLE_CLIP = 89.999
+ANGLE_TOL = 1e-12
+MAX_REFINE_STEPS = 100
 
 
 @dataclass
@@ -134,10 +148,11 @@ class AlsConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.rcond < 0:
-            raise ValueError("rcond must be nonnegative")
+        # Written so that NaN fails both comparisons.
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if not 0.0 <= self.rcond < math.inf:
+            raise ValueError(f"rcond must be nonnegative and finite, got {self.rcond!r}")
 
 
 @dataclass
@@ -282,15 +297,15 @@ def gevd_start(
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     if np.any(s[:, -1] <= rcond * s[:, 0]):
         return _random_factors(rng, m_r, m_t, n_slots, k)
-    # M[:, :, n] = Y_n conj(U_n) diag(1/s_n) conj(Vh_n), i.e. Y_n @ pinv(X_n).T
-    m = np.einsum("ipn,npr,nrt->itn", tensor, u.conj(), vh.conj() / s[:, :, None])
-    u1 = np.linalg.svd(m.reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
-    u2 = np.linalg.svd(m.transpose(1, 0, 2).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
-    core = np.einsum("ik,itn,tl->nkl", u1.conj(), m, u2.conj())
+    # slices[n] = Y_n conj(U_n) diag(1/s_n) conj(Vh_n), i.e. Y_n @ pinv(X_n).T
+    slices = tensor.transpose(2, 0, 1) @ (u.conj() @ (vh.conj() / s[:, :, None]))
+    u1 = np.linalg.svd(slices.transpose(1, 2, 0).reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
+    u2 = np.linalg.svd(slices.transpose(2, 1, 0).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
+    core = u1.conj().T @ slices @ u2.conj()
     weights = rng.standard_normal((2, n_slots)) + 1j * rng.standard_normal((2, n_slots))
-    g_a, g_b = np.einsum("wn,nkl->wkl", weights, core)
+    g_a, g_b = (weights @ core.reshape(n_slots, k * k)).reshape(2, k, k)
     a_rx = u1 @ np.linalg.eig(np.linalg.solve(g_b.T, g_a.T).T)[1]
-    left, right, sigma = best_rank_one(np.einsum("ki,itn->ktn", pinv(a_rx, rcond), m))
+    left, right, sigma = best_rank_one((pinv(a_rx, rcond) @ slices).transpose(1, 2, 0))
     return a_rx, left.T, (sigma[:, None] * right.conj()).T
 
 
@@ -474,15 +489,42 @@ def _scan_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, manifold_h
 
 
-def _correlation(angle_deg: float, coeffs: list[complex]) -> float:
-    """``|a(angle)^H col|`` by Horner's rule in ``conj(exp(j*pi*sin(angle)))``;
-    ``coeffs`` is the column from its last entry to its first."""
-    phase = math.pi * math.sin(math.radians(angle_deg))
-    z = complex(math.cos(phase), -math.sin(phase))
-    acc = 0j
-    for c in coeffs:
-        acc = acc * z + c
-    return abs(acc)
+def _refine(center: float, coeffs: list[complex]) -> float:
+    """Angle in degrees of the correlation peak within ``GRID_STEP`` of ``center``.
+
+    ``S(u) = a(u)^H col`` is the polynomial ``P`` of the column (``coeffs``,
+    last entry first) in ``z = exp(-j*u)``, ``u = pi * sin(angle)``, so
+    ``S' = -j z P'`` and ``S'' = -z P' - z^2 P''``; one Horner pass gives
+    ``P``, ``P'`` and ``P''/2``.  Newton steps on the slope of ``|S|^2 / 2``
+    stay inside the bracket that the slope signs narrow; a step that leaves
+    it, or one where the curvature is not negative, becomes a bisection.
+    """
+    lo = math.pi * math.sin(math.radians(max(center - GRID_STEP, -ANGLE_CLIP)))
+    hi = math.pi * math.sin(math.radians(min(center + GRID_STEP, ANGLE_CLIP)))
+    u = math.pi * math.sin(math.radians(center))
+    for _ in range(MAX_REFINE_STEPS):
+        z = complex(math.cos(u), -math.sin(u))
+        p = d1 = d2 = 0j
+        for c in coeffs:
+            d2 = d2 * z + d1
+            d1 = d1 * z + p
+            p = p * z + c
+        s1 = -1j * z * d1
+        slope = (p.conjugate() * s1).real
+        curvature = abs(s1) ** 2 - (p.conjugate() * z * (d1 + 2.0 * z * d2)).real
+        if slope > 0.0:
+            lo = u
+        else:
+            hi = u
+        new = u - slope / curvature if curvature < 0.0 else math.inf
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        # d(angle) = du / (pi * cos(angle)) = du / sqrt(pi^2 - u^2)
+        done = abs(new - u) <= ANGLE_TOL * math.sqrt(math.pi**2 - new * new)
+        u = new
+        if done:
+            break
+    return math.degrees(math.asin(u / math.pi))
 
 
 def extract_angles(a_hat: np.ndarray) -> np.ndarray:
@@ -490,36 +532,17 @@ def extract_angles(a_hat: np.ndarray) -> np.ndarray:
 
     Scans a uniform ``GRID_STEP`` grid over [-89.9, 89.9] degrees for the
     angle whose steering vector best correlates with each column (scale and
-    phase invariant), then refines inside the winning grid cell with a
-    golden-section search down to a 1e-9 degree bracket.  Returns the angles
-    sorted ascending.
+    phase invariant), then refines inside the winning grid cell, clipped to
+    +-ANGLE_CLIP degrees, by safeguarded Newton steps on the slope of the
+    squared correlation (:func:`_refine`) until a step moves the angle by
+    at most ANGLE_TOL radians.  Returns the angles sorted ascending.
     """
     a = np.asarray(a_hat)
     if a.ndim != 2:
         raise ValueError("expected a steering-matrix estimate")
     grid, manifold_h = _scan_grid(a.shape[0])
     # The correlation's normalization by both norms is constant per column,
-    # so it changes neither the grid winner nor the golden-section steps.
+    # so it changes neither the grid winner nor the refinement.
     centers = grid[np.argmax(np.abs(manifold_h @ a), axis=0)].tolist()
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    angles = []
-    for j, center in enumerate(centers):
-        lo = max(center - GRID_STEP, -89.999)
-        hi = min(center + GRID_STEP, 89.999)
-        coeffs = a[::-1, j].tolist()
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1 = _correlation(x1, coeffs)
-        f2 = _correlation(x2, coeffs)
-        while hi - lo >= 1e-9:
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + invphi * (hi - lo)
-                f2 = _correlation(x2, coeffs)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - invphi * (hi - lo)
-                f1 = _correlation(x1, coeffs)
-        angles.append(0.5 * (lo + hi))
+    angles = [_refine(center, a[::-1, j].tolist()) for j, center in enumerate(centers)]
     return np.sort(np.asarray(angles))

@@ -85,9 +85,11 @@ def build_steering_matrix(angles_deg, m: int) -> np.ndarray:
 
 # ------------------------------ code matrix ------------------------------- #
 
+@lru_cache(maxsize=None)
 def krst_code(n: int, m_t: int) -> np.ndarray:
     """Column-orthonormal space-time code: first ``m_t`` columns of the
-    ``n x n`` DFT matrix scaled by ``1/sqrt(n)``, so ``c.T @ c.conj() == I``.
+    ``n x n`` DFT matrix scaled by ``1/sqrt(n)``, so ``c.T @ c.conj() == I``
+    (read-only, shared).
     """
     if n < m_t:
         raise IdentifiabilityError(
@@ -95,7 +97,9 @@ def krst_code(n: int, m_t: int) -> np.ndarray:
         )
     idx = np.arange(n)
     w = np.exp(-2j * np.pi * np.outer(idx, idx) / n)
-    return w[:, :m_t] / np.sqrt(n)
+    code = w[:, :m_t] / np.sqrt(n)
+    code.setflags(write=False)
+    return code
 
 
 # ------------------------------ constellation ------------------------------ #

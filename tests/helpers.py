@@ -7,6 +7,8 @@ shortcut.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -260,3 +262,70 @@ def oracle_als_fixed_schedule(tensor, frame, num_targets, init_seed=0, max_iters
             break
         prev_err = err
     return trace
+
+
+def oracle_gevd_start(tensor, x, num_targets, rng, rcond=1e-12):
+    """``einsum`` formulation of ``sensing_als.gevd_start``, the closed-form
+    start before it moved to batched matrix products: the same gate, the
+    same random draws and the same SVD-family calls, contracted index by
+    index on the ``(m_r, m_t, n)`` slice stack ``M``."""
+    from tensorisac.sensing_als import _random_factors
+    from tensorisac.tensor_ops import best_rank_one, pinv
+
+    tensor = np.asarray(tensor)
+    m_r = tensor.shape[0]
+    n_slots, p, m_t = x.shape
+    k = num_targets
+    if k > min(m_r, m_t) or n_slots < 2 or p < m_t:
+        return _random_factors(rng, m_r, m_t, n_slots, k)
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    if np.any(s[:, -1] <= rcond * s[:, 0]):
+        return _random_factors(rng, m_r, m_t, n_slots, k)
+    m = np.einsum("ipn,npr,nrt->itn", tensor, u.conj(), vh.conj() / s[:, :, None])
+    u1 = np.linalg.svd(m.reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
+    u2 = np.linalg.svd(m.transpose(1, 0, 2).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
+    core = np.einsum("ik,itn,tl->nkl", u1.conj(), m, u2.conj())
+    weights = rng.standard_normal((2, n_slots)) + 1j * rng.standard_normal((2, n_slots))
+    g_a, g_b = np.einsum("wn,nkl->wkl", weights, core)
+    a_rx = u1 @ np.linalg.eig(np.linalg.solve(g_b.T, g_a.T).T)[1]
+    left, right, sigma = best_rank_one(np.einsum("ki,itn->ktn", pinv(a_rx, rcond), m))
+    return a_rx, left.T, (sigma[:, None] * right.conj()).T
+
+
+def golden_section_angles(a_hat, grid_step=0.1, clip=89.999):
+    """Grid scan plus golden-section search on ``|a(angle)^H col|`` down to a
+    1e-9 degree bracket, the refinement ``extract_angles`` used before its
+    Newton steps.  Comparing ``|S|`` near a flat peak, it is limited by
+    rounding to a few 1e-6 degrees."""
+    a_hat = np.asarray(a_hat)
+    m = a_hat.shape[0]
+    grid = np.linspace(-89.9, 89.9, int(round(179.8 / grid_step)) + 1)
+    manifold_h = np.exp(1j * np.pi * np.outer(np.sin(np.deg2rad(grid)), np.arange(m))).conj()
+    centers = grid[np.argmax(np.abs(manifold_h @ a_hat), axis=0)]
+
+    def correlation(angle, coeffs):
+        phase = math.pi * math.sin(math.radians(angle))
+        z = complex(math.cos(phase), -math.sin(phase))
+        acc = 0j
+        for c in coeffs:
+            acc = acc * z + c
+        return abs(acc)
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    angles = []
+    for j, center in enumerate(centers):
+        lo, hi = max(center - grid_step, -clip), min(center + grid_step, clip)
+        coeffs = a_hat[::-1, j].tolist()
+        x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        f1, f2 = correlation(x1, coeffs), correlation(x2, coeffs)
+        while hi - lo >= 1e-9:
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + invphi * (hi - lo)
+                f2 = correlation(x2, coeffs)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - invphi * (hi - lo)
+                f1 = correlation(x1, coeffs)
+        angles.append(0.5 * (lo + hi))
+    return np.sort(np.asarray(angles))

@@ -150,6 +150,22 @@ class TestConfig:
         ({"output_dir": 5}, r"^output_dir: 5 is not a string$"),
         ({"output_dir": ["a"]}, r"^output_dir: \['a'\] is not a string$"),
         ({"sweep": {"variable": 5}}, r"^sweep\.variable: 5 is not a string$"),
+        # Python's json reads NaN and Infinity; each of these loaded and then
+        # capped or crashed fits mid-run.
+        ({"als": {"tol": math.nan}}, r"^als\.tol: nan is not a finite number$"),
+        ({"als": {"tol": math.inf}}, r"^als\.tol: inf is not a finite number$"),
+        ({"als": {"rcond": math.nan}}, r"^als\.rcond: nan is not a finite number$"),
+        ({"gamma_std": math.nan}, r"^gamma_std: nan is not a finite number$"),
+        ({"gamma_std": math.inf}, r"^gamma_std: inf is not a finite number$"),
+        ({"sweep": {"variable": "n", "values": [3, 4]}, "es_n0_db": math.nan},
+         r"^es_n0_db: nan is not a finite number$"),
+        ({"es_n0_db": -math.inf}, r"^es_n0_db: -inf is not a finite number$"),
+        ({"comm_gains": [math.nan]}, r"^comm_gains: nan is not a finite number$"),
+        ({"comm_gains": [[1.0, math.inf]]}, r"^comm_gains: inf is not a finite number$"),
+        ({"sweep": {"values": [math.nan]}}, r"^sweep\.values: nan is not a finite number$"),
+        ({"sweep": {"values": [-math.inf]}}, r"^sweep\.values: -inf is not a finite number$"),
+        ({"angles": {"sensing_aoa": [math.nan, 27.0]}}, r"^angles\.sensing_aoa: nan is not a finite number$"),
+        ({"sweep": {"variable": "n", "values": [3, math.inf]}}, r"^sweep values must be finite when sweeping n$"),
     ])
     def test_unparsable_value_names_its_key(self, tmp_path, overrides, message):
         path = write_config(tmp_path, **overrides)
@@ -191,11 +207,21 @@ class TestConfig:
         ({"als": {"n_restarts": True}}, "als.n_restarts"),
         ({"als": {"tol": "1e-7"}}, "als.tol"),
         ({"als": {"rcond": False}}, "als.rcond"),
+        ({"als": {"rcond": math.inf}}, "als.rcond"),
+        ({"als": {"init_seed": math.nan}}, "als.init_seed"),
+        ({"trials": math.nan}, "trials"),
+        ({"sweep": {"values": [0.0, math.nan]}}, "sweep.values"),
     ])
     def test_strings_and_booleans_rejected_where_numbers_are_due(self, tmp_path, overrides, key):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
             load_config(path)
+
+    def test_positive_infinity_is_the_noiseless_sentinel(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, sweep={"values": [10.0, math.inf]}))
+        assert cfg.sweep_values == [10.0, math.inf]
+        cfg = load_config(write_config(tmp_path, sweep={"variable": "n", "values": [3, 4]}, es_n0_db=math.inf))
+        assert cfg.es_n0_db == math.inf
 
     def test_integral_float_accepted_as_int(self, tmp_path):
         cfg = load_config(write_config(tmp_path, trials=3.0, dims={"p": 16.0}))

@@ -1,8 +1,11 @@
-"""Package surface: exported names exist, and the package exports exactly
-what its modules export."""
+"""Package surface: exported names exist, the package exports exactly
+what its modules export, and importing it does no avoidable work."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -35,3 +38,13 @@ def test_package_exports_come_from_module_exports():
     for name in MODULES:
         exported |= set(getattr(importlib.import_module(f"tensorisac.{name}"), "__all__", []))
     assert sorted(tensorisac.__all__) == sorted(exported)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures.process is loaded only by a sweep with jobs > 1.
+    src = os.path.dirname(os.path.dirname(tensorisac.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, tensorisac; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

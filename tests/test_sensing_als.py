@@ -3,6 +3,8 @@
 from dataclasses import replace
 from itertools import permutations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,9 +36,11 @@ from tensorisac.signal_model import (
 from tensorisac.tensor_ops import unfold1_flat, unfold3_tall
 
 from helpers import (
+    golden_section_angles,
     oracle_als_fixed_schedule,
     oracle_als_sweeps,
     oracle_extract_angles,
+    oracle_gevd_start,
     oracle_reflection_step,
     oracle_right_factor,
     oracle_rx_step,
@@ -283,6 +287,32 @@ class TestGevdStart:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", [
+        (2, 2, 2, 3, 8, False),
+        (4, 4, 3, 4, 64, False),
+        (3, 2, 2, 5, 4, False),
+        (1, 2, 3, 2, 8, False),   # fallbacks: k > min(m_r, m_t)
+        (2, 4, 2, 4, 3, False),   # p < m_t
+        (2, 3, 2, 3, 8, True),    # two parallel pilot columns
+    ])
+    @pytest.mark.parametrize("noise_db", [None, 20.0, 5.0])
+    def test_matches_einsum_oracle_and_its_draws(self, m_r, m_t, k, n, p, parallel, noise_db):
+        for seed in range(3):
+            scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=seed)
+            frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=seed + 1)
+            if parallel:
+                frame = parallel_pilot_columns(frame)
+            y = sensing_forward(scene, frame)
+            if noise_db is not None:
+                y = add_noise(y, noise_db, seed=seed + 2)
+            x = frame.s_pilot * frame.c[:, None, :]
+            rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = gevd_start(y, x, k, rng)
+            want = oracle_gevd_start(y, x, k, rng_oracle)
+            for g, w in zip(got, want):
+                assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w)
+            assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
 
 class TestAlsFit:
     def test_noiseless_convergence_and_recovery(self):
@@ -349,6 +379,13 @@ class TestAlsFit:
             AlsConfig(max_iters=50.0)
         with pytest.raises(ValueError, match="n_restarts must be an integer"):
             AlsConfig(n_restarts=1.5)
+        # NaN fails every comparison, so the range checks are written to catch it
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                AlsConfig(tol=bad)
+        for bad in (math.nan, math.inf, -1e-12):
+            with pytest.raises(ValueError, match="rcond must be nonnegative and finite"):
+                AlsConfig(rcond=bad)
 
 
 class TestExtrapolationSchedule:
@@ -457,3 +494,61 @@ class TestAngleExtraction:
         near = build_steering_matrix(angles, m) + 0.05 * random_complex(rng, m, 4)
         cols = np.concatenate([random_complex(rng, m, 4), near], axis=1)
         assert np.abs(extract_angles(cols) - oracle_extract_angles(cols)).max() < 1e-4
+
+
+def closed_form_angle(col):
+    """Maximizer of ``|c_0 + c_1 exp(-j*u)|`` over ``u = pi * sin(angle)``, in degrees."""
+    return math.degrees(math.asin(np.angle(col[1] / col[0]) / math.pi))
+
+
+def slope_and_scale(col, angle):
+    """d|a(u)^H col|^2 / du at ``angle``, and a scale of its rounding error."""
+    idx = np.arange(col.size)
+    phases = np.exp(-1j * math.pi * math.sin(math.radians(angle)) * idx)
+    s, ds = phases @ col, (-1j * idx * phases) @ col
+    return 2.0 * (np.conj(s) * ds).real, np.sum(idx * np.abs(col)) * np.sum(np.abs(col))
+
+
+def noisy_steering_columns(rng, m, count):
+    """Steering columns at random angles, with noise and a random complex scale."""
+    cols = build_steering_matrix(rng.uniform(-80.0, 80.0, count), m) + 0.3 * random_complex(rng, m, count)
+    return cols * random_complex(rng, count)
+
+
+class TestNewtonRefinement:
+    """The Newton refinement of ``extract_angles`` lands on the stationary
+    point of the correlation, where golden-section search stops a few 1e-6
+    degrees short."""
+
+    def test_two_element_columns_match_closed_form(self):
+        rng = np.random.default_rng(80)
+        cols = np.concatenate([random_complex(rng, 2, 400), noisy_steering_columns(rng, 2, 100)], axis=1)
+        for j in range(cols.shape[1]):
+            want = closed_form_angle(cols[:, j])
+            if abs(want) < 89.9:
+                assert abs(extract_angles(cols[:, [j]])[0] - want) < 1e-10
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_slope_vanishes_at_a_peak_no_lower_than_the_oracle(self, m):
+        rng = np.random.default_rng(90 + m)
+        cols = noisy_steering_columns(rng, m, 40)
+        for j in range(cols.shape[1]):
+            col = cols[:, j]
+            got = extract_angles(cols[:, [j]])[0]
+            oracle = golden_section_angles(cols[:, [j]])[0]
+            slope, scale = slope_and_scale(col, got)
+            assert abs(slope) < 1e-13 * scale
+            # correlations equal to rounding count as not lower
+            corr = abs(np.vdot(steering_vector(got, m), col))
+            assert corr >= abs(np.vdot(steering_vector(oracle, m), col)) * (1.0 - 1e-14)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_peak_beyond_the_clip_returns_the_clip(self, m):
+        cols = build_steering_matrix([-89.9995, 89.9995], m)
+        assert np.abs(extract_angles(cols) - np.array([-89.999, 89.999])).max() < 1e-9
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_agrees_with_golden_section_oracle(self, m):
+        rng = np.random.default_rng(110 + m)
+        cols = np.concatenate([random_complex(rng, m, 20), noisy_steering_columns(rng, m, 20)], axis=1)
+        assert np.abs(extract_angles(cols) - golden_section_angles(cols)).max() < 1e-5

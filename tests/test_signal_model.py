@@ -70,6 +70,24 @@ class TestKrstCode:
         with pytest.raises(IdentifiabilityError):
             krst_code(2, 3)
 
+    @pytest.mark.parametrize("n,m_t", [(3, 2), (4, 4), (5, 3)])
+    def test_cached_read_only_dft_columns(self, n, m_t):
+        c = krst_code(n, m_t)
+        assert krst_code(n, m_t) is c
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0] = 0.0
+        for i in range(n):
+            for j in range(m_t):
+                assert abs(c[i, j] - np.exp(-2j * np.pi * i * j / n) / np.sqrt(n)) < 1e-15
+        # every frame shares the cached code, and TransmitFrame still checks it
+        frame = sample_frame(p=4, m_t=m_t, n=n, order=4, seed=3)
+        assert frame.c is c
+        bad = c.copy()
+        bad[0, 0] *= 2.0
+        with pytest.raises(ValueError, match="not column orthonormal"):
+            TransmitFrame(s_pilot=frame.s_pilot, s_data=frame.s_data, c=bad, constellation=4)
+
 
 class TestQam:
     @pytest.mark.parametrize("order", [4, 16, 64])
