@@ -29,6 +29,8 @@ __all__ = [
     "zf_benchmark",
 ]
 
+ORTHONORMAL_ATOL = 1e-9  # largest entry of |code.T @ conj(code) - I| an orthonormal code may show
+
 
 @dataclass
 class CommEstimate:
@@ -39,13 +41,13 @@ class CommEstimate:
     h_hat: np.ndarray
 
 
-def estimate_symbol_channel_product(tensor: np.ndarray, code: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+def estimate_symbol_channel_product(tensor: np.ndarray, code: np.ndarray) -> np.ndarray:
     """Least-squares estimate of ``khatri_rao(s, h)`` from the received tensor.
 
     Right-multiplying the tall unfolding by ``conj(code)`` inverts the slot
     weighting exactly because the code is column orthonormal.  Requires at
     least as many slots as transmit antennas; a code failing
-    ``code.T @ conj(code) == I`` by more than ``atol`` is rejected.
+    ``code.T @ conj(code) == I`` by more than ``ORTHONORMAL_ATOL`` is rejected.
     """
     t = np.asarray(tensor)
     if t.ndim != 3:
@@ -60,7 +62,7 @@ def estimate_symbol_channel_product(tensor: np.ndarray, code: np.ndarray, atol: 
             f"code projection needs n >= m_t: {n_slots} < {m_t}"
         )
     gram_err = np.max(np.abs(code.T @ code.conj() - np.eye(m_t)))
-    if gram_err > atol:
+    if gram_err > ORTHONORMAL_ATOL:
         raise ValueError(
             f"code matrix is not column orthonormal (max deviation {gram_err:.3e})"
         )

@@ -23,6 +23,7 @@ writing, so reruns with the same config are byte-identical.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -59,6 +60,7 @@ __all__ = [
 
 SWEEP_VARIABLES = ("es_n0", "n", "p", "m_u")
 DIMS = ("m_t", "m_r", "m_u", "p", "n", "k", "l")
+SYMBOL_ATOL = 1e-9  # two symbols closer than this are the same constellation point
 
 
 # ------------------------------ configuration ------------------------------ #
@@ -105,8 +107,12 @@ class ExperimentConfig:
         for a in list(self.sensing_aoa) + list(self.sensing_aod) + list(self.comm_aoa) + list(self.comm_aod):
             if not -90.0 < float(a) < 90.0:
                 problems.append(f"angle {a} outside the open interval (-90, 90)")
-        if self.gamma_std <= 0:
-            problems.append("gamma_std must be positive")
+        if not 0 < self.gamma_std < math.inf:
+            problems.append("gamma_std must be positive and finite")
+        if not (math.isfinite(self.es_n0_db) or self.es_n0_db == math.inf):
+            problems.append("es_n0_db must be finite or +inf")
+        if not all(map(cmath.isfinite, self.comm_gains)):
+            problems.append("comm_gains must be finite")
         if self.trials < 1:
             problems.append("trials must be at least 1")
         if self.jobs < 1:
@@ -117,8 +123,13 @@ class ExperimentConfig:
             problems.append("sweep values must be non-empty")
         elif sorted(self.sweep_values) != list(self.sweep_values):
             problems.append("sweep values must be sorted ascending")
-        elif self.sweep_variable != "es_n0" and not all(map(math.isfinite, self.sweep_values)):
+        elif self.sweep_variable == "es_n0":
+            if not all(math.isfinite(v) or v == math.inf for v in self.sweep_values):
+                problems.append("sweep values must be finite or +inf when sweeping es_n0")
+        elif not all(map(math.isfinite, self.sweep_values)):
             problems.append(f"sweep values must be finite when sweeping {self.sweep_variable}")
+        else:
+            problems += [f"sweep.values: {v!r} is not an integer" for v in self.sweep_values if v != int(v)]
         if problems:
             raise ConfigError("; ".join(problems))
         # Every point of the sweep must be a runnable experiment.
@@ -282,13 +293,13 @@ def nmse(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     return float(np.vdot(diff, diff).real / denom)
 
 
-def ser(s_hat: np.ndarray, s_true: np.ndarray, atol: float = 1e-9) -> float:
+def ser(s_hat: np.ndarray, s_true: np.ndarray) -> float:
     """Fraction of entries whose detected symbol differs from the truth."""
     s_hat = np.asarray(s_hat)
     s_true = np.asarray(s_true)
     if s_hat.shape != s_true.shape:
         raise ValueError(f"shape mismatch: {s_hat.shape} vs {s_true.shape}")
-    return float(np.mean(np.abs(s_hat - s_true) > atol))
+    return float(np.mean(np.abs(s_hat - s_true) > SYMBOL_ATOL))
 
 
 @dataclass

@@ -10,10 +10,12 @@ column-orthonormal space-time code.  Two receivers observe the frame:
 * a user terminal with ``m_u`` antennas behind a flat-fading multipath
   channel.
 
-Both observations are third-order tensors (antennas x symbols x slots); the
-builders below produce them slice by slice.  Arrays are uniform linear with
-half-wavelength spacing, so a steering vector has entries
-``exp(1j * pi * i * sin(angle))`` and its first entry is always one.
+A frame (:class:`TransmitFrame`) is its QAM indices, slot count and QAM
+order; its symbols and code are derived from them once.  Both observations
+are third-order tensors (antennas x symbols x slots); the builders below
+produce them slice by slice.  Arrays are uniform linear with half-wavelength
+spacing, so a steering vector has entries ``exp(1j * pi * i * sin(angle))``
+and its first entry is always one.
 """
 
 from __future__ import annotations
@@ -48,30 +50,15 @@ __all__ = [
 # ----------------------------- array geometry ----------------------------- #
 
 def steering_vector(angle_deg: float, m: int) -> np.ndarray:
-    """Steering vector of a half-wavelength uniform linear array.
-
-    Parameters
-    ----------
-    angle_deg : float
-        Angle in degrees, strictly inside (-90, 90).
-    m : int
-        Number of array elements, at least 1.
-
-    Returns
-    -------
-    ndarray
-        Length-``m`` complex vector with entries
-        ``exp(1j * pi * i * sin(angle))``; the first entry is 1.
-    """
-    if not -90.0 < angle_deg < 90.0:
-        raise ValueError(f"angle {angle_deg} deg outside the open interval (-90, 90)")
-    if m < 1:
-        raise ValueError(f"array needs at least one element, got {m}")
-    return np.exp(1j * np.pi * np.arange(m) * np.sin(np.deg2rad(angle_deg)))
+    """Steering vector of one angle: the single column of :func:`build_steering_matrix`."""
+    return build_steering_matrix([angle_deg], m)[:, 0]
 
 
 def build_steering_matrix(angles_deg, m: int) -> np.ndarray:
-    """Steering vectors for a list of angles as the columns of an ``m x len(angles)`` matrix."""
+    """Steering vectors of a half-wavelength uniform linear array with ``m >= 1``
+    elements, one column per angle (degrees, strictly inside (-90, 90)):
+    entries ``exp(1j * pi * i * sin(angle))``, first row all ones.
+    """
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     if angles.size == 0:
         raise ValueError("need at least one angle")
@@ -220,33 +207,28 @@ def build_comm_link(theta_ue, phi_ue, gains, m_u: int, m_t: int) -> CommLink:
 class TransmitFrame:
     """One transmitted frame: pilot block, data block and the slot code.
 
-    ``s_pilot`` and ``s_data`` are ``p x m_t`` symbol matrices on the
-    unit-average-energy QAM grid; ``c`` is the ``n x m_t`` code matrix with
-    ``c.T @ c.conj() == I``.
+    Built from the ``p x m_t`` pilot and data QAM indices, the slot count
+    ``n`` and the QAM order, it derives the symbol matrices ``s_pilot`` and
+    ``s_data`` and the shared ``n x m_t`` code ``c = krst_code(n, m_t)``, so
+    it cannot hold off-grid symbols or a non-orthonormal code.
     """
 
-    s_pilot: np.ndarray
-    s_data: np.ndarray
-    c: np.ndarray
+    pilot_idx: np.ndarray
+    data_idx: np.ndarray
+    n: int
     constellation: int
+    s_pilot: np.ndarray = field(init=False)
+    s_data: np.ndarray = field(init=False)
+    c: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.s_pilot = np.atleast_2d(np.asarray(self.s_pilot, dtype=complex))
-        self.s_data = np.atleast_2d(np.asarray(self.s_data, dtype=complex))
-        self.c = np.atleast_2d(np.asarray(self.c, dtype=complex))
-        if self.s_pilot.shape != self.s_data.shape:
+        self.pilot_idx = np.atleast_2d(np.asarray(self.pilot_idx))
+        self.data_idx = np.atleast_2d(np.asarray(self.data_idx))
+        if self.pilot_idx.shape != self.data_idx.shape:
             raise ValueError("pilot and data blocks must have the same shape")
-        m_t = self.s_pilot.shape[1]
-        if self.c.shape[1] != m_t:
-            raise ValueError("code and symbol blocks disagree on antenna count")
-        gram = self.c.T @ self.c.conj()
-        if np.max(np.abs(gram - np.eye(m_t))) > 1e-12:
-            raise ValueError("code matrix is not column orthonormal")
-        points = qam_constellation(self.constellation)
-        for name, block in (("s_pilot", self.s_pilot), ("s_data", self.s_data)):
-            off = np.min(np.abs(block.reshape(-1, 1) - points[None, :]), axis=1)
-            if off.size and off.max() > 1e-9:
-                raise ValueError(f"{name} contains symbols off the QAM grid")
+        self.s_pilot = qam_modulate(self.pilot_idx, self.constellation)
+        self.s_data = qam_modulate(self.data_idx, self.constellation)
+        self.c = krst_code(self.n, self.pilot_idx.shape[1])
 
 
 # -------------------------------- samplers -------------------------------- #
@@ -284,11 +266,9 @@ def sample_frame(p: int, m_t: int, n: int, order: int = 4, seed=None) -> Transmi
     if p < 1:
         raise ValueError("need at least one symbol per block")
     rng = np.random.default_rng(seed)
-    s_pilot = qam_modulate(rng.integers(0, order, (p, m_t)), order)
-    s_data = qam_modulate(rng.integers(0, order, (p, m_t)), order)
-    return TransmitFrame(
-        s_pilot=s_pilot, s_data=s_data, c=krst_code(n, m_t), constellation=order
-    )
+    pilot_idx = rng.integers(0, order, (p, m_t))
+    data_idx = rng.integers(0, order, (p, m_t))
+    return TransmitFrame(pilot_idx, data_idx, n, order)
 
 
 # ------------------------------ forward model ------------------------------ #

@@ -128,6 +128,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="m_u >= m_t"):
             load_config(path)
 
+    @pytest.mark.parametrize("changes, message", [
+        # load_config rejects these while parsing; a config built in code
+        # used to pass validate() with them.
+        ({"gamma_std": math.nan}, "gamma_std must be positive and finite"),
+        ({"gamma_std": math.inf}, "gamma_std must be positive and finite"),
+        ({"es_n0_db": math.nan}, "es_n0_db must be finite or +inf"),
+        ({"es_n0_db": -math.inf}, "es_n0_db must be finite or +inf"),
+        ({"comm_gains": [complex(math.nan, 0.0)]}, "comm_gains must be finite"),
+        ({"sweep_values": [0.0, math.nan]}, "sweep values must be finite or +inf when sweeping es_n0"),
+    ])
+    def test_validate_rejects_non_finite_values_set_in_code(self, changes, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replace(default_config(), **changes).validate()
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -166,6 +180,8 @@ class TestConfig:
         ({"sweep": {"values": [-math.inf]}}, r"^sweep\.values: -inf is not a finite number$"),
         ({"angles": {"sensing_aoa": [math.nan, 27.0]}}, r"^angles\.sensing_aoa: nan is not a finite number$"),
         ({"sweep": {"variable": "n", "values": [3, math.inf]}}, r"^sweep values must be finite when sweeping n$"),
+        # used to load and then run the 3.5 point with n = 3
+        ({"sweep": {"variable": "n", "values": [3.5, 4]}}, r"^sweep\.values: 3\.5 is not an integer$"),
     ])
     def test_unparsable_value_names_its_key(self, tmp_path, overrides, message):
         path = write_config(tmp_path, **overrides)
@@ -222,11 +238,14 @@ class TestConfig:
         assert cfg.sweep_values == [10.0, math.inf]
         cfg = load_config(write_config(tmp_path, sweep={"variable": "n", "values": [3, 4]}, es_n0_db=math.inf))
         assert cfg.es_n0_db == math.inf
+        replace(default_config(), es_n0_db=math.inf, sweep_values=[0.0, math.inf]).validate()
 
     def test_integral_float_accepted_as_int(self, tmp_path):
         cfg = load_config(write_config(tmp_path, trials=3.0, dims={"p": 16.0}))
         assert cfg.trials == 3 and type(cfg.trials) is int
         assert cfg.p == 16 and type(cfg.p) is int
+        cfg = load_config(write_config(tmp_path, sweep={"variable": "n", "values": [3.0, 4.0]}))
+        assert cfg.sweep_values == [3.0, 4.0]
 
     def test_als_values_parsed_by_field_type(self, tmp_path):
         # Newly accepted: 50.0 becomes the int 50 rather than reaching range().
@@ -460,6 +479,10 @@ class TestCli:
         proc = self.run_cli("check", "--config", path)
         assert proc.returncode == 2
         assert "m_u >= m_t" in proc.stderr
+        path = write_config(tmp_path, sweep={"variable": "n", "values": [3.5, 4]})
+        proc = self.run_cli("check", "--config", path)
+        assert proc.returncode == 2
+        assert "sweep.values: 3.5 is not an integer" in proc.stderr
 
     def test_run_and_plotdata(self, tmp_path):
         config = write_config(tmp_path, sweep={"values": [0.0, 10.0]}, trials=2)

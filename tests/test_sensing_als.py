@@ -28,6 +28,7 @@ from tensorisac.sensing_als import (
 from tensorisac.signal_model import (
     add_noise,
     build_steering_matrix,
+    qam_demodulate,
     sample_frame,
     sample_scene,
     sensing_forward,
@@ -84,9 +85,7 @@ class TestIdentifiability:
 
 
 def replace_frame_pilots(frame, p):
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(frame, s_pilot=frame.s_pilot[:p, :], s_data=frame.s_data[:p, :])
+    return replace(frame, pilot_idx=frame.pilot_idx[:p, :], data_idx=frame.data_idx[:p, :])
 
 
 def step_operands(y, code, pilots):
@@ -188,10 +187,10 @@ class TestVectorizedSteps:
 
 
 def parallel_pilot_columns(frame):
-    """The frame with its last pilot column made parallel to the first (still on the QAM grid)."""
-    pilots = frame.s_pilot.copy()
-    pilots[:, -1] = 1j * pilots[:, 0]
-    return replace(frame, s_pilot=pilots)
+    """The 4-QAM frame with its last pilot column made parallel to the first (``1j`` times it)."""
+    pilot_idx = frame.pilot_idx.copy()
+    pilot_idx[:, -1] = qam_demodulate(1j * frame.s_pilot[:, 0], 4)
+    return replace(frame, pilot_idx=pilot_idx)
 
 
 def uncompressed_error(y, est, frame):

@@ -80,13 +80,8 @@ class TestKrstCode:
         for i in range(n):
             for j in range(m_t):
                 assert abs(c[i, j] - np.exp(-2j * np.pi * i * j / n) / np.sqrt(n)) < 1e-15
-        # every frame shares the cached code, and TransmitFrame still checks it
-        frame = sample_frame(p=4, m_t=m_t, n=n, order=4, seed=3)
-        assert frame.c is c
-        bad = c.copy()
-        bad[0, 0] *= 2.0
-        with pytest.raises(ValueError, match="not column orthonormal"):
-            TransmitFrame(s_pilot=frame.s_pilot, s_data=frame.s_data, c=bad, constellation=4)
+        # every frame shares the cached code
+        assert sample_frame(p=4, m_t=m_t, n=n, order=4, seed=3).c is c
 
 
 class TestQam:
@@ -183,11 +178,19 @@ class TestSceneAndFrame:
         assert np.array_equal(a.s_pilot, b.s_pilot)
         assert np.array_equal(a.s_data, b.s_data)
 
-    def test_frame_validation_rejects_bad_code(self):
-        frame = sample_frame(p=4, m_t=2, n=3, order=4, seed=1)
-        with pytest.raises(ValueError):
-            TransmitFrame(s_pilot=frame.s_pilot, s_data=frame.s_data,
-                          c=np.ones((3, 2), dtype=complex), constellation=4)
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_frame_symbols_derive_from_indices(self, order):
+        pilot_idx = np.arange(6).reshape(3, 2) % order
+        data_idx = (np.arange(6).reshape(3, 2) * 5 + 1) % order
+        frame = TransmitFrame(pilot_idx, data_idx, n=4, constellation=order)
+        assert np.array_equal(frame.s_pilot, qam_constellation(order)[pilot_idx])
+        assert np.array_equal(frame.s_data, qam_constellation(order)[data_idx])
+        assert frame.c is krst_code(4, 2)
+        for bad in (order, -1):
+            with pytest.raises(ValueError, match="outside"):
+                TransmitFrame(pilot_idx, np.full((3, 2), bad), n=4, constellation=order)
+        with pytest.raises(ValueError, match="same shape"):
+            TransmitFrame(pilot_idx, data_idx[:2], n=4, constellation=order)
 
     def test_build_comm_link_channel(self):
         link = build_comm_link([78.0], [25.0], [1.0 + 0.0j], m_u=2, m_t=2)
