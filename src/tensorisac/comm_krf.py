@@ -135,6 +135,15 @@ def semi_blind_receive(
     return CommEstimate(s_soft=s, s_hat=detect_symbols(s, order), h_hat=h)
 
 
+def channel_column_energy(h: np.ndarray) -> np.ndarray:
+    """Squared norm of each channel column; a zero column raises ``ValueError``,
+    since the stream it carries is unobservable."""
+    col_energy = np.sum(np.abs(h) ** 2, axis=0)
+    if np.any(col_energy == 0.0):
+        raise ValueError("channel has a zero column; that stream is unobservable")
+    return col_energy
+
+
 def zf_benchmark(tensor: np.ndarray, h_true: np.ndarray, code: np.ndarray, order: int) -> np.ndarray:
     """Symbol decisions with perfect channel knowledge, as a lower benchmark.
 
@@ -156,9 +165,7 @@ def zf_benchmark(tensor: np.ndarray, h_true: np.ndarray, code: np.ndarray, order
         raise IdentifiabilityError(
             f"benchmark needs m_u >= m_t: {m_u} < {m_t}"
         )
-    col_energy = np.sum(np.abs(h_true) ** 2, axis=0)
-    if np.any(col_energy == 0.0):
-        raise ValueError("channel has a zero column; that stream is unobservable")
+    col_energy = channel_column_energy(h_true)
     q = estimate_symbol_channel_product(t, code)
     # Stream m: unvec(q[:, m], m_u, p).T @ conj(h_true[:, m]), all streams at once.
     combined = q.T.reshape(m_t, p, m_u) @ h_true.T.conj()[:, :, None]

@@ -32,9 +32,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .comm_krf import semi_blind_receive, zf_benchmark
+from .comm_krf import channel_column_energy, semi_blind_receive, zf_benchmark
 from .exceptions import ConfigError
 from .sensing_als import (
+    ALIGN_MAX_COLUMNS,
     AlsConfig,
     align_permutation,
     als_fit,
@@ -42,7 +43,9 @@ from .sensing_als import (
     extract_angles,
     remove_sensing_ambiguity,
 )
-from .signal_model import add_noise, build_comm_link, comm_forward, sample_frame, sample_scene, sensing_forward
+from .signal_model import (
+    add_noise, build_comm_link, comm_forward, qam_constellation, sample_frame, sample_scene, sensing_forward,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -60,6 +63,7 @@ __all__ = [
 
 SWEEP_VARIABLES = ("es_n0", "n", "p", "m_u")
 DIMS = ("m_t", "m_r", "m_u", "p", "n", "k", "l")
+ANGLES = ("sensing_aoa", "sensing_aod", "comm_aoa", "comm_aod")
 SYMBOL_ATOL = 1e-9  # two symbols closer than this are the same constellation point
 
 
@@ -93,20 +97,28 @@ class ExperimentConfig:
     jobs: int = 1
 
     def validate(self) -> None:
-        """Raise :class:`ConfigError` naming every violated requirement."""
+        """Raise :class:`ConfigError` naming every violated requirement: the
+        one check of values, for loaded and in-code configs alike, NaN and
+        infinities included; a config that passes runs every sweep point."""
         problems: list[str] = []
         for name in DIMS:
             if int(getattr(self, name)) < 1:
                 problems.append(f"{name} must be at least 1")
+        if self.k > ALIGN_MAX_COLUMNS:
+            problems.append(f"k must be at most {ALIGN_MAX_COLUMNS}, the exhaustive alignment's column cap")
         if len(self.sensing_aoa) != self.k or len(self.sensing_aod) != self.k:
             problems.append("sensing angle lists must have one entry per target (k)")
         if len(self.comm_aoa) != self.l or len(self.comm_aod) != self.l:
             problems.append("comm angle lists must have one entry per path (l)")
         if len(self.comm_gains) != self.l:
             problems.append("comm_gains must have one entry per path (l)")
-        for a in list(self.sensing_aoa) + list(self.sensing_aod) + list(self.comm_aoa) + list(self.comm_aod):
-            if not -90.0 < float(a) < 90.0:
-                problems.append(f"angle {a} outside the open interval (-90, 90)")
+        for name in ANGLES:
+            outside = [a for a in getattr(self, name) if not -90.0 < a < 90.0]
+            problems += [f"{name}: angle {a} outside the open interval (-90, 90)" for a in outside]
+        try:
+            qam_constellation(self.constellation)
+        except ValueError as exc:
+            problems.append(str(exc))
         if not 0 < self.gamma_std < math.inf:
             problems.append("gamma_std must be positive and finite")
         if not (math.isfinite(self.es_n0_db) or self.es_n0_db == math.inf):
@@ -115,32 +127,41 @@ class ExperimentConfig:
             problems.append("comm_gains must be finite")
         if self.trials < 1:
             problems.append("trials must be at least 1")
+        if self.base_seed < 0:
+            problems.append("base_seed must be non-negative")
         if self.jobs < 1:
             problems.append("jobs must be at least 1")
         if self.sweep_variable not in SWEEP_VARIABLES:
             problems.append(f"sweep variable must be one of {SWEEP_VARIABLES}")
-        if not self.sweep_values:
+        values = list(self.sweep_values)
+        noise_sweep = self.sweep_variable == "es_n0"
+        non_finite = [v for v in values if not (math.isfinite(v) or (noise_sweep and v == math.inf))]
+        if not values:
             problems.append("sweep values must be non-empty")
-        elif sorted(self.sweep_values) != list(self.sweep_values):
-            problems.append("sweep values must be sorted ascending")
-        elif self.sweep_variable == "es_n0":
-            if not all(math.isfinite(v) or v == math.inf for v in self.sweep_values):
-                problems.append("sweep values must be finite or +inf when sweeping es_n0")
-        elif not all(map(math.isfinite, self.sweep_values)):
-            problems.append(f"sweep values must be finite when sweeping {self.sweep_variable}")
-        else:
-            problems += [f"sweep.values: {v!r} is not an integer" for v in self.sweep_values if v != int(v)]
+        elif non_finite:
+            rule = "finite or +inf" if noise_sweep else "finite"
+            problems.append(f"sweep values must be {rule} when sweeping {self.sweep_variable}: {non_finite}")
+        elif any(a >= b for a, b in zip(values, values[1:])):
+            problems.append("sweep values must be sorted strictly ascending")
+        elif not noise_sweep:
+            problems += [f"sweep.values: {v!r} is not an integer" for v in values if v != int(v)]
         if problems:
             raise ConfigError("; ".join(problems))
         # Every point of the sweep must be a runnable experiment.
-        for value in self.sweep_values:
+        for value in values:
             pt = apply_sweep(self, value)
             violations = check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k).violations
-            # The code projection and the benchmark are checked in turn, and
-            # only on an identifiable point; the first failure is reported.
+            # The code projection, the benchmark and the channel are checked in
+            # turn, only on an identifiable point; the first failure is reported.
             for need, dim in (("code projection", "n"), ("benchmark", "m_u")):
                 if not violations and getattr(pt, dim) < pt.m_t:
                     violations = [f"{need} needs {dim} >= m_t: {getattr(pt, dim)} < {pt.m_t}"]
+            if not violations:
+                link = build_comm_link(pt.comm_aoa, pt.comm_aod, pt.comm_gains, m_u=pt.m_u, m_t=pt.m_t)
+                try:
+                    channel_column_energy(link.h)
+                except ValueError as exc:
+                    violations = [str(exc)]
             if violations:
                 raise ConfigError(f"sweep point {self.sweep_variable}={value}: " + "; ".join(violations))
 
@@ -153,18 +174,10 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """``float(value)``, unless ``value`` is a string, a boolean, NaN or infinite."""
+    """``float(value)``, unless ``value`` is a string or a boolean."""
     if isinstance(value, (str, bool)):
         raise ValueError(f"could not convert {value!r} to a number")
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{number!r} is not a finite number")
-    return number
-
-
-def _es_n0(value) -> float:
-    """:func:`_float`, but ``+Infinity``, the noiseless sentinel, is accepted."""
-    return math.inf if value == math.inf else _float(value)
+    return float(value)
 
 
 def _str(value) -> str:
@@ -174,10 +187,10 @@ def _str(value) -> str:
     return value
 
 
-def _floats(values, parse=_float) -> list[float]:
+def _floats(values) -> list[float]:
     if isinstance(values, str):
         raise ValueError(f"expected a list of numbers, got {values!r}")
-    return [parse(v) for v in values]
+    return [_float(v) for v in values]
 
 
 def _as_gain(value) -> complex:
@@ -189,16 +202,17 @@ def _as_gain(value) -> complex:
 
 
 # File key -> (ExperimentConfig field, parser); a nested object maps each
-# subkey the same way.  The ``als`` subkeys are the AlsConfig fields, parsed
-# by their type; AlsConfig checks their ranges.
+# subkey the same way.  A parser checks the JSON type only; the values are
+# judged by ExperimentConfig.validate and, for the ``als`` subkeys (the
+# AlsConfig fields, parsed by their type), by AlsConfig.
 _SCHEMA = {
     "dims": {name: (name, _int) for name in DIMS},
-    "angles": {name: (name, _floats) for name in ("sensing_aoa", "sensing_aod", "comm_aoa", "comm_aod")},
+    "angles": {name: (name, _floats) for name in ANGLES},
     "comm_gains": ("comm_gains", lambda gains: [_as_gain(g) for g in gains]),
     "constellation": ("constellation", _int),
     "gamma_std": ("gamma_std", _float),
-    "sweep": {"variable": ("sweep_variable", _str), "values": ("sweep_values", lambda v: _floats(v, _es_n0))},
-    "es_n0_db": ("es_n0_db", _es_n0),
+    "sweep": {"variable": ("sweep_variable", _str), "values": ("sweep_values", _floats)},
+    "es_n0_db": ("es_n0_db", _float),
     "trials": ("trials", _int),
     "base_seed": ("base_seed", _int),
     "als": {f.name: (f.name, _int if f.type == "int" else _float) for f in fields(AlsConfig)},
@@ -211,14 +225,13 @@ def load_config(path: str) -> ExperimentConfig:
     """Load and validate a JSON experiment file.
 
     The keys are those of ``_SCHEMA`` (README describes each one), and
-    every key is optional.  Unknown keys, integer keys holding a number
-    with a fractional part, strings or booleans where a number is due,
-    NaN and infinite numbers (but ``+Infinity``, the noiseless sentinel, in
-    ``es_n0_db`` and in ``sweep.values`` of an ``es_n0`` sweep), anything
-    but a string where a string is due, and values that do not
-    parse are rejected, each error naming its key
-    (``dims.p: ...``).  The merged configuration is validated,
-    identifiability of every sweep point included, before anything runs.
+    every key is optional.  Parsing checks JSON types only, each error
+    naming its key (``dims.p: ...``): unknown keys, a string or a boolean
+    where a number is due, a non-string where a string is due, anything
+    but a whole number (NaN and infinities included) in an integer key,
+    and values that do not parse are rejected.  The values are then judged
+    as in a config built in code, by :class:`AlsConfig` (``als section:
+    ...``) and :meth:`ExperimentConfig.validate`, before anything runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

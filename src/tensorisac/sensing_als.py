@@ -77,7 +77,7 @@ from itertools import permutations
 import numpy as np
 
 from .exceptions import AlsDivergenceError, IdentifiabilityError
-from .signal_model import TransmitFrame
+from .signal_model import TransmitFrame, build_steering_matrix
 from .tensor_ops import best_rank_one, pinv, unfold1_flat, unfold3_tall
 
 __all__ = [
@@ -116,6 +116,10 @@ GRID_STEP = 0.1
 ANGLE_CLIP = 89.999
 ANGLE_TOL = 1e-12
 MAX_REFINE_STEPS = 100
+
+# align_permutation tries all k! column orders, so it takes at most this many
+# columns; ExperimentConfig.validate caps k with it.
+ALIGN_MAX_COLUMNS = 8
 
 
 @dataclass
@@ -330,6 +334,8 @@ def als_fit(
     ------
     IdentifiabilityError
         If the tensor dimensions do not satisfy the recovery inequalities.
+    ValueError
+        If the tensor is all zero or its energy is not finite.
     AlsDivergenceError
         If the reconstruction error turns non-finite.
     """
@@ -349,6 +355,8 @@ def als_fit(
         raise IdentifiabilityError("; ".join(report.violations))
 
     y_energy = np.vdot(t, t).real
+    if not math.isfinite(y_energy):
+        raise ValueError(f"cannot fit a tensor whose energy is {y_energy}: non-finite or overflowing entries")
     if y_energy == 0.0:
         raise ValueError("cannot fit an all-zero tensor")
     # Pilot-mode compression (module docstring); outside = ||Y - Z U^T||^2 for all factors.
@@ -452,16 +460,16 @@ def align_permutation(est_cols: np.ndarray, true_cols: np.ndarray) -> tuple[int,
 
     Exhaustively maximizes the sum of normalized column correlations
     ``|est_i^H true_j| / (|est_i| |true_j|)``; feasible because the column
-    count is capped at 8.  Returns ``perm`` such that ``est_cols[:, perm]``
-    lines up with ``true_cols``.
+    count is capped at ``ALIGN_MAX_COLUMNS``.  Returns ``perm`` such that
+    ``est_cols[:, perm]`` lines up with ``true_cols``.
     """
     est = np.asarray(est_cols)
     true = np.asarray(true_cols)
     if est.ndim != 2 or true.ndim != 2 or est.shape[1] != true.shape[1]:
         raise ValueError("column counts must match")
     k = true.shape[1]
-    if k > 8:
-        raise ValueError(f"exhaustive alignment capped at 8 columns, got {k}")
+    if k > ALIGN_MAX_COLUMNS:
+        raise ValueError(f"exhaustive alignment capped at {ALIGN_MAX_COLUMNS} columns, got {k}")
     est_norm = np.linalg.norm(est, axis=0)
     true_norm = np.linalg.norm(true, axis=0)
     denom = np.outer(est_norm, true_norm)
@@ -483,7 +491,7 @@ def _scan_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid angles and the conjugated steering vectors on them, one per row;
     shared between calls, so both arrays are read-only."""
     grid = np.linspace(-89.9, 89.9, int(round(179.8 / GRID_STEP)) + 1)
-    manifold_h = np.exp(1j * np.pi * np.outer(np.sin(np.deg2rad(grid)), np.arange(m))).conj()
+    manifold_h = build_steering_matrix(grid, m).T.conj()
     grid.flags.writeable = False
     manifold_h.flags.writeable = False
     return grid, manifold_h

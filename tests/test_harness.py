@@ -80,6 +80,12 @@ class TestMetrics:
             ser(x, x[:2])
 
 
+# k = 9 on otherwise identifiable dimensions: more columns than align_permutation tries.
+K9_DIMS = {"m_r": 4, "m_t": 4, "m_u": 4, "p": 8, "n": 9, "k": 9}
+K9_ANGLES = {"sensing_aoa": [float(a) for a in range(-40, 50, 10)],
+             "sensing_aod": [float(a) for a in range(-45, 45, 10)]}
+
+
 class TestConfig:
     def test_default_file_loads(self):
         cfg = load_config(CONFIG_PATH)
@@ -118,9 +124,12 @@ class TestConfig:
             load_config(path)
 
     def test_unsorted_sweep_rejected(self, tmp_path):
-        path = write_config(tmp_path, sweep={"values": [10.0, 0.0]})
-        with pytest.raises(ConfigError, match="sorted"):
-            load_config(path)
+        # [10, 10] used to run both points with the same seeds, so summary.csv
+        # counted each trial twice.
+        for values in ([10.0, 0.0], [10.0, 10.0]):
+            path = write_config(tmp_path, sweep={"values": values})
+            with pytest.raises(ConfigError, match="sorted"):
+                load_config(path)
 
     def test_sweep_point_validated_not_just_base(self, tmp_path):
         # base dims fine, but the m_u sweep dips below m_t
@@ -129,14 +138,19 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("changes, message", [
-        # load_config rejects these while parsing; a config built in code
-        # used to pass validate() with them.
+        # validate() is the one check of these values, whether the config
+        # was loaded from a file or built in code.
         ({"gamma_std": math.nan}, "gamma_std must be positive and finite"),
         ({"gamma_std": math.inf}, "gamma_std must be positive and finite"),
         ({"es_n0_db": math.nan}, "es_n0_db must be finite or +inf"),
         ({"es_n0_db": -math.inf}, "es_n0_db must be finite or +inf"),
         ({"comm_gains": [complex(math.nan, 0.0)]}, "comm_gains must be finite"),
         ({"sweep_values": [0.0, math.nan]}, "sweep values must be finite or +inf when sweeping es_n0"),
+        # Each of these used to pass validate() and then fail the first trial.
+        ({"constellation": 8}, "QAM order must be a square (4, 16, 64, ...), got 8"),
+        ({**K9_DIMS, **K9_ANGLES}, "k must be at most 8"),
+        ({"comm_gains": [0j]}, "sweep point es_n0=0.0: channel has a zero column"),
+        ({"base_seed": -1}, "base_seed must be non-negative"),
     ])
     def test_validate_rejects_non_finite_values_set_in_code(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -165,21 +179,24 @@ class TestConfig:
         ({"output_dir": ["a"]}, r"^output_dir: \['a'\] is not a string$"),
         ({"sweep": {"variable": 5}}, r"^sweep\.variable: 5 is not a string$"),
         # Python's json reads NaN and Infinity; each of these loaded and then
-        # capped or crashed fits mid-run.
-        ({"als": {"tol": math.nan}}, r"^als\.tol: nan is not a finite number$"),
-        ({"als": {"tol": math.inf}}, r"^als\.tol: inf is not a finite number$"),
-        ({"als": {"rcond": math.nan}}, r"^als\.rcond: nan is not a finite number$"),
-        ({"gamma_std": math.nan}, r"^gamma_std: nan is not a finite number$"),
-        ({"gamma_std": math.inf}, r"^gamma_std: inf is not a finite number$"),
+        # capped or crashed fits mid-run.  The parsers pass them on, and
+        # AlsConfig or validate() rejects them, naming the field.
+        ({"als": {"tol": math.nan}}, r"^als section: tol must be positive and finite, got nan$"),
+        ({"als": {"tol": math.inf}}, r"^als section: tol must be positive and finite, got inf$"),
+        ({"als": {"rcond": math.nan}}, r"^als section: rcond must be nonnegative and finite, got nan$"),
+        ({"gamma_std": math.nan}, r"^gamma_std must be positive and finite$"),
+        ({"gamma_std": math.inf}, r"^gamma_std must be positive and finite$"),
         ({"sweep": {"variable": "n", "values": [3, 4]}, "es_n0_db": math.nan},
-         r"^es_n0_db: nan is not a finite number$"),
-        ({"es_n0_db": -math.inf}, r"^es_n0_db: -inf is not a finite number$"),
-        ({"comm_gains": [math.nan]}, r"^comm_gains: nan is not a finite number$"),
-        ({"comm_gains": [[1.0, math.inf]]}, r"^comm_gains: inf is not a finite number$"),
-        ({"sweep": {"values": [math.nan]}}, r"^sweep\.values: nan is not a finite number$"),
-        ({"sweep": {"values": [-math.inf]}}, r"^sweep\.values: -inf is not a finite number$"),
-        ({"angles": {"sensing_aoa": [math.nan, 27.0]}}, r"^angles\.sensing_aoa: nan is not a finite number$"),
-        ({"sweep": {"variable": "n", "values": [3, math.inf]}}, r"^sweep values must be finite when sweeping n$"),
+         r"^es_n0_db must be finite or \+inf$"),
+        ({"es_n0_db": -math.inf}, r"^es_n0_db must be finite or \+inf$"),
+        ({"comm_gains": [math.nan]}, r"^comm_gains must be finite$"),
+        ({"comm_gains": [[1.0, math.inf]]}, r"^comm_gains must be finite$"),
+        ({"sweep": {"values": [math.nan]}}, r"^sweep values must be finite or \+inf when sweeping es_n0: \[nan\]$"),
+        ({"sweep": {"values": [-math.inf]}}, r"^sweep values must be finite or \+inf when sweeping es_n0: \[-inf\]$"),
+        ({"angles": {"sensing_aoa": [math.nan, 27.0]}},
+         r"^sensing_aoa: angle nan outside the open interval \(-90, 90\)$"),
+        ({"sweep": {"variable": "n", "values": [3, math.inf]}},
+         r"^sweep values must be finite when sweeping n: \[inf\]$"),
         # used to load and then run the 3.5 point with n = 3
         ({"sweep": {"variable": "n", "values": [3.5, 4]}}, r"^sweep\.values: 3\.5 is not an integer$"),
     ])
@@ -223,10 +240,10 @@ class TestConfig:
         ({"als": {"n_restarts": True}}, "als.n_restarts"),
         ({"als": {"tol": "1e-7"}}, "als.tol"),
         ({"als": {"rcond": False}}, "als.rcond"),
-        ({"als": {"rcond": math.inf}}, "als.rcond"),
+        ({"als": {"rcond": math.inf}}, "als section"),        # AlsConfig: rcond must be ... finite
         ({"als": {"init_seed": math.nan}}, "als.init_seed"),
         ({"trials": math.nan}, "trials"),
-        ({"sweep": {"values": [0.0, math.nan]}}, "sweep.values"),
+        ({"sweep": {"values": [0.0, math.nan]}}, "sweep values must be finite or +inf when sweeping es_n0"),
     ])
     def test_strings_and_booleans_rejected_where_numbers_are_due(self, tmp_path, overrides, key):
         path = write_config(tmp_path, **overrides)
@@ -483,6 +500,15 @@ class TestCli:
         proc = self.run_cli("check", "--config", path)
         assert proc.returncode == 2
         assert "sweep.values: 3.5 is not an integer" in proc.stderr
+        # Each of these used to say "config ok" and then fail the first trial.
+        for overrides, message in (
+            ({"constellation": 8}, "QAM order must be a square"),
+            ({"dims": K9_DIMS, "angles": K9_ANGLES}, "k must be at most 8"),
+            ({"comm_gains": [[0, 0]]}, "channel has a zero column"),
+            ({"base_seed": -1}, "base_seed must be non-negative"),
+        ):
+            proc = self.run_cli("check", "--config", write_config(tmp_path, **overrides))
+            assert proc.returncode == 2 and message in proc.stderr, (overrides, proc.stderr)
 
     def test_run_and_plotdata(self, tmp_path):
         config = write_config(tmp_path, sweep={"values": [0.0, 10.0]}, trials=2)
@@ -491,6 +517,10 @@ class TestCli:
         proc = self.run_cli("run", "--config", config, "--out", str(out), "--trials", "0")
         assert proc.returncode == 2
         assert "trials must be at least 1" in proc.stderr and not out.exists()
+        # A negative seed used to pass validation and fail in numpy at the first trial.
+        proc = self.run_cli("run", "--config", config, "--out", str(out), "--seed", "-1")
+        assert proc.returncode == 2
+        assert "error: base_seed must be non-negative" in proc.stderr and not out.exists()
         proc = self.run_cli("run", "--config", config, "--out", str(out), "--trials", "2")
         assert proc.returncode == 0, proc.stderr
         results = out / "results.csv"
@@ -498,6 +528,11 @@ class TestCli:
         proc = self.run_cli("plotdata", "--csv", str(results))
         assert proc.returncode == 0, proc.stderr
         assert (out / "ser_krf_vs_es_n0.txt").exists()
+        # gamma_std 1e200 overflows the sensing tensor; als_fit used to end the run in a traceback.
+        huge = write_config(tmp_path, sweep={"values": [10.0]}, trials=1, gamma_std=1e200)
+        proc = self.run_cli("run", "--config", huge, "--out", str(tmp_path / "huge"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot fit a tensor whose energy is"), proc.stderr
 
     def test_run_with_integral_float_als_key(self, tmp_path):
         config = write_config(tmp_path, sweep={"values": [10.0]}, trials=1, als={"max_iters": 50.0})

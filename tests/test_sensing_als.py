@@ -366,6 +366,16 @@ class TestAlsFit:
         # one before the first sweep, one per sweep, one per extrapolation (from the third)
         assert calls["build_right_factor"] == 1 + 6 + 4
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_rejects_a_tensor_whose_energy_is_not_finite(self, bad):
+        # NaN or inf entries used to fail inside LAPACK ("SVD did not
+        # converge"); 1e200 squares to an infinite energy.
+        scene, frame, y = reference_instance(seed=7)
+        y = y.copy()
+        y[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="cannot fit a tensor whose energy is"):
+            als_fit(y, frame, 2)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AlsConfig(max_iters=0)
