@@ -135,9 +135,16 @@ def semi_blind_receive(
     return CommEstimate(s_soft=s, s_hat=detect_symbols(s, order), h_hat=h)
 
 
-def channel_column_energy(h: np.ndarray) -> np.ndarray:
-    """Squared norm of each channel column; a zero column raises ``ValueError``,
-    since the stream it carries is unobservable."""
+def zf_channel_energy(h: np.ndarray) -> np.ndarray:
+    """The benchmark's channel rule: squared norm of each channel column.
+
+    Needs at least as many receive as transmit antennas
+    (``IdentifiabilityError``) and no zero column (``ValueError``), since
+    the stream such a column carries is unobservable.
+    """
+    m_u, m_t = h.shape
+    if m_u < m_t:
+        raise IdentifiabilityError(f"benchmark needs m_u >= m_t: {m_u} < {m_t}")
     col_energy = np.sum(np.abs(h) ** 2, axis=0)
     if np.any(col_energy == 0.0):
         raise ValueError("channel has a zero column; that stream is unobservable")
@@ -149,24 +156,16 @@ def zf_benchmark(tensor: np.ndarray, h_true: np.ndarray, code: np.ndarray, order
 
     Decodes the slot code exactly like the semi-blind path, then solves each
     separated single-stream block by least squares against the true channel
-    column (for white noise this is the matched-filter combiner).  Needs at
-    least as many receive as transmit antennas and a channel without zero
-    columns; a zero column would leave that stream unobservable.
+    column (for white noise this is the matched-filter combiner).  The
+    channel must pass :func:`zf_channel_energy`.
     """
-    t = np.asarray(tensor)
-    if t.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
+    q = estimate_symbol_channel_product(tensor, code)
     h_true = np.asarray(h_true)
-    m_u, p, _ = t.shape
+    m_u, p, _ = np.shape(tensor)
     if h_true.ndim != 2 or h_true.shape[0] != m_u:
         raise ValueError("channel must have one row per receive antenna")
     m_t = h_true.shape[1]
-    if m_u < m_t:
-        raise IdentifiabilityError(
-            f"benchmark needs m_u >= m_t: {m_u} < {m_t}"
-        )
-    col_energy = channel_column_energy(h_true)
-    q = estimate_symbol_channel_product(t, code)
+    col_energy = zf_channel_energy(h_true)
     # Stream m: unvec(q[:, m], m_u, p).T @ conj(h_true[:, m]), all streams at once.
     combined = q.T.reshape(m_t, p, m_u) @ h_true.T.conj()[:, :, None]
     return detect_symbols(combined[:, :, 0].T / col_energy, order)

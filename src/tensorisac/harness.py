@@ -27,12 +27,13 @@ import cmath
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .comm_krf import channel_column_energy, semi_blind_receive, zf_benchmark
+from .comm_krf import semi_blind_receive, zf_benchmark, zf_channel_energy
 from .exceptions import ConfigError
 from .sensing_als import (
     ALIGN_MAX_COLUMNS,
@@ -44,7 +45,8 @@ from .sensing_als import (
     remove_sensing_ambiguity,
 )
 from .signal_model import (
-    add_noise, build_comm_link, comm_forward, qam_constellation, sample_frame, sample_scene, sensing_forward,
+    add_noise, build_comm_link, comm_forward, krst_code, qam_constellation, sample_frame, sample_scene,
+    sensing_forward,
 )
 
 __all__ = [
@@ -63,6 +65,7 @@ __all__ = [
 
 SWEEP_VARIABLES = ("es_n0", "n", "p", "m_u")
 DIMS = ("m_t", "m_r", "m_u", "p", "n", "k", "l")
+INTEGERS = DIMS + ("constellation", "trials", "base_seed", "jobs")
 ANGLES = ("sensing_aoa", "sensing_aod", "comm_aoa", "comm_aod")
 SYMBOL_ATOL = 1e-9  # two symbols closer than this are the same constellation point
 
@@ -99,11 +102,15 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming every violated requirement: the
         one check of values, for loaded and in-code configs alike, NaN and
-        infinities included; a config that passes runs every sweep point."""
-        problems: list[str] = []
-        for name in DIMS:
-            if int(getattr(self, name)) < 1:
-                problems.append(f"{name} must be at least 1")
+        infinities included.  Each sweep point is then judged by the functions
+        its trials call (``check_identifiability``, ``krst_code``,
+        ``build_comm_link``, ``zf_channel_energy``); the first error is reported."""
+        ints = {name: getattr(self, name) for name in INTEGERS}
+        not_ints = [f"{name} must be an integer, got {v!r}" for name, v in ints.items()
+                    if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+        if not_ints:
+            raise ConfigError("; ".join(not_ints))
+        problems = [f"{name} must be at least 1" for name in DIMS + ("trials", "jobs") if ints[name] < 1]
         if self.k > ALIGN_MAX_COLUMNS:
             problems.append(f"k must be at most {ALIGN_MAX_COLUMNS}, the exhaustive alignment's column cap")
         if len(self.sensing_aoa) != self.k or len(self.sensing_aod) != self.k:
@@ -125,12 +132,8 @@ class ExperimentConfig:
             problems.append("es_n0_db must be finite or +inf")
         if not all(map(cmath.isfinite, self.comm_gains)):
             problems.append("comm_gains must be finite")
-        if self.trials < 1:
-            problems.append("trials must be at least 1")
         if self.base_seed < 0:
             problems.append("base_seed must be non-negative")
-        if self.jobs < 1:
-            problems.append("jobs must be at least 1")
         if self.sweep_variable not in SWEEP_VARIABLES:
             problems.append(f"sweep variable must be one of {SWEEP_VARIABLES}")
         values = list(self.sweep_values)
@@ -147,23 +150,15 @@ class ExperimentConfig:
             problems += [f"sweep.values: {v!r} is not an integer" for v in values if v != int(v)]
         if problems:
             raise ConfigError("; ".join(problems))
-        # Every point of the sweep must be a runnable experiment.
         for value in values:
             pt = apply_sweep(self, value)
-            violations = check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k).violations
-            # The code projection, the benchmark and the channel are checked in
-            # turn, only on an identifiable point; the first failure is reported.
-            for need, dim in (("code projection", "n"), ("benchmark", "m_u")):
-                if not violations and getattr(pt, dim) < pt.m_t:
-                    violations = [f"{need} needs {dim} >= m_t: {getattr(pt, dim)} < {pt.m_t}"]
-            if not violations:
+            try:
+                check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k).require()
+                krst_code(pt.n, pt.m_t)
                 link = build_comm_link(pt.comm_aoa, pt.comm_aod, pt.comm_gains, m_u=pt.m_u, m_t=pt.m_t)
-                try:
-                    channel_column_energy(link.h)
-                except ValueError as exc:
-                    violations = [str(exc)]
-            if violations:
-                raise ConfigError(f"sweep point {self.sweep_variable}={value}: " + "; ".join(violations))
+                zf_channel_energy(link.h)
+            except ValueError as exc:
+                raise ConfigError(f"sweep point {self.sweep_variable}={value}: {exc}") from exc
 
 
 def _int(value) -> int:
@@ -430,9 +425,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
     """Run all grid points and trials; write ``results.csv`` and ``summary.csv``.
 
     Returns the two file paths.  Trials are independent; with
-    ``cfg.jobs > 1`` they are dispatched to worker processes.  Rows are
-    sorted by (grid point, trial) before writing, so the artifacts do not
-    depend on execution order.
+    ``cfg.jobs > 1`` they are dispatched to worker processes.  Records come
+    back in task order on the ascending grid, so the rows are sorted by
+    (grid point, trial) and the artifacts do not depend on ``jobs``.
     """
     cfg.validate()
     out = out_dir if out_dir is not None else cfg.output_dir
@@ -447,13 +442,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
             records = list(pool.map(run_trial, *zip(*tasks), chunksize=16))
     else:
         records = [run_trial(*task) for task in tasks]
-    records.sort(key=lambda r: (r.sweep_value, r.trial))
 
     data_rows = [[_fmt(getattr(rec, col)) for col in CSV_COLUMNS] for rec in records]
 
     summary_rows, wide_rows = [], []
-    for value in cfg.sweep_values:
-        group = [r for r in records if r.sweep_value == float(value)]
+    for i, value in enumerate(cfg.sweep_values):
+        group = records[i * cfg.trials : (i + 1) * cfg.trials]
         med = {m: float(np.median([getattr(r, m) for r in group])) for m in METRIC_COLUMNS}
         avg = {m: float(np.mean([getattr(r, m) for r in group])) for m in METRIC_COLUMNS}
         n_conv = sum(1 for r in group if r.converged)

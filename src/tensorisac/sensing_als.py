@@ -169,6 +169,11 @@ class IdentifiabilityReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def require(self) -> None:
+        """Raise :class:`IdentifiabilityError` naming every violation, if any."""
+        if self.violations:
+            raise IdentifiabilityError("; ".join(self.violations))
+
 
 @dataclass
 class SensingEstimate:
@@ -350,9 +355,7 @@ def als_fit(
         raise ValueError("frame and tensor disagree on the number of slots")
     if pilots.shape[0] != p:
         raise ValueError("frame and tensor disagree on the symbols per slot")
-    report = check_identifiability(m_r, m_t, p, n_slots, num_targets)
-    if not report.ok:
-        raise IdentifiabilityError("; ".join(report.violations))
+    check_identifiability(m_r, m_t, p, n_slots, num_targets).require()
 
     y_energy = np.vdot(t, t).real
     if not math.isfinite(y_energy):

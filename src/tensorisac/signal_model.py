@@ -79,9 +79,7 @@ def krst_code(n: int, m_t: int) -> np.ndarray:
     (read-only, shared).
     """
     if n < m_t:
-        raise IdentifiabilityError(
-            f"code needs at least as many slots as transmit antennas: n={n} < m_t={m_t}"
-        )
+        raise IdentifiabilityError(f"slot code needs n >= m_t: {n} < {m_t}")
     idx = np.arange(n)
     w = np.exp(-2j * np.pi * np.outer(idx, idx) / n)
     code = w[:, :m_t] / np.sqrt(n)
@@ -94,9 +92,9 @@ def krst_code(n: int, m_t: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def qam_constellation(order: int) -> np.ndarray:
     """Unit-average-energy square QAM constellation indexed 0..order-1 (read-only, shared)."""
-    side = isqrt(order)
-    if order < 4 or side * side != order:
+    if order < 4 or isqrt(order) ** 2 != order:
         raise ValueError(f"QAM order must be a square (4, 16, 64, ...), got {order}")
+    side = isqrt(order)
     levels = 2.0 * np.arange(side) - (side - 1)
     scale = np.sqrt(2.0 * (order - 1) / 3.0)
     idx = np.arange(order)
@@ -136,7 +134,9 @@ class SensingScene:
 
     ``theta`` are arrival angles at the sensing receiver, ``phi`` departure
     angles at the transmitter, both in degrees; ``gamma`` is the
-    ``n_slots x k`` complex reflection matrix.
+    ``n_slots x k`` complex reflection matrix.  The steering matrices
+    ``a_rx`` (``m_r x k``) and ``a_tx`` (``m_t x k``) are derived from the
+    angles once, by :func:`build_steering_matrix`, and are read-only.
     """
 
     theta: np.ndarray
@@ -144,6 +144,8 @@ class SensingScene:
     gamma: np.ndarray
     m_r: int
     m_t: int
+    a_rx: np.ndarray = field(init=False)
+    a_tx: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
@@ -156,17 +158,16 @@ class SensingScene:
             raise ValueError(
                 f"gamma has {self.gamma.shape[1]} columns but the scene has {k} scatterers"
             )
-        for a in np.concatenate([self.theta, self.phi]):
-            if not -90.0 < a < 90.0:
-                raise ValueError(f"angle {a} deg outside the open interval (-90, 90)")
-        if self.m_r < 1 or self.m_t < 1:
-            raise ValueError("antenna counts must be positive")
+        self.a_rx = build_steering_matrix(self.theta, self.m_r)
+        self.a_tx = build_steering_matrix(self.phi, self.m_t)
+        self.a_rx.setflags(write=False)
+        self.a_tx.setflags(write=False)
 
     def rx_steering(self) -> np.ndarray:
-        return build_steering_matrix(self.theta, self.m_r)
+        return self.a_rx
 
     def tx_steering(self) -> np.ndarray:
-        return build_steering_matrix(self.phi, self.m_t)
+        return self.a_tx
 
 
 @dataclass
@@ -285,9 +286,7 @@ def sensing_forward(scene: SensingScene, frame: TransmitFrame) -> np.ndarray:
     if scene.m_t != frame.c.shape[1]:
         raise ValueError("scene and frame disagree on the transmit antenna count")
     # All slots at once as (n, m_r, p), multiplied in the order of the slice product.
-    a_rx = scene.rx_steering()
-    a_tx = scene.tx_steering()
-    slices = ((a_rx * scene.gamma[:, None, :]) @ a_tx.T * frame.c[:, None, :]) @ frame.s_pilot.T
+    slices = ((scene.a_rx * scene.gamma[:, None, :]) @ scene.a_tx.T * frame.c[:, None, :]) @ frame.s_pilot.T
     return np.ascontiguousarray(slices.transpose(1, 2, 0))
 
 

@@ -1,6 +1,7 @@
 """Unit tests for configuration, metrics, the trial driver, and artifacts."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -137,6 +138,49 @@ class TestConfig:
         with pytest.raises(ConfigError, match="m_u >= m_t"):
             load_config(path)
 
+    @pytest.mark.parametrize("variable, values, message", [
+        # These used to raise a bare ValueError from validate(), not a ConfigError.
+        ("p", [0, 8], "sweep point p=0.0: p must be at least 1, got 0"),
+        ("n", [-1, 4], "sweep point n=-1.0: n must be at least 1, got -1"),
+        # This used to be reported as "benchmark needs m_u >= m_t: -1 < 2".
+        ("m_u", [-1, 2], "sweep point m_u=-1.0: array needs at least one element, got -1"),
+        ("n", [1, 4], "sweep point n=1.0: slot code needs n >= m_t: 1 < 2"),
+        ("m_u", [1, 4], "sweep point m_u=1.0: benchmark needs m_u >= m_t: 1 < 2"),
+    ])
+    def test_sweep_point_reports_the_rule_its_trial_breaks(self, tmp_path, variable, values, message):
+        path = write_config(tmp_path, sweep={"variable": variable, "values": values})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+    def test_check_accepts_exactly_what_the_first_trial_runs(self):
+        # validate() raises ConfigError, and nothing else, exactly when some
+        # sweep point's first trial raises.  Every shape runs at one noise level.
+        cases = [
+            {"m_r": m_r, "m_t": m_t, "m_u": m_u, "p": p, "n": n, "k": k, "sweep_values": [10.0],
+             "sensing_aoa": [15.0, 27.0, -50.0][:k], "sensing_aod": [-37.0, 65.0, 5.0][:k]}
+            for m_r, m_t, m_u, p, n, k in itertools.product(range(4), repeat=6)
+        ]
+        cases += [{"sweep_variable": var, "sweep_values": [float(v), 4.0]}
+                  for var in ("n", "p", "m_u") for v in (-1, 0, 1, 2)]
+        cases.append({"p": 3.0})
+        mismatches = []
+        for changes in cases:
+            cfg = replace(default_config(), **changes, als=AlsConfig(max_iters=20))
+            try:
+                cfg.validate()
+                rejected = False
+            except ConfigError:
+                rejected = True
+            try:
+                for value in cfg.sweep_values:
+                    run_trial(cfg, value, 0)
+                failed = False
+            except Exception:
+                failed = True
+            if rejected != failed:
+                mismatches.append((changes, rejected))
+        assert mismatches == []
+
     @pytest.mark.parametrize("changes, message", [
         # validate() is the one check of these values, whether the config
         # was loaded from a file or built in code.
@@ -151,6 +195,18 @@ class TestConfig:
         ({**K9_DIMS, **K9_ANGLES}, "k must be at most 8"),
         ({"comm_gains": [0j]}, "sweep point es_n0=0.0: channel has a zero column"),
         ({"base_seed": -1}, "base_seed must be non-negative"),
+        ({"constellation": -4}, "QAM order must be a square (4, 16, 64, ...), got -4"),
+        # An integer setting made in code must be an integer: NaN used to end
+        # validate() in a bare ValueError, 3.0 in the first trial's TypeError,
+        # and 2.5 trials or 1.5 jobs passed.
+        ({"p": math.nan}, "p must be an integer, got nan"),
+        ({"p": 3.0}, "p must be an integer, got 3.0"),
+        ({"n": 3.0}, "n must be an integer, got 3.0"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"jobs": 1.5}, "jobs must be an integer, got 1.5"),
+        ({"k": True}, "k must be an integer, got True"),
+        ({"constellation": 4.0}, "constellation must be an integer, got 4.0"),
+        ({"base_seed": "7"}, "base_seed must be an integer, got '7'"),
     ])
     def test_validate_rejects_non_finite_values_set_in_code(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -506,6 +562,7 @@ class TestCli:
             ({"dims": K9_DIMS, "angles": K9_ANGLES}, "k must be at most 8"),
             ({"comm_gains": [[0, 0]]}, "channel has a zero column"),
             ({"base_seed": -1}, "base_seed must be non-negative"),
+            ({"sweep": {"variable": "p", "values": [0, 8]}}, "sweep point p=0.0: p must be at least 1"),
         ):
             proc = self.run_cli("check", "--config", write_config(tmp_path, **overrides))
             assert proc.returncode == 2 and message in proc.stderr, (overrides, proc.stderr)

@@ -67,7 +67,7 @@ class TestKrstCode:
         assert np.abs(np.abs(c) - 1 / 2).max() < 1e-12
 
     def test_too_few_slots_rejected(self):
-        with pytest.raises(IdentifiabilityError):
+        with pytest.raises(IdentifiabilityError, match=r"^slot code needs n >= m_t: 2 < 3$"):
             krst_code(2, 3)
 
     @pytest.mark.parametrize("n,m_t", [(3, 2), (4, 4), (5, 3)])
@@ -96,9 +96,10 @@ class TestQam:
         expected = np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]) / np.sqrt(2)
         assert np.abs(np.sort_complex(pts) - np.sort_complex(expected)).max() < 1e-12
 
-    @pytest.mark.parametrize("bad", [0, 2, 8, 32, -4])
+    @pytest.mark.parametrize("bad", [0, 2, 8, 32, -4, -1])
     def test_non_square_orders_rejected(self, bad):
-        with pytest.raises(ValueError):
+        # A negative order is judged by the QAM rule, not by isqrt.
+        with pytest.raises(ValueError, match=r"^QAM order must be a square \(4, 16, 64, \.\.\.\), got "):
             qam_constellation(bad)
 
     def test_modulate_demodulate_roundtrip(self):
@@ -161,6 +162,20 @@ class TestSceneAndFrame:
         with pytest.raises(ValueError):
             SensingScene(theta=np.array([10.0]), phi=np.array([0.0, 5.0]),
                          gamma=gamma, m_r=2, m_t=2)
+        with pytest.raises(ValueError, match="at least one element, got 0"):
+            SensingScene(theta=[10.0, 20.0], phi=[0.0, 5.0], gamma=gamma, m_r=2, m_t=0)
+
+    def test_scene_derives_read_only_steering(self):
+        scene = SensingScene(theta=[10.0, -40.0], phi=[5.0, 60.0],
+                             gamma=np.ones((3, 2), dtype=complex), m_r=3, m_t=2)
+        assert np.array_equal(scene.a_rx, build_steering_matrix([10.0, -40.0], 3))
+        assert np.array_equal(scene.a_tx, build_steering_matrix([5.0, 60.0], 2))
+        assert scene.rx_steering() is scene.a_rx and scene.tx_steering() is scene.a_tx
+        with pytest.raises(ValueError):
+            scene.a_rx[0, 0] = 0.0
+        # derived, never passed in, so they cannot disagree with the angles
+        with pytest.raises(TypeError):
+            SensingScene(theta=[10.0], phi=[5.0], gamma=np.ones((3, 1)), m_r=3, m_t=2, a_rx=np.ones((3, 1)))
 
     def test_sample_frame_contents(self):
         frame = sample_frame(p=8, m_t=2, n=3, order=4, seed=2)
