@@ -162,9 +162,9 @@ def zf_benchmark(tensor: np.ndarray, h_true: np.ndarray, code: np.ndarray, order
     q = estimate_symbol_channel_product(tensor, code)
     h_true = np.asarray(h_true)
     m_u, p, _ = np.shape(tensor)
-    if h_true.ndim != 2 or h_true.shape[0] != m_u:
-        raise ValueError("channel must have one row per receive antenna")
-    m_t = h_true.shape[1]
+    m_t = q.shape[1]
+    if h_true.shape != (m_u, m_t):
+        raise ValueError(f"channel must be {m_u} x {m_t} (receive antennas x code columns), got {h_true.shape}")
     col_energy = zf_channel_energy(h_true)
     # Stream m: unvec(q[:, m], m_u, p).T @ conj(h_true[:, m]), all streams at once.
     combined = q.T.reshape(m_t, p, m_u) @ h_true.T.conj()[:, :, None]

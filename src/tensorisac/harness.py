@@ -30,6 +30,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
+from itertools import pairwise
 
 import numpy as np
 
@@ -104,7 +105,8 @@ class ExperimentConfig:
         one check of values, for loaded and in-code configs alike, NaN and
         infinities included.  Each sweep point is then judged by the functions
         its trials call (``check_identifiability``, ``krst_code``,
-        ``build_comm_link``, ``zf_channel_energy``); the first error is reported."""
+        ``build_comm_link``, ``zf_channel_energy``, ``add_noise``); the first
+        error is reported."""
         ints = {name: getattr(self, name) for name in INTEGERS}
         not_ints = [f"{name} must be an integer, got {v!r}" for name, v in ints.items()
                     if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
@@ -144,8 +146,9 @@ class ExperimentConfig:
         elif non_finite:
             rule = "finite or +inf" if noise_sweep else "finite"
             problems.append(f"sweep values must be {rule} when sweeping {self.sweep_variable}: {non_finite}")
-        elif any(a >= b for a, b in zip(values, values[1:])):
-            problems.append("sweep values must be sorted strictly ascending")
+        elif any(a >= b for a, b in pairwise(map(_sweep_key, values))):
+            # Two values with one seed key would run the same draws.
+            problems.append("sweep values must be sorted strictly ascending, at least 1e-6 apart")
         elif not noise_sweep:
             problems += [f"sweep.values: {v!r} is not an integer" for v in values if v != int(v)]
         if problems:
@@ -153,10 +156,11 @@ class ExperimentConfig:
         for value in values:
             pt = apply_sweep(self, value)
             try:
-                check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k).require()
+                check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k)
                 krst_code(pt.n, pt.m_t)
                 link = build_comm_link(pt.comm_aoa, pt.comm_aod, pt.comm_gains, m_u=pt.m_u, m_t=pt.m_t)
                 zf_channel_energy(link.h)
+                add_noise(np.zeros(0), pt.es_n0_db)
             except ValueError as exc:
                 raise ConfigError(f"sweep point {self.sweep_variable}={value}: {exc}") from exc
 
@@ -372,16 +376,10 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
     y_sens = add_noise(sensing_forward(scene, frame), pt.es_n0_db, seed=sens_noise_seed)
     y_comm = add_noise(comm_forward(link, frame), pt.es_n0_db, seed=comm_noise_seed)
 
-    est = als_fit(y_sens, frame, pt.k, replace(pt.als, init_seed=init_seed))
-    est = remove_sensing_ambiguity(est)
-    a_rx_true = scene.rx_steering()
-    a_tx_true = scene.tx_steering()
-    perm = list(align_permutation(est.a_rx_hat, a_rx_true))
-    # Angles are extracted one column at a time, so each target keeps its
-    # own (theta, phi) pair through the alignment permutation.
-    theta_hat = [extract_angles(est.a_rx_hat[:, [j]])[0] for j in perm]
-    phi_hat = [extract_angles(est.a_tx_hat[:, [j]])[0] for j in perm]
-    angle_err = np.concatenate([theta_hat - scene.theta, phi_hat - scene.phi])
+    est = remove_sensing_ambiguity(als_fit(y_sens, frame, pt.k, replace(pt.als, init_seed=init_seed)))
+    perm = list(align_permutation(est.a_rx_hat, scene.a_rx))
+    a_rx_hat, a_tx_hat, gamma_hat = est.a_rx_hat[:, perm], est.a_tx_hat[:, perm], est.gamma_hat[:, perm]
+    angle_err = np.concatenate([extract_angles(a_rx_hat) - scene.theta, extract_angles(a_tx_hat) - scene.phi])
 
     comm = semi_blind_receive(y_comm, frame.c, frame.s_data[0, :], pt.constellation)
     s_zf = zf_benchmark(y_comm, link.h, frame.c, pt.constellation)
@@ -393,9 +391,9 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
         seed=scene_seed,
         converged=est.converged,
         als_iters=est.iters,
-        nmse_ar=nmse(est.a_rx_hat[:, perm], a_rx_true),
-        nmse_at=nmse(est.a_tx_hat[:, perm], a_tx_true),
-        nmse_gamma=nmse(est.gamma_hat[:, perm], scene.gamma),
+        nmse_ar=nmse(a_rx_hat, scene.a_rx),
+        nmse_at=nmse(a_tx_hat, scene.a_tx),
+        nmse_gamma=nmse(gamma_hat, scene.gamma),
         angle_rmse_deg=float(np.sqrt(np.mean(angle_err**2))),
         nmse_h=nmse(comm.h_hat, link.h),
         ser_krf=ser(comm.s_hat, frame.s_data),

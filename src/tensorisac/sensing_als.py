@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
 
@@ -82,7 +82,6 @@ from .tensor_ops import best_rank_one, pinv, unfold1_flat, unfold3_tall
 
 __all__ = [
     "AlsConfig",
-    "IdentifiabilityReport",
     "SensingEstimate",
     "check_identifiability",
     "build_right_factor",
@@ -160,22 +159,6 @@ class AlsConfig:
 
 
 @dataclass
-class IdentifiabilityReport:
-    """Outcome of the dimension gate; ``violations`` names each failed inequality."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def require(self) -> None:
-        """Raise :class:`IdentifiabilityError` naming every violation, if any."""
-        if self.violations:
-            raise IdentifiabilityError("; ".join(self.violations))
-
-
-@dataclass
 class SensingEstimate:
     """Factor estimates plus the per-iteration error trace of the winning restart."""
 
@@ -184,16 +167,22 @@ class SensingEstimate:
     gamma_hat: np.ndarray
     nmse_trace: list[float]
     converged: bool
-    iters: int
+
+    @property
+    def iters(self) -> int:
+        """Iterations run by the winning restart: one error per iteration."""
+        return len(self.nmse_trace)
 
 
-def check_identifiability(m_r: int, m_t: int, p: int, n: int, k: int) -> IdentifiabilityReport:
+def check_identifiability(m_r: int, m_t: int, p: int, n: int, k: int) -> None:
     """Dimension gate for unique least-squares recovery of all three factors.
 
     Counted on the uncompressed tensor, the receive-steering system needs
     ``n*p >= k`` rows, the stacked transmit-steering system ``n*p*m_r >= m_t*k``
-    and each per-slot reflection system ``p*m_r >= k``.  :func:`als_fit`
-    checks them once; the step functions solve whatever system they get.
+    and each per-slot reflection system ``p*m_r >= k``.  Raises
+    :class:`IdentifiabilityError` naming every failed inequality, joined by
+    ``"; "``.  :func:`als_fit` checks them once; the step functions solve
+    whatever system they get.
     """
     for name, value in (("m_r", m_r), ("m_t", m_t), ("p", p), ("n", n), ("k", k)):
         if value < 1:
@@ -205,7 +194,8 @@ def check_identifiability(m_r: int, m_t: int, p: int, n: int, k: int) -> Identif
         violations.append(f"n*p*m_r >= m_t*k fails: {n * p * m_r} < {m_t * k}")
     if p * m_r < k:
         violations.append(f"p*m_r >= k fails: {p * m_r} < {k}")
-    return IdentifiabilityReport(violations)
+    if violations:
+        raise IdentifiabilityError("; ".join(violations))
 
 
 def build_right_factor(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -355,7 +345,7 @@ def als_fit(
         raise ValueError("frame and tensor disagree on the number of slots")
     if pilots.shape[0] != p:
         raise ValueError("frame and tensor disagree on the symbols per slot")
-    check_identifiability(m_r, m_t, p, n_slots, num_targets).require()
+    check_identifiability(m_r, m_t, p, n_slots, num_targets)
 
     y_energy = np.vdot(t, t).real
     if not math.isfinite(y_energy):
@@ -419,16 +409,8 @@ def als_fit(
                 converged = True
                 break
             prev_err = err
-        est = SensingEstimate(
-            a_rx_hat=a_rx,
-            a_tx_hat=a_tx,
-            gamma_hat=gamma,
-            nmse_trace=trace,
-            converged=converged,
-            iters=len(trace),
-        )
         if best is None or trace[-1] < best.nmse_trace[-1]:
-            best = est
+            best = SensingEstimate(a_rx, a_tx, gamma, trace, converged)
     assert best is not None
     return best
 
@@ -546,7 +528,7 @@ def extract_angles(a_hat: np.ndarray) -> np.ndarray:
     phase invariant), then refines inside the winning grid cell, clipped to
     +-ANGLE_CLIP degrees, by safeguarded Newton steps on the slope of the
     squared correlation (:func:`_refine`) until a step moves the angle by
-    at most ANGLE_TOL radians.  Returns the angles sorted ascending.
+    at most ANGLE_TOL radians.  Returns one angle per column, in column order.
     """
     a = np.asarray(a_hat)
     if a.ndim != 2:
@@ -555,5 +537,4 @@ def extract_angles(a_hat: np.ndarray) -> np.ndarray:
     # The correlation's normalization by both norms is constant per column,
     # so it changes neither the grid winner nor the refinement.
     centers = grid[np.argmax(np.abs(manifold_h @ a), axis=0)].tolist()
-    angles = [_refine(center, a[::-1, j].tolist()) for j, center in enumerate(centers)]
-    return np.sort(np.asarray(angles))
+    return np.array([_refine(center, a[::-1, j].tolist()) for j, center in enumerate(centers)])

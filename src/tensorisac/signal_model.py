@@ -32,7 +32,6 @@ __all__ = [
     "SensingScene",
     "CommLink",
     "TransmitFrame",
-    "steering_vector",
     "build_steering_matrix",
     "krst_code",
     "qam_constellation",
@@ -48,11 +47,6 @@ __all__ = [
 
 
 # ----------------------------- array geometry ----------------------------- #
-
-def steering_vector(angle_deg: float, m: int) -> np.ndarray:
-    """Steering vector of one angle: the single column of :func:`build_steering_matrix`."""
-    return build_steering_matrix([angle_deg], m)[:, 0]
-
 
 def build_steering_matrix(angles_deg, m: int) -> np.ndarray:
     """Steering vectors of a half-wavelength uniform linear array with ``m >= 1``
@@ -305,15 +299,19 @@ def add_noise(tensor: np.ndarray, es_n0_db: float, seed=None) -> np.ndarray:
     """Add i.i.d. circular complex Gaussian noise at the given Es/N0.
 
     Symbol energy is 1 by construction, so the per-entry noise variance is
-    ``10 ** (-es_n0_db / 10)``.  ``es_n0_db = inf`` is the noiseless
-    sentinel and returns the tensor unchanged.
+    ``10 ** (-es_n0_db / 10)``; an Es/N0 at which that overflows (below
+    about -3082.5 dB) raises ``ValueError``.  ``es_n0_db = inf`` is the
+    noiseless sentinel and returns the tensor unchanged.
     """
     t = np.asarray(tensor, dtype=complex)
     if np.isinf(es_n0_db):
         if es_n0_db < 0:
             raise ValueError("es_n0_db = -inf is not a valid noise level")
         return t.copy()
-    n0 = 10.0 ** (-es_n0_db / 10.0)
+    try:
+        n0 = 10.0 ** (-es_n0_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"noise variance 10 ** ({-es_n0_db} / 10) overflows") from None
     rng = np.random.default_rng(seed)
     noise = np.sqrt(n0 / 2.0) * (
         rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)

@@ -177,11 +177,12 @@ def oracle_als_sweeps(tensor, code, pilots, a_rx, a_tx, gamma, sweeps, rcond=1e-
 def oracle_extract_angles(a_hat, grid_step=0.1) -> np.ndarray:
     """Grid scan plus golden-section refinement of the normalized correlation
     ``|a(angle)^H col| / (|a(angle)| |col|)``, with every steering vector
-    built by ``steering_vector``."""
-    from tensorisac.signal_model import steering_vector
+    built by ``build_steering_matrix`` one angle at a time; angles in column
+    order."""
+    from tensorisac.signal_model import build_steering_matrix
 
     def correlation(angle, col):
-        a = steering_vector(angle, col.size)
+        a = build_steering_matrix([angle], col.size)[:, 0]
         return abs(np.vdot(a, col)) / (np.linalg.norm(a) * np.linalg.norm(col))
 
     a_hat = np.asarray(a_hat)
@@ -207,7 +208,7 @@ def oracle_extract_angles(a_hat, grid_step=0.1) -> np.ndarray:
             if hi - lo < 1e-9:
                 break
         angles.append(0.5 * (lo + hi))
-    return np.sort(np.asarray(angles))
+    return np.asarray(angles)
 
 
 def oracle_als_fixed_schedule(tensor, frame, num_targets, init_seed=0, max_iters=1000, tol=1e-6, rcond=1e-12):
@@ -296,7 +297,7 @@ def golden_section_angles(a_hat, grid_step=0.1, clip=89.999):
     """Grid scan plus golden-section search on ``|a(angle)^H col|`` down to a
     1e-9 degree bracket, the refinement ``extract_angles`` used before its
     Newton steps.  Comparing ``|S|`` near a flat peak, it is limited by
-    rounding to a few 1e-6 degrees."""
+    rounding to a few 1e-6 degrees.  Angles in column order."""
     a_hat = np.asarray(a_hat)
     m = a_hat.shape[0]
     grid = np.linspace(-89.9, 89.9, int(round(179.8 / grid_step)) + 1)
@@ -328,4 +329,4 @@ def golden_section_angles(a_hat, grid_step=0.1, clip=89.999):
                 x1 = hi - invphi * (hi - lo)
                 f1 = correlation(x1, coeffs)
         angles.append(0.5 * (lo + hi))
-    return np.sort(np.asarray(angles))
+    return np.asarray(angles)

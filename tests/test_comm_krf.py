@@ -180,6 +180,13 @@ class TestZfBenchmark:
         with pytest.raises(IdentifiabilityError):
             zf_benchmark(y[:1, :, :], link.h[:1, :], frame.c, 4)
 
+    def test_channel_and_code_column_counts_must_match(self):
+        # This used to fail inside numpy: "cannot reshape array of size 64 into shape (3,8,4)".
+        frame, link, y = comm_instance(94, m_u=4, m_t=2)
+        h_wide = build_comm_link([78.0], [25.0], [1.0 + 0.0j], m_u=4, m_t=3).h
+        with pytest.raises(ValueError, match=r"channel must be 4 x 2 \(receive antennas x code columns\), got \(4, 3\)"):
+            zf_benchmark(y, h_wide, frame.c, 4)
+
     def test_zero_channel_column_rejected(self):
         frame, link, y = comm_instance(92)
         h_bad = link.h.copy()

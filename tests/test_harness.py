@@ -126,11 +126,12 @@ class TestConfig:
 
     def test_unsorted_sweep_rejected(self, tmp_path):
         # [10, 10] used to run both points with the same seeds, so summary.csv
-        # counted each trial twice.
-        for values in ([10.0, 0.0], [10.0, 10.0]):
+        # counted each trial twice; 10.0000001 has the seed key of 10.0.
+        for values in ([10.0, 0.0], [10.0, 10.0], [10.0, 10.0000001]):
             path = write_config(tmp_path, sweep={"values": values})
-            with pytest.raises(ConfigError, match="sorted"):
+            with pytest.raises(ConfigError, match="sorted strictly ascending, at least 1e-6 apart"):
                 load_config(path)
+        load_config(write_config(tmp_path, sweep={"values": [10.0, 10.000001]}))
 
     def test_sweep_point_validated_not_just_base(self, tmp_path):
         # base dims fine, but the m_u sweep dips below m_t
@@ -146,6 +147,8 @@ class TestConfig:
         ("m_u", [-1, 2], "sweep point m_u=-1.0: array needs at least one element, got -1"),
         ("n", [1, 4], "sweep point n=1.0: slot code needs n >= m_t: 1 < 2"),
         ("m_u", [1, 4], "sweep point m_u=1.0: benchmark needs m_u >= m_t: 1 < 2"),
+        # This used to pass and then fail every trial with an OverflowError.
+        ("es_n0", [-3100.0, 0.0], "sweep point es_n0=-3100.0: noise variance 10 ** (3100.0 / 10) overflows"),
     ])
     def test_sweep_point_reports_the_rule_its_trial_breaks(self, tmp_path, variable, values, message):
         path = write_config(tmp_path, sweep={"variable": variable, "values": values})
@@ -207,6 +210,8 @@ class TestConfig:
         ({"k": True}, "k must be an integer, got True"),
         ({"constellation": 4.0}, "constellation must be an integer, got 4.0"),
         ({"base_seed": "7"}, "base_seed must be an integer, got '7'"),
+        ({"es_n0_db": -3100.0, "sweep_variable": "n", "sweep_values": [3, 4]},
+         "sweep point n=3: noise variance 10 ** (3100.0 / 10) overflows"),
     ])
     def test_validate_rejects_non_finite_values_set_in_code(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -415,7 +420,6 @@ class TestRunTrial:
             gamma_hat=np.ones((cfg.n, 2), dtype=complex),
             nmse_trace=[0.0],
             converged=True,
-            iters=1,
         )
         monkeypatch.setattr(harness, "als_fit", lambda *args: fixed)
         rec = run_trial(cfg, 20.0, 0)
@@ -563,6 +567,7 @@ class TestCli:
             ({"comm_gains": [[0, 0]]}, "channel has a zero column"),
             ({"base_seed": -1}, "base_seed must be non-negative"),
             ({"sweep": {"variable": "p", "values": [0, 8]}}, "sweep point p=0.0: p must be at least 1"),
+            ({"sweep": {"values": [-3100.0, 0.0]}}, "noise variance 10 ** (3100.0 / 10) overflows"),
         ):
             proc = self.run_cli("check", "--config", write_config(tmp_path, **overrides))
             assert proc.returncode == 2 and message in proc.stderr, (overrides, proc.stderr)

@@ -4,6 +4,7 @@ from dataclasses import replace
 from itertools import permutations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from tensorisac.signal_model import (
     sample_frame,
     sample_scene,
     sensing_forward,
-    steering_vector,
 )
 from tensorisac.tensor_ops import unfold1_flat, unfold3_tall
 
@@ -62,19 +62,19 @@ def reference_instance(seed, noise_db=None):
 
 class TestIdentifiability:
     def test_default_dimensions_pass(self):
-        report = check_identifiability(m_r=2, m_t=2, p=8, n=3, k=2)
-        assert report.ok and report.violations == []
+        check_identifiability(m_r=2, m_t=2, p=8, n=3, k=2)
 
     def test_each_inequality_reported(self):
-        # n*p < k
-        rep = check_identifiability(m_r=6, m_t=1, p=1, n=1, k=2)
-        assert not rep.ok and any("n*p" in v for v in rep.violations)
-        # n*p*m_r < m_t*k
-        rep = check_identifiability(m_r=1, m_t=6, p=2, n=2, k=2)
-        assert not rep.ok and any("n*p*m_r" in v for v in rep.violations)
-        # p*m_r < k
-        rep = check_identifiability(m_r=1, m_t=1, p=2, n=4, k=3)
-        assert not rep.ok and any("p*m_r" in v for v in rep.violations)
+        for dims, message in (
+            ({"m_r": 6, "m_t": 1, "p": 1, "n": 1, "k": 2}, "n*p >= k fails: 1*1 = 1 < 2"),
+            ({"m_r": 1, "m_t": 6, "p": 2, "n": 2, "k": 2}, "n*p*m_r >= m_t*k fails: 4 < 12"),
+            ({"m_r": 1, "m_t": 1, "p": 2, "n": 4, "k": 3}, "p*m_r >= k fails: 2 < 3"),
+            # every violated inequality, joined by "; "
+            ({"m_r": 1, "m_t": 2, "p": 1, "n": 1, "k": 2},
+             "n*p >= k fails: 1*1 = 1 < 2; n*p*m_r >= m_t*k fails: 1 < 4; p*m_r >= k fails: 1 < 2"),
+        ):
+            with pytest.raises(IdentifiabilityError, match=f"^{re.escape(message)}$"):
+                check_identifiability(**dims)
 
     def test_als_fit_rejects_unidentifiable(self):
         scene = sample_scene(k=2, n=3, sigma=1.0, m_r=2, m_t=2, seed=0)
@@ -240,7 +240,7 @@ class TestPilotCompression:
         (2, 3, 2, 3, 8, True),    # two parallel pilot columns
     ])
     def test_edge_shapes_fit(self, m_r, m_t, k, n, p, parallel):
-        assert check_identifiability(m_r, m_t, p, n, k).ok
+        check_identifiability(m_r, m_t, p, n, k)
         scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=8)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=9)
         if parallel:
@@ -345,6 +345,8 @@ class TestAlsFit:
         est = als_fit(y, frame, 2, AlsConfig(max_iters=3, init_seed=1))
         assert not est.converged
         assert est.iters == 3
+        # the count is the trace length, not a stored copy
+        assert replace(est, nmse_trace=[1.0]).iters == 1
 
     def test_every_iteration_calls_the_step_functions(self, monkeypatch):
         # Per-sub-step timings are taken by wrapping these four module-level
@@ -446,7 +448,6 @@ class TestAmbiguityRemoval:
             gamma_hat=np.ones((3, 2), dtype=complex),
             nmse_trace=[0.0],
             converged=True,
-            iters=1,
         )
         with pytest.raises(ValueError):
             remove_sensing_ambiguity(est)
@@ -482,14 +483,17 @@ class TestAngleExtraction:
         assert np.abs(got - np.array(angles)).max() < 1e-5
 
     def test_scale_and_phase_invariance(self):
-        a = steering_vector(27.0, 4) * (3.0 * np.exp(1j * np.pi / 7))
-        got = extract_angles(a.reshape(-1, 1))
+        a = build_steering_matrix([27.0], 4) * (3.0 * np.exp(1j * np.pi / 7))
+        got = extract_angles(a)
         assert abs(got[0] - 27.0) < 1e-5
 
-    def test_output_sorted(self):
-        a = build_steering_matrix([50.0, -20.0, 10.0], 5)
+    def test_output_in_column_order(self):
+        # one call gives each column the angle it gets alone
+        angles = [50.0, -20.0, 10.0]
+        a = build_steering_matrix(angles, 5)
         got = extract_angles(a)
-        assert np.all(np.diff(got) >= 0)
+        assert np.abs(got - np.array(angles)).max() < 1e-5
+        assert np.array_equal(got, [extract_angles(a[:, [j]])[0] for j in range(3)])
 
     def test_two_element_array(self):
         a = build_steering_matrix([15.0, 27.0], 2)
@@ -548,8 +552,8 @@ class TestNewtonRefinement:
             slope, scale = slope_and_scale(col, got)
             assert abs(slope) < 1e-13 * scale
             # correlations equal to rounding count as not lower
-            corr = abs(np.vdot(steering_vector(got, m), col))
-            assert corr >= abs(np.vdot(steering_vector(oracle, m), col)) * (1.0 - 1e-14)
+            corr = abs(np.vdot(build_steering_matrix([got], m), col))
+            assert corr >= abs(np.vdot(build_steering_matrix([oracle], m), col)) * (1.0 - 1e-14)
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_peak_beyond_the_clip_returns_the_clip(self, m):

@@ -19,7 +19,6 @@ from tensorisac.signal_model import (
     sample_frame,
     sample_scene,
     sensing_forward,
-    steering_vector,
 )
 
 from helpers import oracle_comm_forward, oracle_sensing_forward
@@ -27,32 +26,32 @@ from helpers import oracle_comm_forward, oracle_sensing_forward
 
 class TestSteering:
     def test_broadside_is_all_ones(self):
-        assert np.allclose(steering_vector(0.0, 5), np.ones(5), atol=0, rtol=0)
+        assert np.allclose(build_steering_matrix([0.0], 5), np.ones((5, 1)), atol=0, rtol=0)
 
     def test_analytic_entries(self):
         theta = 30.0
-        a = steering_vector(theta, 4)
+        a = build_steering_matrix([theta], 4)[:, 0]
         expected = np.exp(1j * np.pi * np.arange(4) * np.sin(np.deg2rad(theta)))
         assert np.abs(a - expected).max() < 1e-15
 
     def test_single_antenna(self):
-        assert np.array_equal(steering_vector(47.0, 1), np.ones(1, dtype=complex))
+        assert np.array_equal(build_steering_matrix([47.0], 1), np.ones((1, 1), dtype=complex))
 
     def test_unit_magnitude_entries(self):
-        a = steering_vector(-63.0, 8)
+        a = build_steering_matrix([-63.0], 8)
         assert np.abs(np.abs(a) - 1).max() < 1e-15
 
     @pytest.mark.parametrize("bad", [-90.0, 90.0, 120.0, -91.5])
     def test_angle_range_gate(self, bad):
         with pytest.raises(ValueError):
-            steering_vector(bad, 4)
+            build_steering_matrix([bad], 4)
 
     def test_matrix_columns_are_steering_vectors(self):
         angles = [15.0, 27.0, -44.0]
         a = build_steering_matrix(angles, 3)
         assert a.shape == (3, 3)
         for j, ang in enumerate(angles):
-            assert np.array_equal(a[:, j], steering_vector(ang, 3))
+            assert np.array_equal(a[:, [j]], build_steering_matrix([ang], 3))
 
 
 class TestKrstCode:
@@ -209,14 +208,14 @@ class TestSceneAndFrame:
 
     def test_build_comm_link_channel(self):
         link = build_comm_link([78.0], [25.0], [1.0 + 0.0j], m_u=2, m_t=2)
-        expected = np.outer(steering_vector(78.0, 2), steering_vector(25.0, 2))
+        expected = np.outer(build_steering_matrix([78.0], 2), build_steering_matrix([25.0], 2))
         assert np.abs(link.h - expected).max() < 1e-12
 
     def test_build_comm_link_multipath(self):
         gains = [0.7 - 0.2j, 1.1 + 0.4j]
         link = build_comm_link([10.0, -50.0], [5.0, 60.0], gains, m_u=4, m_t=3)
         expected = sum(
-            g * np.outer(steering_vector(aoa, 4), steering_vector(aod, 3))
+            g * np.outer(build_steering_matrix([aoa], 4), build_steering_matrix([aod], 3))
             for g, aoa, aod in zip(gains, [10.0, -50.0], [5.0, 60.0])
         )
         assert np.abs(link.h - expected).max() < 1e-12
@@ -224,8 +223,8 @@ class TestSceneAndFrame:
     def test_comm_link_derives_h(self):
         gains = [0.7 - 0.2j, 1.1 + 0.4j]
         link = CommLink(theta_ue=[10.0, -50.0], phi_ue=[5.0, 60.0], gains=gains, m_u=4, m_t=3)
-        a_u = np.column_stack([steering_vector(a, 4) for a in (10.0, -50.0)])
-        a_t = np.column_stack([steering_vector(a, 3) for a in (5.0, 60.0)])
+        a_u = build_steering_matrix([10.0, -50.0], 4)
+        a_t = build_steering_matrix([5.0, 60.0], 3)
         assert np.abs(link.h - a_u @ np.diag(gains) @ a_t.T).max() < 1e-12
         # h is derived, never passed in, so it cannot disagree with the paths
         with pytest.raises(TypeError):
