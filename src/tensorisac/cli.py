@@ -11,7 +11,7 @@ Subcommands
     Validate the config, including the identifiability inequalities for
     every sweep point, without running anything.
 ``plotdata --csv <file> [--out <dir>]``
-    Re-aggregate a ``results.csv`` into per-metric two-column text files.
+    Copy the summary-row medians of a ``results.csv`` into per-metric text files.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="validate a config without running")
     p_check.add_argument("--config", required=True, help="experiment config (JSON)")
 
-    p_plot = sub.add_parser("plotdata", help="write per-metric plot files from a results CSV")
+    p_plot = sub.add_parser("plotdata", help="write per-metric plot files from the summary rows of a results CSV")
     p_plot.add_argument("--csv", required=True, help="results.csv produced by `run`")
     p_plot.add_argument("--out", default=None, help="output directory (default: next to the CSV)")
     return parser

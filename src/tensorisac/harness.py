@@ -17,8 +17,8 @@ Artifacts per sweep:
   ``converged`` holds the count of converged trials).
 * ``summary.csv``: per grid point, median and mean of every metric column.
 
-Floats are written with 17 significant digits and rows are sorted before
-writing, so reruns with the same config are byte-identical.
+Floats are written with 17 significant digits, so reruns with the same
+config are byte-identical.
 """
 
 from __future__ import annotations
@@ -141,12 +141,16 @@ class ExperimentConfig:
         values = list(self.sweep_values)
         noise_sweep = self.sweep_variable == "es_n0"
         non_finite = [v for v in values if not (math.isfinite(v) or (noise_sweep and v == math.inf))]
+        keys = [_sweep_key(v) for v in values]
         if not values:
             problems.append("sweep values must be non-empty")
         elif non_finite:
             rule = "finite or +inf" if noise_sweep else "finite"
             problems.append(f"sweep values must be {rule} when sweeping {self.sweep_variable}: {non_finite}")
-        elif any(a >= b for a, b in pairwise(map(_sweep_key, values))):
+        elif None in keys:
+            unkeyed = [v for v, key in zip(values, keys) if key is None]
+            problems.append(f"sweep values must lie in about [-2.8e8, 1.15e12) to have a seed key: {unkeyed}")
+        elif any(a >= b for a, b in pairwise(keys)):
             # Two values with one seed key would run the same draws.
             problems.append("sweep values must be sorted strictly ascending, at least 1e-6 apart")
         elif not noise_sweep:
@@ -340,10 +344,13 @@ METRIC_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("converged") + 1 :]
 
 # ------------------------------- trial driver ------------------------------- #
 
-def _sweep_key(value: float) -> int:
-    if math.isinf(value):
+def _sweep_key(value: float) -> int | None:
+    """Seed key of a grid value: its micro-units offset by 2**48, in [0, 2**60) for
+    a finite value, 2**60 for +inf (the noiseless sentinel), None if out of range."""
+    if value == math.inf:
         return 2**60
-    return int(round(float(value) * 1e6)) + 2**48
+    micro = float(value) * 1e6
+    return int(round(micro)) + 2**48 if -(2**48) <= micro < 2**60 - 2**48 else None
 
 
 def _trial_seeds(base_seed: int, sweep_value: float, trial: int) -> np.ndarray:
@@ -474,37 +481,28 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
 def emit_plot_data(csv_path: str, out_dir: str | None = None) -> list[str]:
     """Write one two-column text file per metric from a ``results.csv``.
 
-    Each file holds ``sweep_value  median_<metric>`` pairs recomputed from
-    the per-trial rows (summary rows are ignored), ready for any plotting
-    tool.  A metric with no finite values yields a header-only file.
+    Each file holds one ``sweep_value median_<metric>`` line per summary row
+    (``trial`` = -1), in file order: the medians :func:`run_sweep` wrote.
+    Trial rows are not read.  Raises ``ValueError`` for a wrong header, no
+    summary row, summary rows without one shared sweep variable from
+    ``SWEEP_VARIABLES``, or a cell that is not a number.
     """
     out = out_dir if out_dir is not None else os.path.dirname(os.path.abspath(csv_path))
-    os.makedirs(out, exist_ok=True)
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or list(reader.fieldnames) != list(CSV_COLUMNS):
             raise ValueError(f"{csv_path} does not have the expected column header")
-        rows = [row for row in reader if int(row["trial"]) >= 0]
-    sweep_var = rows[0]["sweep_var"] if rows else "sweep"
-
-    def _parse(cell: str) -> float:
-        try:
-            return float(cell)
-        except (TypeError, ValueError):
-            return math.nan
-
-    values = sorted({float(row["sweep_value"]) for row in rows})
+        rows = [row for row in reader if int(row["trial"]) == -1]
+    sweep_vars = {row["sweep_var"] for row in rows}
+    if len(sweep_vars) != 1 or sweep_vars - set(SWEEP_VARIABLES):
+        raise ValueError(f"{csv_path}: the summary rows (trial = -1) must share one sweep variable "
+                         f"from {SWEEP_VARIABLES}, found {sorted(sweep_vars)}")
+    (sweep_var,) = sweep_vars
+    points = [(float(row["sweep_value"]), [float(row[m]) for m in METRIC_COLUMNS]) for row in rows]
+    os.makedirs(out, exist_ok=True)
     paths = []
-    for metric in METRIC_COLUMNS:
-        lines = [f"# {sweep_var} median_{metric}"]
-        for value in values:
-            samples = [
-                _parse(row[metric])
-                for row in rows
-                if float(row["sweep_value"]) == value and math.isfinite(_parse(row[metric]))
-            ]
-            if samples:
-                lines.append(f"{value:.17g} {float(np.median(samples)):.17g}")
+    for i, metric in enumerate(METRIC_COLUMNS):
+        lines = [f"# {sweep_var} median_{metric}"] + [f"{value:.17g} {medians[i]:.17g}" for value, medians in points]
         path = os.path.join(out, f"{metric}_vs_{sweep_var}.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

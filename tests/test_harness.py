@@ -212,10 +212,25 @@ class TestConfig:
         ({"base_seed": "7"}, "base_seed must be an integer, got '7'"),
         ({"es_n0_db": -3100.0, "sweep_variable": "n", "sweep_values": [3, 4]},
          "sweep point n=3: noise variance 10 ** (3100.0 / 10) overflows"),
+        # A seed key out of range used to end validate() in a bare
+        # OverflowError, or to reach the +inf sentinel's key.
+        ({"sweep_values": [0.0, 1e303]}, "to have a seed key: [1e+303]"),
+        ({"sweep_values": [-1e303, 0.0]}, "to have a seed key: [-1e+303]"),
+        ({"sweep_variable": "n", "sweep_values": [3, 1e303]}, "to have a seed key: [1e+303]"),
+        ({"sweep_values": [0.0, 1.2e12, math.inf]}, "to have a seed key: [1200000000000.0]"),
     ])
     def test_validate_rejects_non_finite_values_set_in_code(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             replace(default_config(), **changes).validate()
+
+    def test_seed_keys_of_finite_values_stay_below_the_noiseless_sentinel(self):
+        noiseless = harness._sweep_key(math.inf)
+        for edge in ((2**60 - 2**48) / 1e6, -(2**48) / 1e6):
+            for value in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                key = harness._sweep_key(value)
+                assert key is None or 0 <= key < noiseless, (value, key)
+        assert harness._sweep_key(1.15e12) == 1.15e18 + 2**48 < noiseless
+        assert harness._sweep_key(1.16e12) is None
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -508,25 +523,32 @@ class TestEmitPlotData:
                                  if float(r["sweep_value"]) == value])
                 assert abs(agg - med) <= 1e-12 * max(1.0, abs(med))
 
-    def test_empty_metric_column_gives_header_only(self, tmp_path):
-        path = tmp_path / "results.csv"
+    TRIAL_ROW = ["es_n0", "0", "0", "1", "true", "5", "0.1", "0.1", "0.1", "0.5", "0.1", "0.25", "0.125"]
+    SUMMARY_ROW = ["es_n0", "0", "-1", "0", "1", "5", "0.1", "0.1", "0.1", "0.5", "0.1", "0.25", "0.125"]
+
+    @staticmethod
+    def write_results(path, *rows):
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerow(["es_n0", "0", "0", "1", "true", "5",
-                             "0.1", "0.1", "0.1", "0.5", "0.1", "", ""])
-        paths = emit_plot_data(str(path), out_dir=str(tmp_path))
-        ser_file = [p for p in paths if "ser_krf" in p][0]
-        content = open(ser_file).read().splitlines()
-        assert content == ["# es_n0 median_ser_krf"]
+            csv.writer(fh).writerows([CSV_COLUMNS, *rows])
+
+    @pytest.mark.parametrize("rows, message", [
+        ([TRIAL_ROW], r"must share one sweep variable .*, found \[\]$"),
+        ([["../x"] + SUMMARY_ROW[1:]], r"found \['../x'\]$"),
+        ([SUMMARY_ROW, ["n", "3"] + SUMMARY_ROW[2:]], r"found \['es_n0', 'n'\]$"),
+        ([SUMMARY_ROW[:-1] + ["abc"]], "could not convert string to float: 'abc'"),
+        ([SUMMARY_ROW[:-1]], "could not convert string to float: ''"),
+    ], ids=["no-summary-rows", "path-in-sweep-var", "mixed-sweep-vars", "non-numeric-median", "short-row"])
+    def test_rejects_what_run_sweep_does_not_write(self, tmp_path, rows, message):
+        path = tmp_path / "results.csv"
+        self.write_results(path, *rows)
+        out = tmp_path / "plots"
+        with pytest.raises(ValueError, match=message):
+            emit_plot_data(str(path), out_dir=str(out))
+        assert not out.exists()
 
     def test_creates_missing_output_dir(self, tmp_path):
         path = tmp_path / "results.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerow(["es_n0", "0", "0", "1", "true", "5",
-                             "0.1", "0.1", "0.1", "0.5", "0.1", "0.25", "0.125"])
+        self.write_results(path, self.TRIAL_ROW, self.SUMMARY_ROW)
         out = tmp_path / "not" / "yet" / "there"
         paths = emit_plot_data(str(path), out_dir=str(out))
         assert all(os.path.dirname(p) == str(out) for p in paths)
@@ -568,6 +590,7 @@ class TestCli:
             ({"base_seed": -1}, "base_seed must be non-negative"),
             ({"sweep": {"variable": "p", "values": [0, 8]}}, "sweep point p=0.0: p must be at least 1"),
             ({"sweep": {"values": [-3100.0, 0.0]}}, "noise variance 10 ** (3100.0 / 10) overflows"),
+            ({"sweep": {"values": [0.0, 1e303]}}, "to have a seed key: [1e+303]"),
         ):
             proc = self.run_cli("check", "--config", write_config(tmp_path, **overrides))
             assert proc.returncode == 2 and message in proc.stderr, (overrides, proc.stderr)
@@ -590,6 +613,12 @@ class TestCli:
         proc = self.run_cli("plotdata", "--csv", str(results))
         assert proc.returncode == 0, proc.stderr
         assert (out / "ser_krf_vs_es_n0.txt").exists()
+        # Plot data copies the summary rows; a CSV without them is rejected.
+        trials_only = tmp_path / "trials_only.csv"
+        trials_only.write_text("".join(l for l in results.read_text().splitlines(True) if ",-1," not in l))
+        proc = self.run_cli("plotdata", "--csv", str(trials_only))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "found []" in proc.stderr, proc.stderr
         # gamma_std 1e200 overflows the sensing tensor; als_fit used to end the run in a traceback.
         huge = write_config(tmp_path, sweep={"values": [10.0]}, trials=1, gamma_std=1e200)
         proc = self.run_cli("run", "--config", huge, "--out", str(tmp_path / "huge"))
@@ -650,6 +679,13 @@ class TestReplayTool:
         total = sum(int(row[2]) for row in rows)
         assert f"# against: iters total {total} -> {total} (+0.0 %)" in against
         assert any(line.startswith("# against: worst objective ratio 1.000000 ") for line in against)
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trial_count_override_validated(self, trials):
+        proc = subprocess.run([sys.executable, self.TOOL, CONFIG_PATH, "--trials", trials],
+                              capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: trials must be at least 1\n"
 
     def test_totals_printed_when_a_fit_reads_exactly_zero(self, tmp_path):
         # With one receive antenna the normalized a_rx estimate is all ones

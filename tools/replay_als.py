@@ -38,6 +38,7 @@ from unittest import mock
 import numpy as np
 
 from tensorisac import harness
+from tensorisac.exceptions import ConfigError
 
 COLUMNS = ("sweep_value", "trial", "iters", "converged", "objective", "nmse_ar")
 
@@ -107,9 +108,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trials", type=int, default=None, help="trials per grid point (default: from config)")
     parser.add_argument("--against", default=None, help="output of this tool for another checkout")
     args = parser.parse_args(argv)
-    cfg = harness.load_config(args.config)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
+    try:
+        cfg = harness.load_config(args.config)
+        if args.trials is not None:
+            cfg = replace(cfg, trials=args.trials)
+            cfg.validate()
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = replay(cfg)
     print("# " + "\t".join(COLUMNS))
     for value, trial, iters, converged, objective, nmse_ar in rows:
