@@ -2,7 +2,8 @@
 
 The sensing tensor has frontal slices
 ``Y[:, :, n] = A_rx @ diag(gamma[n]) @ A_tx.T @ diag(code[n]) @ pilots.T``
-with known ``code`` and ``pilots``.  The receiver alternates exact
+with known ``code`` and ``pilots`` (the frame's transmitted block
+``s_data``, which the sensing link knows).  The receiver alternates exact
 least-squares updates of the receive steering matrix, the transmit steering
 matrix and the reflection matrix, always using the freshest estimates of
 the other two blocks, until the normalized squared reconstruction error
@@ -339,7 +340,7 @@ def als_fit(
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
     m_r, p, n_slots = t.shape
     code = frame.c
-    pilots = frame.s_pilot
+    pilots = frame.s_data
     m_t = code.shape[1]
     if code.shape[0] != n_slots:
         raise ValueError("frame and tensor disagree on the number of slots")

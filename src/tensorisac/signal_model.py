@@ -75,8 +75,7 @@ def krst_code(n: int, m_t: int) -> np.ndarray:
     if n < m_t:
         raise IdentifiabilityError(f"slot code needs n >= m_t: {n} < {m_t}")
     idx = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(idx, idx) / n)
-    code = w[:, :m_t] / np.sqrt(n)
+    code = np.exp(-2j * np.pi * np.outer(idx, idx[:m_t]) / n) / np.sqrt(n)
     code.setflags(write=False)
     return code
 
@@ -160,9 +159,6 @@ class SensingScene:
     def rx_steering(self) -> np.ndarray:
         return self.a_rx
 
-    def tx_steering(self) -> np.ndarray:
-        return self.a_tx
-
 
 @dataclass
 class CommLink:
@@ -200,30 +196,25 @@ def build_comm_link(theta_ue, phi_ue, gains, m_u: int, m_t: int) -> CommLink:
 
 @dataclass
 class TransmitFrame:
-    """One transmitted frame: pilot block, data block and the slot code.
+    """One transmitted frame: the symbol block and the slot code.
 
-    Built from the ``p x m_t`` pilot and data QAM indices, the slot count
-    ``n`` and the QAM order, it derives the symbol matrices ``s_pilot`` and
-    ``s_data`` and the shared ``n x m_t`` code ``c = krst_code(n, m_t)``, so
-    it cannot hold off-grid symbols or a non-orthonormal code.
+    Built from the ``p x m_t`` QAM indices, the slot count ``n`` and the QAM
+    order, it derives the symbol matrix ``s_data`` and the shared
+    ``n x m_t`` code ``c = krst_code(n, m_t)``, so it cannot hold off-grid
+    symbols or a non-orthonormal code.  Both receivers see this one block:
+    the sensing receiver knows it, the user terminal detects it.
     """
 
-    pilot_idx: np.ndarray
     data_idx: np.ndarray
     n: int
     constellation: int
-    s_pilot: np.ndarray = field(init=False)
     s_data: np.ndarray = field(init=False)
     c: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.pilot_idx = np.atleast_2d(np.asarray(self.pilot_idx))
         self.data_idx = np.atleast_2d(np.asarray(self.data_idx))
-        if self.pilot_idx.shape != self.data_idx.shape:
-            raise ValueError("pilot and data blocks must have the same shape")
-        self.s_pilot = qam_modulate(self.pilot_idx, self.constellation)
         self.s_data = qam_modulate(self.data_idx, self.constellation)
-        self.c = krst_code(self.n, self.pilot_idx.shape[1])
+        self.c = krst_code(self.n, self.data_idx.shape[1])
 
 
 # -------------------------------- samplers -------------------------------- #
@@ -257,31 +248,33 @@ def sample_scene(
 
 
 def sample_frame(p: int, m_t: int, n: int, order: int = 4, seed=None) -> TransmitFrame:
-    """Draw a random frame: uniform QAM pilot and data blocks plus the code."""
+    """Draw a random frame: one uniform QAM symbol block plus the code."""
     if p < 1:
         raise ValueError("need at least one symbol per block")
-    rng = np.random.default_rng(seed)
-    pilot_idx = rng.integers(0, order, (p, m_t))
-    data_idx = rng.integers(0, order, (p, m_t))
-    return TransmitFrame(pilot_idx, data_idx, n, order)
+    return TransmitFrame(np.random.default_rng(seed).integers(0, order, (p, m_t)), n, order)
 
 
 # ------------------------------ forward model ------------------------------ #
 
+def _coded_slices(g: np.ndarray, frame: TransmitFrame) -> np.ndarray:
+    """Slices ``g[n] @ diag(c[n]) @ s_data.T`` of a channel ``g`` (one matrix, or
+    one per slot), all slots at once, as an ``(m, p, n)`` tensor."""
+    slices = (g * frame.c[:, None, :]) @ frame.s_data.T
+    return np.ascontiguousarray(slices.transpose(1, 2, 0))
+
+
 def sensing_forward(scene: SensingScene, frame: TransmitFrame) -> np.ndarray:
     """Noise-free sensing tensor of shape ``(m_r, p, n)``.
 
-    Slice ``n`` is ``A_rx @ diag(gamma[n]) @ A_tx.T @ diag(c[n]) @ s_pilot.T``:
-    every scatterer scales the pilot block by its slot reflection, seen
+    Slice ``n`` is ``A_rx @ diag(gamma[n]) @ A_tx.T @ diag(c[n]) @ s_data.T``:
+    every scatterer scales the transmitted block by its slot reflection, seen
     through the transmit and receive array responses.
     """
     if scene.gamma.shape[0] != frame.c.shape[0]:
         raise ValueError("scene and frame disagree on the number of slots")
     if scene.m_t != frame.c.shape[1]:
         raise ValueError("scene and frame disagree on the transmit antenna count")
-    # All slots at once as (n, m_r, p), multiplied in the order of the slice product.
-    slices = ((scene.a_rx * scene.gamma[:, None, :]) @ scene.a_tx.T * frame.c[:, None, :]) @ frame.s_pilot.T
-    return np.ascontiguousarray(slices.transpose(1, 2, 0))
+    return _coded_slices((scene.a_rx * scene.gamma[:, None, :]) @ scene.a_tx.T, frame)
 
 
 def comm_forward(link: CommLink, frame: TransmitFrame) -> np.ndarray:
@@ -291,8 +284,7 @@ def comm_forward(link: CommLink, frame: TransmitFrame) -> np.ndarray:
     """
     if link.m_t != frame.c.shape[1]:
         raise ValueError("link and frame disagree on the transmit antenna count")
-    slices = (link.h * frame.c[:, None, :]) @ frame.s_data.T
-    return np.ascontiguousarray(slices.transpose(1, 2, 0))
+    return _coded_slices(link.h, frame)
 
 
 def add_noise(tensor: np.ndarray, es_n0_db: float, seed=None) -> np.ndarray:

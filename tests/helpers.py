@@ -14,10 +14,9 @@ import numpy as np
 
 def oracle_sensing_forward(scene, frame) -> np.ndarray:
     """Elementwise-sum synthesis of the sensing tensor."""
-    a_rx = scene.rx_steering()
-    a_tx = scene.tx_steering()
+    a_rx, a_tx = scene.a_rx, scene.a_tx
     m_r, k = a_rx.shape
-    p = frame.s_pilot.shape[0]
+    p = frame.s_data.shape[0]
     n = frame.c.shape[0]
     out = np.zeros((m_r, p, n), dtype=complex)
     for i in range(m_r):
@@ -31,7 +30,7 @@ def oracle_sensing_forward(scene, frame) -> np.ndarray:
                             * scene.gamma[slot, tgt]
                             * a_tx[ant, tgt]
                             * frame.c[slot, ant]
-                            * frame.s_pilot[q, ant]
+                            * frame.s_data[q, ant]
                         )
                 out[i, q, slot] = acc
     return out
@@ -230,7 +229,7 @@ def oracle_als_fixed_schedule(tensor, frame, num_targets, init_seed=0, max_iters
     from tensorisac.tensor_ops import unfold1_flat, unfold3_tall
 
     t = np.asarray(tensor, dtype=complex)
-    code, pilots = frame.c, frame.s_pilot
+    code, pilots = frame.c, frame.s_data
     x = pilots * code[:, None, :]
     y1, y_vec = unfold1_flat(t), unfold3_tall(t).T
     y_energy = np.vdot(t, t).real

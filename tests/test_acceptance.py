@@ -121,7 +121,7 @@ def test_criterion_02_noiseless_sensing_exact_recovery():
         all_converged &= est.converged
         worst["recon"] = max(worst["recon"], est.nmse_trace[-1])
         est = remove_sensing_ambiguity(est)
-        a_rx_true, a_tx_true = scene.rx_steering(), scene.tx_steering()
+        a_rx_true, a_tx_true = scene.a_rx, scene.a_tx
         perm = list(align_permutation(est.a_rx_hat, a_rx_true))
         for hat, true in ((est.a_rx_hat[:, perm], a_rx_true),
                           (est.a_tx_hat[:, perm], a_tx_true),
@@ -203,10 +203,10 @@ def test_criterion_05_ambiguity_invariance():
         lam_g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         lam_t = 1.0 / (lam_r * lam_g)
         perm = rng.permutation(k)
-        a_rx = (scene.rx_steering() * lam_r)[:, perm]
-        a_tx = (scene.tx_steering() * lam_t)[:, perm]
+        a_rx = (scene.a_rx * lam_r)[:, perm]
+        a_tx = (scene.a_tx * lam_t)[:, perm]
         gamma = (scene.gamma * lam_g)[:, perm]
-        rebuilt = rebuild_sensing_tensor(a_rx, a_tx, gamma, frame.c, frame.s_pilot)
+        rebuilt = rebuild_sensing_tensor(a_rx, a_tx, gamma, frame.c, frame.s_data)
         worst = max(worst, np.abs(rebuilt - y).max() / np.abs(y).max())
 
         link = build_comm_link([78.0], [25.0], [1.0 + 0.0j], m_u=2, m_t=2)

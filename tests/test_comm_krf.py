@@ -1,5 +1,7 @@
 """Unit tests for the semi-blind communication receiver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,34 @@ class TestZfBenchmark:
         expected = detect_symbols(s_soft, 4)
         assert np.mean(expected != detect_symbols(frame.s_data, 4)) > 0  # noise flips decisions
         assert np.array_equal(zf_benchmark(y, link.h, frame.c, 4), expected)
+
+    @pytest.mark.parametrize("order", [4, 16])
+    @pytest.mark.parametrize("es_n0_db", [0.0, 5.0])
+    def test_ser_matches_closed_form(self, order, es_n0_db):
+        # With an orthonormal code, stream m reaches the detector with noise
+        # variance N0 / ||h_m||^2, so each entry is a square-QAM decision at
+        # SNR ||h_m||^2 / N0 with a closed-form error rate.
+        trials, p, m_t, n = 400, 8, 2, 3
+        link = build_comm_link([78.0], [25.0], [1.0 + 0.0j], m_u=2, m_t=m_t)  # default comm link
+        errors = 0
+        for t in range(trials):
+            frame = sample_frame(p=p, m_t=m_t, n=n, order=order, seed=7 * t + order)
+            y = add_noise(comm_forward(link, frame), es_n0_db, seed=7 * t + order + 1)
+            errors += np.count_nonzero(zf_benchmark(y, link.h, frame.c, order) != detect_symbols(frame.s_data, order))
+        measured = errors / (trials * p * m_t)
+
+        def q_func(x):
+            return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+        n0 = 10.0 ** (-es_n0_db / 10.0)
+        per_stream = [
+            1.0 - (1.0 - 2.0 * (1.0 - 1.0 / math.sqrt(order))
+                   * q_func(math.sqrt(3.0 * energy / ((order - 1) * n0)))) ** 2
+            for energy in np.sum(np.abs(link.h) ** 2, axis=0)
+        ]
+        expected = float(np.mean(per_stream))
+        se = math.sqrt(sum(r * (1.0 - r) for r in per_stream) * trials * p) / (trials * p * m_t)
+        assert abs(measured - expected) < 4.0 * se, (measured, expected, se)
 
     def test_fewer_user_antennas_rejected(self):
         frame, link, y = comm_instance(91, m_u=2, m_t=2)

@@ -85,7 +85,7 @@ class TestIdentifiability:
 
 
 def replace_frame_pilots(frame, p):
-    return replace(frame, pilot_idx=frame.pilot_idx[:p, :], data_idx=frame.data_idx[:p, :])
+    return replace(frame, data_idx=frame.data_idx[:p, :])
 
 
 def step_operands(y, code, pilots):
@@ -101,21 +101,21 @@ class TestLeastSquaresSteps:
 
     def setup_method(self):
         self.scene, self.frame, self.y = reference_instance(seed=100)
-        self.a_rx = self.scene.rx_steering()
-        self.a_tx = self.scene.tx_steering()
-        self.x, self.y1, self.y_vec = step_operands(self.y, self.frame.c, self.frame.s_pilot)
+        self.a_rx = self.scene.a_rx
+        self.a_tx = self.scene.a_tx
+        self.x, self.y1, self.y_vec = step_operands(self.y, self.frame.c, self.frame.s_data)
         self.g = self.x @ self.a_tx
 
     def test_right_factor_block_structure(self):
         right = build_right_factor(self.scene.gamma, self.g)
-        n, p = self.frame.c.shape[0], self.frame.s_pilot.shape[0]
+        n, p = self.frame.c.shape[0], self.frame.s_data.shape[0]
         assert right.shape == (2, n * p)
         for slot in range(n):
             block = (
                 np.diag(self.scene.gamma[slot])
                 @ self.a_tx.T
                 @ np.diag(self.frame.c[slot])
-                @ self.frame.s_pilot.T
+                @ self.frame.s_data.T
             )
             assert np.abs(right[:, slot * p:(slot + 1) * p] - block).max() < 1e-14
 
@@ -162,7 +162,7 @@ class TestVectorizedSteps:
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=p)
         y = random_complex(rng, m_r, p, n)
         a_rx, a_tx, gamma = random_complex(rng, m_r, k), random_complex(rng, m_t, k), random_complex(rng, n, k)
-        self.assert_steps_match_oracles(y, frame.c, frame.s_pilot, a_rx, a_tx, gamma)
+        self.assert_steps_match_oracles(y, frame.c, frame.s_data, a_rx, a_tx, gamma)
 
     def test_rank_deficient_systems_match_pinv_oracles(self):
         # One slot with two parallel pilot columns: X_0 has rank 2 < m_t = 3,
@@ -172,7 +172,7 @@ class TestVectorizedSteps:
         # invert a rounding-noise singular value, so they are not compared.)
         rng = np.random.default_rng(308)
         frame = parallel_pilot_columns(sample_frame(p=8, m_t=3, n=3, order=4, seed=8))
-        c, s = frame.c[:1], frame.s_pilot
+        c, s = frame.c[:1], frame.s_data
         assert np.linalg.matrix_rank(s * c[0]) == 2
         y = random_complex(rng, 2, 8, 1)
         a_rx, a_tx, gamma = random_complex(rng, 2, 2), random_complex(rng, 3, 2), random_complex(rng, 1, 2)
@@ -183,18 +183,18 @@ class TestVectorizedSteps:
         frame = sample_frame(p=2, m_t=2, n=2, order=4, seed=9)
         y = random_complex(rng, 1, 2, 2)
         a_rx, a_tx, gamma = random_complex(rng, 1, 3), random_complex(rng, 2, 3), random_complex(rng, 2, 3)
-        self.assert_steps_match_oracles(y, frame.c, frame.s_pilot, a_rx, a_tx, gamma)
+        self.assert_steps_match_oracles(y, frame.c, frame.s_data, a_rx, a_tx, gamma)
 
 
 def parallel_pilot_columns(frame):
     """The 4-QAM frame with its last pilot column made parallel to the first (``1j`` times it)."""
-    pilot_idx = frame.pilot_idx.copy()
-    pilot_idx[:, -1] = qam_demodulate(1j * frame.s_pilot[:, 0], 4)
-    return replace(frame, pilot_idx=pilot_idx)
+    data_idx = frame.data_idx.copy()
+    data_idx[:, -1] = qam_demodulate(1j * frame.s_data[:, 0], 4)
+    return replace(frame, data_idx=data_idx)
 
 
 def uncompressed_error(y, est, frame):
-    rebuilt = rebuild_sensing_tensor(est.a_rx_hat, est.a_tx_hat, est.gamma_hat, frame.c, frame.s_pilot)
+    rebuilt = rebuild_sensing_tensor(est.a_rx_hat, est.a_tx_hat, est.gamma_hat, frame.c, frame.s_data)
     return np.vdot(y - rebuilt, y - rebuilt).real / np.vdot(y, y).real
 
 
@@ -220,8 +220,8 @@ class TestPilotCompression:
         y = add_noise(sensing_forward(scene, frame), 10.0, seed=p + 2)
         est = als_fit(y, frame, k, AlsConfig(init_seed=p, max_iters=2))
         rng = np.random.default_rng(np.random.SeedSequence([p, 0]))
-        start = gevd_start(y, frame.s_pilot * frame.c[:, None, :], k, rng)
-        want = oracle_als_sweeps(y, frame.c, frame.s_pilot, *start, sweeps=2)
+        start = gevd_start(y, frame.s_data * frame.c[:, None, :], k, rng)
+        want = oracle_als_sweeps(y, frame.c, frame.s_data, *start, sweeps=2)
         for got, ref in zip((est.a_rx_hat, est.a_tx_hat, est.gamma_hat), want):
             assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -263,8 +263,8 @@ class TestGevdStart:
         scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, theta=theta, phi=phi, seed=seed)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=seed + 1)
         y = sensing_forward(scene, frame)
-        start = gevd_start(y, frame.s_pilot * frame.c[:, None, :], k, np.random.default_rng(seed))
-        rebuilt = rebuild_sensing_tensor(*start, frame.c, frame.s_pilot)
+        start = gevd_start(y, frame.s_data * frame.c[:, None, :], k, np.random.default_rng(seed))
+        rebuilt = rebuild_sensing_tensor(*start, frame.c, frame.s_data)
         assert np.linalg.norm(rebuilt - y) ** 2 < 1e-10 * np.linalg.norm(y) ** 2
         # the restart-0 fit starts there, so one sweep keeps the fit exact
         fit = als_fit(y, frame, k, AlsConfig(init_seed=seed, max_iters=1))
@@ -281,7 +281,7 @@ class TestGevdStart:
         if parallel:
             frame = parallel_pilot_columns(frame)
         y = sensing_forward(scene, frame)
-        got = gevd_start(y, frame.s_pilot * frame.c[:, None, :], k, np.random.default_rng(14))
+        got = gevd_start(y, frame.s_data * frame.c[:, None, :], k, np.random.default_rng(14))
         want = _random_factors(np.random.default_rng(14), m_r, m_t, n, k)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -304,7 +304,7 @@ class TestGevdStart:
             y = sensing_forward(scene, frame)
             if noise_db is not None:
                 y = add_noise(y, noise_db, seed=seed + 2)
-            x = frame.s_pilot * frame.c[:, None, :]
+            x = frame.s_data * frame.c[:, None, :]
             rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
             got = gevd_start(y, x, k, rng)
             want = oracle_gevd_start(y, x, k, rng_oracle)
@@ -321,7 +321,7 @@ class TestAlsFit:
         assert est.nmse_trace[-1] < 1e-10
         # reconstruction from raw (ambiguous) factors already matches
         rebuilt = rebuild_sensing_tensor(est.a_rx_hat, est.a_tx_hat, est.gamma_hat,
-                                         frame.c, frame.s_pilot)
+                                         frame.c, frame.s_data)
         rel = (np.linalg.norm((rebuilt - y).ravel()) / np.linalg.norm(y.ravel())) ** 2
         assert rel < 1e-10  # squared normalized error, same metric as the trace
 
@@ -436,9 +436,9 @@ class TestAmbiguityRemoval:
         assert np.abs(fixed.a_rx_hat[0, :] - 1).max() < 1e-12
         assert np.abs(fixed.a_tx_hat[0, :] - 1).max() < 1e-12
         before = rebuild_sensing_tensor(est.a_rx_hat, est.a_tx_hat, est.gamma_hat,
-                                        frame.c, frame.s_pilot)
+                                        frame.c, frame.s_data)
         after = rebuild_sensing_tensor(fixed.a_rx_hat, fixed.a_tx_hat, fixed.gamma_hat,
-                                       frame.c, frame.s_pilot)
+                                       frame.c, frame.s_data)
         assert np.abs(before - after).max() < 1e-12 * np.abs(before).max()
 
     def test_zero_pivot_rejected(self):

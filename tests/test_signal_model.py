@@ -69,18 +69,27 @@ class TestKrstCode:
         with pytest.raises(IdentifiabilityError, match=r"^slot code needs n >= m_t: 2 < 3$"):
             krst_code(2, 3)
 
-    @pytest.mark.parametrize("n,m_t", [(3, 2), (4, 4), (5, 3)])
+    @pytest.mark.parametrize("n,m_t", [(3, 2), (4, 4), (5, 3), (1, 1), (8, 8), (64, 4), (257, 5)])
     def test_cached_read_only_dft_columns(self, n, m_t):
         c = krst_code(n, m_t)
         assert krst_code(n, m_t) is c
         assert not c.flags.writeable
         with pytest.raises(ValueError):
             c[0, 0] = 0.0
-        for i in range(n):
-            for j in range(m_t):
-                assert abs(c[i, j] - np.exp(-2j * np.pi * i * j / n) / np.sqrt(n)) < 1e-15
+        # bit-identical to the first m_t columns of the full scaled DFT matrix
+        idx = np.arange(n)
+        assert np.array_equal(c, (np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n))[:, :m_t])
         # every frame shares the cached code
         assert sample_frame(p=4, m_t=m_t, n=n, order=4, seed=3).c is c
+
+    def test_large_n_builds_only_the_code_columns(self):
+        # The full n x n DFT matrix would take 40 GB here; the code is n x m_t.
+        n, m_t = 50_000, 3
+        c = krst_code(n, m_t)
+        assert c.shape == (n, m_t)
+        rows = np.array([0, 1, 12_345, n - 1])
+        want = np.exp(-2j * np.pi * np.outer(rows, np.arange(m_t)) / n) / np.sqrt(n)
+        assert np.array_equal(c[rows], want)
 
 
 class TestQam:
@@ -133,8 +142,8 @@ class TestSceneAndFrame:
         assert np.array_equal(scene.theta, [15.0, 27.0])
         assert np.array_equal(scene.phi, [-37.0, 65.0])
         assert scene.gamma.shape == (3, 2)
-        assert scene.rx_steering().shape == (2, 2)
-        assert scene.tx_steering().shape == (2, 2)
+        assert scene.a_rx.shape == (2, 2)
+        assert scene.a_tx.shape == (2, 2)
 
     def test_sample_scene_deterministic(self):
         a = sample_scene(k=2, n=4, sigma=1.0, m_r=3, m_t=2, seed=42)
@@ -169,7 +178,7 @@ class TestSceneAndFrame:
                              gamma=np.ones((3, 2), dtype=complex), m_r=3, m_t=2)
         assert np.array_equal(scene.a_rx, build_steering_matrix([10.0, -40.0], 3))
         assert np.array_equal(scene.a_tx, build_steering_matrix([5.0, 60.0], 2))
-        assert scene.rx_steering() is scene.a_rx and scene.tx_steering() is scene.a_tx
+        assert scene.rx_steering() is scene.a_rx
         with pytest.raises(ValueError):
             scene.a_rx[0, 0] = 0.0
         # derived, never passed in, so they cannot disagree with the angles
@@ -178,33 +187,32 @@ class TestSceneAndFrame:
 
     def test_sample_frame_contents(self):
         frame = sample_frame(p=8, m_t=2, n=3, order=4, seed=2)
-        assert frame.s_pilot.shape == (8, 2)
         assert frame.s_data.shape == (8, 2)
         assert frame.c.shape == (3, 2)
         pts = qam_constellation(4)
-        for block in (frame.s_pilot, frame.s_data):
-            dists = np.min(np.abs(block.reshape(-1, 1) - pts.reshape(1, -1)), axis=1)
-            assert dists.max() < 1e-12
+        dists = np.min(np.abs(frame.s_data.reshape(-1, 1) - pts.reshape(1, -1)), axis=1)
+        assert dists.max() < 1e-12
 
     def test_sample_frame_deterministic(self):
         a = sample_frame(p=4, m_t=2, n=3, order=16, seed=8)
         b = sample_frame(p=4, m_t=2, n=3, order=16, seed=8)
-        assert np.array_equal(a.s_pilot, b.s_pilot)
         assert np.array_equal(a.s_data, b.s_data)
+
+    @pytest.mark.parametrize("p,m_t,order,seed", [(8, 2, 4, 0), (3, 4, 16, 41), (64, 4, 4, 7)])
+    def test_sample_frame_is_one_block_from_the_first_draw(self, p, m_t, order, seed):
+        frame = sample_frame(p=p, m_t=m_t, n=m_t + 1, order=order, seed=seed)
+        want = np.random.default_rng(seed).integers(0, order, (p, m_t))
+        assert np.array_equal(frame.data_idx, want)
 
     @pytest.mark.parametrize("order", [4, 16])
     def test_frame_symbols_derive_from_indices(self, order):
-        pilot_idx = np.arange(6).reshape(3, 2) % order
         data_idx = (np.arange(6).reshape(3, 2) * 5 + 1) % order
-        frame = TransmitFrame(pilot_idx, data_idx, n=4, constellation=order)
-        assert np.array_equal(frame.s_pilot, qam_constellation(order)[pilot_idx])
+        frame = TransmitFrame(data_idx, n=4, constellation=order)
         assert np.array_equal(frame.s_data, qam_constellation(order)[data_idx])
         assert frame.c is krst_code(4, 2)
         for bad in (order, -1):
             with pytest.raises(ValueError, match="outside"):
-                TransmitFrame(pilot_idx, np.full((3, 2), bad), n=4, constellation=order)
-        with pytest.raises(ValueError, match="same shape"):
-            TransmitFrame(pilot_idx, data_idx[:2], n=4, constellation=order)
+                TransmitFrame(np.full((3, 2), bad), n=4, constellation=order)
 
     def test_build_comm_link_channel(self):
         link = build_comm_link([78.0], [25.0], [1.0 + 0.0j], m_u=2, m_t=2)
@@ -258,6 +266,19 @@ class TestForwardModels:
             y = comm_forward(link, frame)
             ref = oracle_comm_forward(link, frame)
             assert np.abs(y - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("m,m_t,n,p,seed", [(2, 2, 3, 8, 0), (3, 4, 5, 6, 17)])
+    def test_both_receivers_see_one_transmitted_block(self, m, m_t, n, p, seed):
+        # One scatterer with unit reflection in every slot and one path with
+        # unit gain on the same angles give the same channel; the two tensors
+        # then agree only if both are built from the same symbol block.
+        frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=seed)
+        scene = SensingScene(theta=[20.0], phi=[-35.0], gamma=np.ones((n, 1)), m_r=m, m_t=m_t)
+        link = build_comm_link([20.0], [-35.0], [1.0], m_u=m, m_t=m_t)
+        y_sens = sensing_forward(scene, frame)
+        assert np.abs(y_sens - comm_forward(link, frame)).max() < 1e-12 * np.abs(y_sens).max()
+        ref = oracle_sensing_forward(scene, frame)
+        assert np.abs(ref - oracle_comm_forward(link, frame)).max() < 1e-12 * np.abs(ref).max()
 
     def test_sensing_forward_slot_mismatch(self):
         scene = sample_scene(k=2, n=4, sigma=1.0, m_r=2, m_t=2, seed=0)
