@@ -3,7 +3,7 @@
 Two receive chains share one transmitted frame:
 
 * a sensing chain that fits a slot-diagonal bilinear tensor model by
-  alternating least squares to recover target steering matrices, per-slot
+  least squares (Levenberg-Marquardt) to recover target steering matrices, per-slot
   reflection coefficients, and angles (:mod:`tensorisac.sensing_als`);
 * a semi-blind communication chain that recovers the downlink channel and
   the data symbols from column-wise rank-one factorizations

@@ -8,7 +8,7 @@ class IdentifiabilityError(ValueError):
 
 
 class AlsDivergenceError(RuntimeError):
-    """The alternating-least-squares iteration produced a non-finite error."""
+    """The sensing fit met a non-finite reconstruction error."""
 
 
 class ConfigError(ValueError):

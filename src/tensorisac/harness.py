@@ -69,6 +69,10 @@ DIMS = ("m_t", "m_r", "m_u", "p", "n", "k", "l")
 INTEGERS = DIMS + ("constellation", "trials", "base_seed", "jobs")
 ANGLES = ("sensing_aoa", "sensing_aod", "comm_aoa", "comm_aod")
 SYMBOL_ATOL = 1e-9  # two symbols closer than this are the same constellation point
+# Largest reflection std: the energy of the sensing tensor and the fit's normal
+# equations square it, and stay below the largest double (1.8e308) with a
+# margin of about 1e108 for the tensor's size and the Gaussian tail.
+GAMMA_STD_MAX = 1e100
 
 
 # ------------------------------ configuration ------------------------------ #
@@ -130,6 +134,8 @@ class ExperimentConfig:
             problems.append(str(exc))
         if not 0 < self.gamma_std < math.inf:
             problems.append("gamma_std must be positive and finite")
+        elif self.gamma_std > GAMMA_STD_MAX:
+            problems.append(f"gamma_std must be at most {GAMMA_STD_MAX:g}, or the sensing tensor overflows")
         if not (math.isfinite(self.es_n0_db) or self.es_n0_db == math.inf):
             problems.append("es_n0_db must be finite or +inf")
         if not all(map(cmath.isfinite, self.comm_gains)):

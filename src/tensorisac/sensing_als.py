@@ -1,51 +1,56 @@
-"""Alternating-least-squares receiver for the bistatic sensing link.
+"""Least-squares receiver for the bistatic sensing link.
 
 The sensing tensor has frontal slices
 ``Y[:, :, n] = A_rx @ diag(gamma[n]) @ A_tx.T @ diag(code[n]) @ pilots.T``
 with known ``code`` and ``pilots`` (the frame's transmitted block
-``s_data``, which the sensing link knows).  The receiver alternates exact
-least-squares updates of the receive steering matrix, the transmit steering
-matrix and the reflection matrix, always using the freshest estimates of
-the other two blocks, until the normalized squared reconstruction error
-stops changing.  Every update is one SVD-based least-squares solve over all
-slots, on operands (the pilot systems ``X_n = pilots @ diag(code[n])`` and the
-unfoldings of the tensor) built once per fit: ``numpy.linalg.lstsq`` (LAPACK
-gelsd) for the transmit steering matrix, and :func:`~tensorisac.tensor_ops.pinv`
-for the receive steering matrix and for the per-slot reflection systems as
-one stack, which ``lstsq`` does not take.  Both solvers treat singular values
-at or below ``rcond`` times the largest as zero and return the minimum-norm
-solution, so they agree to rounding.
+``s_data``, which the sensing link knows).  The receiver is the paper's
+least-squares fit of the receive steering matrix, the transmit steering
+matrix and the reflection matrix.  The paper solves it by alternating
+least squares; here it is solved by Levenberg-Marquardt (damped
+Gauss-Newton over all three blocks at once, the most robust fitter of
+small, ill-conditioned PARAFAC problems in Tomasi & Bro, 2006), which
+reaches the same objective in a fraction of the iterations.  The
+alternating fit is kept in the tests as the reference the fit is judged
+against.
 
 Before iterating, :func:`als_fit` compresses the pilot mode (Bro & Andersson,
 1998): for ``Z_n = Y_n conj(U)``, ``U`` the left singular vectors of the
 pilots ``S``, ``||Y_n - M S^T||^2 = ||Z_n - M (U^H S)^T||^2 + ||Y_n - Z_n U^T||^2``
-for every ``M``, and the last term is constant.  So every update (min-norm
-solution and ``rcond`` cutoff included, as the systems keep their nonzero
-singular values) is the same on ``Z`` with pilots ``U^H S``; the constant is
-added back to the error.  This holds for every shape, also where a compressed
-system has fewer rows than unknowns, so every fit is compressed, and the
-identifiability gate is checked once, on the caller's dimensions.
+for every ``M``, and the last term is constant.  So the objective on ``Z``
+with pilots ``U^H S`` differs from the full one by a constant, which is
+added back to the error, and its gradient and Gauss-Newton matrix are the
+full ones: every step is the same.  This holds for every shape, so every
+fit is compressed, and the identifiability gate is checked once, on the
+caller's dimensions.
+
+Each iteration solves the damped normal equations
+``(J^H J + mu I) delta = J^H r`` for the residual ``r`` of the compressed
+slices ``Z_n ~ (A_rx diag(gamma[n])) (X_n A_tx)^T``, ``X_n = (U^H S)
+diag(code[n])``, and ``J`` the Jacobian of the model in the entries of the
+three blocks.  The model is holomorphic in them, so the complex normal
+equations give the Gauss-Newton step.  A step is kept only when it
+strictly lowers the error, so the error trace decreases strictly; ``mu``
+follows Nielsen's rule (Madsen, Nielsen & Tingleff, 2004): it starts at
+``DAMPING_START`` times the largest diagonal entry of ``J^H J``, shrinks
+after a step that the quadratic model predicted well and doubles, then
+quadruples, ... after each rejected one; it never falls below
+``DAMPING_FLOOR`` times that entry.  Once the damped step falls to the
+rounding of the parameters (``||delta|| <= eps ||theta||``), it cannot
+change them, so the iteration records the unchanged error and the stopping
+rule below ends the fit; this is how exact fits end at the numerical floor.
+The two column scalings below leave ``J^H J`` singular; the damping keeps
+the system solvable, and ``J^H r`` has no component along them.
 
 The first restart starts from a closed-form estimate (:func:`gevd_start`):
 once the pilots are inverted slot by slot, every slice is
 ``A_rx diag(gamma[n]) A_tx^T``, and when ``k <= min(m_r, m_t)`` simultaneous
 diagonalization of two random slice combinations recovers all three factors,
-exactly on noiseless data.  ALS then refines that estimate to the
+exactly on noiseless data.  The iteration then refines that estimate to the
 least-squares fit.  Where the closed form does not apply, and for every
 further restart, the start is seeded random.
 
-Plain alternating updates crawl through long plateaus when steering columns
-are strongly correlated (closely spaced angles on a small array), so from the
-third sweep on the iterate is extrapolated along the last sweep by the factor
-``it ** (1 / power)``, kept only when it strictly lowers the error, so the
-error trace stays non-increasing.  ``power`` adapts within a restart:
-accepted steps lower it, so steps lengthen while they pay off on a plateau,
-and a run of rejections raises it again.  On the default sweep this takes a
-third fewer iterations than a fixed ``it ** (1/3)``, and the final errors of
-the two agree within 0.1 % on 999 fits in 1 000.
-
 Convergence is declared when the error change between consecutive
-iterations falls below ``tol`` relative to the current error; an absolute
+iterations falls below ``tol`` relative to the previous error; an absolute
 anchor far below double-precision resolution lets exact fits terminate once
 the error sits at the numerical floor instead of cycling on rounding noise.
 
@@ -79,16 +84,13 @@ import numpy as np
 
 from .exceptions import AlsDivergenceError, IdentifiabilityError
 from .signal_model import TransmitFrame, build_steering_matrix
-from .tensor_ops import best_rank_one, pinv, unfold1_flat, unfold3_tall
+from .tensor_ops import best_rank_one, pinv
 
 __all__ = [
     "AlsConfig",
     "SensingEstimate",
     "check_identifiability",
-    "build_right_factor",
     "estimate_rx_steering",
-    "estimate_tx_steering",
-    "estimate_reflections",
     "gevd_start",
     "als_fit",
     "remove_sensing_ambiguity",
@@ -103,11 +105,13 @@ __all__ = [
 # the double-precision floor terminate instead of cycling on rounding noise.
 FLOOR_DELTA = 1e-20
 
-# Extrapolation schedule of :func:`als_fit`, step ``it ** (1 / power)``: each
-# restart starts at START_POWER; an accepted step lowers ``power`` by
-# POWER_DOWN, not below MIN_POWER (lower stops some fits early on a plateau),
-# and REJECTIONS rejected steps in a row raise it by POWER_UP.
-START_POWER, MIN_POWER, POWER_DOWN, POWER_UP, REJECTIONS = 3.0, 1.5, 0.5, 1.0, 4
+# Levenberg-Marquardt damping of :func:`als_fit` (Nielsen's rule): each
+# restart starts at DAMPING_START times the largest diagonal entry of J^H J,
+# and the damping never falls below DAMPING_FLOOR times it, which keeps the
+# damped matrix positive definite although J^H J is singular (the column
+# scalings) and its rounding errors are a few eps times that entry.
+DAMPING_START, DAMPING_FLOOR = 1e-3, 1e-9
+EPS = np.finfo(float).eps
 
 # extract_angles: grid spacing and largest returned magnitude in degrees, the
 # angle change in radians that ends the Newton refinement (about three steps;
@@ -127,18 +131,16 @@ class AlsConfig:
     """Knobs for :func:`als_fit`.
 
     ``tol`` bounds the relative change of the normalized squared
-    reconstruction error between consecutive iterations; ``rcond`` is the
-    relative singular-value cutoff of every SVD-based least-squares solve
-    (singular values at or below ``rcond`` times the largest count as zero).
-    ``rcond = 0`` keeps every nonzero singular value, so on an exactly
-    singular system it inverts a rounding-noise singular value and gives a
-    noise-dominated solution.  ``n_restarts``
-    fits are run and the best final error kept: restart 0 starts from
-    :func:`gevd_start` (or its seeded random fallback), every further
-    restart from an independent random start.  ``init_seed`` seeds the
-    random numbers of every restart: the slice weights of the closed-form
-    start and the random starts.  The extrapolation schedule is fixed by
-    module constants (``START_POWER`` ...), not configured here.
+    reconstruction error between consecutive iterations.  ``rcond`` affects
+    only the closed-form start :func:`gevd_start`: it is the relative
+    singular-value cutoff of its pilot-rank test and pseudoinverse
+    (singular values at or below ``rcond`` times the largest count as
+    zero).  ``n_restarts`` fits are run and the best final error kept:
+    restart 0 starts from :func:`gevd_start` (or its seeded random
+    fallback), every further restart from an independent random start.
+    ``init_seed`` seeds the random numbers of every restart: the slice
+    weights of the closed-form start and the random starts.  The damping is
+    fixed by the module constant ``DAMPING_START``, not configured here.
     """
 
     max_iters: int = 1000
@@ -199,19 +201,10 @@ def check_identifiability(m_r: int, m_t: int, p: int, n: int, k: int) -> None:
         raise IdentifiabilityError("; ".join(violations))
 
 
-def build_right_factor(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Right factor of the flat 1-mode unfolding.
-
-    ``g[n] = X_n @ a_tx`` with ``X_n = pilots @ diag(code[n])``.  Block ``n``
-    is ``diag(gamma[n]) @ g[n].T``, so the flat unfolding of the sensing
-    tensor equals ``a_rx @ build_right_factor(gamma, g)``.
-    """
-    blocks = g * gamma[:, None, :]
-    return blocks.transpose(2, 0, 1).reshape(blocks.shape[2], -1)
-
-
 def estimate_rx_steering(y1: np.ndarray, right_factor: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    """Least-squares update of the receive steering matrix from the flat unfolding."""
+    """Least-squares receive steering matrix ``y1 @ pinv(right_factor)`` for a
+    flat unfolding ``y1 ~ a_rx @ right_factor``: the receive step of the
+    alternating fit."""
     y1 = np.asarray(y1)
     right_factor = np.asarray(right_factor)
     if y1.ndim != 2 or right_factor.ndim != 2 or y1.shape[1] != right_factor.shape[1]:
@@ -219,41 +212,6 @@ def estimate_rx_steering(y1: np.ndarray, right_factor: np.ndarray, rcond: float 
             f"incompatible shapes {y1.shape} and {right_factor.shape} for the flat system"
         )
     return y1 @ pinv(right_factor, rcond)
-
-
-def estimate_tx_steering(
-    y_vec: np.ndarray,
-    x: np.ndarray,
-    a_rx: np.ndarray,
-    gamma: np.ndarray,
-    rcond: float = 1e-12,
-) -> np.ndarray:
-    """Least-squares update of the transmit steering matrix.
-
-    ``y_vec[n] = vec(Y_n)`` (``unfold3_tall(tensor).T``) and
-    ``x[n] = X_n = pilots @ diag(code[n])``.  Column-stacking each slice gives
-    ``vec(Y_n) = kron(X_n, a_rx @ diag(gamma[n])) @ vec(a_tx.T)``; the slot
-    blocks are stacked into one system, and ``lstsq`` returns its minimum-norm
-    least-squares solution with the ``rcond`` cutoff.
-    """
-    n_slots, p, m_t = x.shape
-    m_r, k = a_rx.shape
-    right = a_rx * gamma[:, None, :]
-    stacked = (x[:, :, None, :, None] * right[:, None, :, None, :]).reshape(n_slots * p * m_r, m_t * k)
-    return np.linalg.lstsq(stacked, y_vec.reshape(-1), rcond=rcond)[0].reshape(m_t, k)
-
-
-def estimate_reflections(y_vec: np.ndarray, a_rx: np.ndarray, g: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    """Least-squares update of the reflection matrix, one slot row at a time.
-
-    Slice ``n`` satisfies ``vec(Y_n) = khatri_rao(g[n], a_rx) @ gamma[n]``
-    with ``g[n] = X_n @ a_tx`` and ``y_vec[n] = vec(Y_n)``; all slots are one
-    stacked ``pinv`` solve, minimum-norm with the ``rcond`` cutoff.
-    """
-    n_slots, p, k = g.shape
-    m_r = a_rx.shape[0]
-    basis = (g[:, :, None, :] * a_rx).reshape(n_slots, p * m_r, k)
-    return (pinv(basis, rcond) @ y_vec[:, :, None])[:, :, 0]
 
 
 def _random_factors(rng: np.random.Generator, m_r: int, m_t: int, n: int, k: int):
@@ -309,20 +267,39 @@ def gevd_start(
     return a_rx, left.T, (sigma[:, None] * right.conj()).T
 
 
+def _jacobian(a_rx: np.ndarray, gamma: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Jacobian of the slices ``M_n = (a_rx diag(gamma[n])) g[n]^T``, ``g[n] = x[n] @ a_tx``.
+
+    Row ``(n, i, q)`` (C order) is entry ``M_n[i, q]``; the columns are the
+    C-order entries of ``a_rx``, ``a_tx`` and ``gamma``, one broadcast block each.
+    """
+    n_slots, r, m_t = x.shape
+    m_r, k = a_rx.shape
+    a_gamma = a_rx * gamma[:, None, :]
+    d_rx = np.eye(m_r)[:, None, :, None] * (gamma[:, None, :] * g)[:, None, :, None, :]
+    d_tx = a_gamma[:, :, None, None, :] * x[:, None, :, :, None]
+    d_gamma = np.eye(n_slots)[:, None, None, :, None] * (a_rx[:, None, :] * g[:, None, :, :])[:, :, :, None, :]
+    rows = n_slots * m_r * r
+    return np.concatenate(
+        [d_rx.reshape(rows, m_r * k), d_tx.reshape(rows, m_t * k), d_gamma.reshape(rows, n_slots * k)], axis=1
+    )
+
+
 def als_fit(
     tensor: np.ndarray,
     frame: TransmitFrame,
     num_targets: int,
     cfg: AlsConfig = AlsConfig(),
 ) -> SensingEstimate:
-    """Fit the three sensing factors by alternating least squares.
+    """Fit the three sensing factors by least squares (Levenberg-Marquardt).
 
     Runs ``cfg.n_restarts`` restarts, the first from the closed-form
     :func:`gevd_start`, the others from seeded random factors, and returns
     the restart with the smallest final normalized squared reconstruction
-    error, so more restarts never raise it.  Within a restart, each iteration solves the three exact LS
-    subproblems in turn, then tries an extrapolated step along the sweep
-    direction (kept only if it lowers the error).  The iteration stops once
+    error, so more restarts never raise it.  Within a restart, each iteration
+    takes one damped Gauss-Newton step over all three blocks, retrying with
+    more damping until the step strictly lowers the error (module docstring),
+    and records the error.  The iteration stops once
     ``|e_i - e_{i-1}| < tol * e_{i-1} + FLOOR_DELTA`` or after
     ``cfg.max_iters`` iterations (reported as ``converged=False``).
 
@@ -333,7 +310,7 @@ def als_fit(
     ValueError
         If the tensor is all zero or its energy is not finite.
     AlsDivergenceError
-        If the reconstruction error turns non-finite.
+        If the reconstruction error of a start is not finite.
     """
     t = np.asarray(tensor, dtype=complex)
     if t.ndim != 3:
@@ -342,11 +319,12 @@ def als_fit(
     code = frame.c
     pilots = frame.s_data
     m_t = code.shape[1]
+    k = num_targets
     if code.shape[0] != n_slots:
         raise ValueError("frame and tensor disagree on the number of slots")
     if pilots.shape[0] != p:
         raise ValueError("frame and tensor disagree on the symbols per slot")
-    check_identifiability(m_r, m_t, p, n_slots, num_targets)
+    check_identifiability(m_r, m_t, p, n_slots, k)
 
     y_energy = np.vdot(t, t).real
     if not math.isfinite(y_energy):
@@ -358,60 +336,69 @@ def als_fit(
     slots = t.transpose(2, 0, 1)  # slots[n] = Y_n
     z = slots @ u.conj()
     resid = slots - z @ u.T
-    t, pilots, outside = z.transpose(1, 2, 0), u.conj().T @ pilots, np.vdot(resid, resid).real
-    # Loop-invariant operands: the pilot systems X_n = pilots @ diag(code[n])
-    # of all slots, and the two unfoldings the sub-steps solve against.
-    x = pilots * code[:, None, :]
-    y1 = unfold1_flat(t)
-    y_vec = unfold3_tall(t).T
+    outside = np.vdot(resid, resid).real
+    # x[n] = X_n = (U^H S) diag(code[n]), the compressed pilot system of slot n.
+    x = (u.conj().T @ pilots) * code[:, None, :]
+    rx_end, tx_end = m_r * k, (m_r + m_t) * k
+    damping = np.eye((m_r + m_t + n_slots) * k)
 
-    def error(a_rx, right):
-        resid = y1 - a_rx @ right
-        return (np.vdot(resid, resid).real + outside) / y_energy
+    def unpack(theta):
+        return theta[:rx_end].reshape(m_r, k), theta[rx_end:tx_end].reshape(m_t, k), theta[tx_end:].reshape(n_slots, k)
+
+    def residual(theta):
+        """Residual slices ``Z_n - M_n``, ``g = x @ a_tx`` and the normalized error."""
+        a_rx, a_tx, gamma = unpack(theta)
+        g = x @ a_tx
+        r = z - (a_rx * gamma[:, None, :]) @ g.transpose(0, 2, 1)
+        return r, g, (np.vdot(r, r).real + outside) / y_energy
 
     best: SensingEstimate | None = None
     for restart in range(cfg.n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed) & (2**63 - 1), restart]))
         if restart == 0:
-            a_rx, a_tx, gamma = gevd_start(t, x, num_targets, rng, cfg.rcond)
+            start = gevd_start(z.transpose(1, 2, 0), x, k, rng, cfg.rcond)
         else:
-            a_rx, a_tx, gamma = _random_factors(rng, m_r, m_t, n_slots, num_targets)
+            start = _random_factors(rng, m_r, m_t, n_slots, k)
+        theta = np.concatenate([f.ravel() for f in start])
+        r, g, err = residual(theta)
+        if not math.isfinite(err):
+            raise AlsDivergenceError(f"non-finite reconstruction error at the start of restart {restart}")
         trace: list[float] = []
         converged = False
-        prev_err = np.inf
-        right = build_right_factor(gamma, x @ a_tx)
-        power, rejected = START_POWER, 0
-        for it in range(1, cfg.max_iters + 1):
-            old = (a_rx, a_tx, gamma)
-            a_rx = estimate_rx_steering(y1, right, cfg.rcond)
-            a_tx = estimate_tx_steering(y_vec, x, a_rx, gamma, cfg.rcond)
-            g = x @ a_tx
-            gamma = estimate_reflections(y_vec, a_rx, g, cfg.rcond)
-            right = build_right_factor(gamma, g)
-            err = error(a_rx, right)
-            if it > 2:
-                # Extrapolate along the sweep; the longer step is kept only
-                # when it strictly lowers the error (module docstring).
-                step = it ** (1.0 / power)
-                a_rx_x, a_tx_x, gamma_x = (o + step * (f - o) for o, f in zip(old, (a_rx, a_tx, gamma)))
-                right_x = build_right_factor(gamma_x, x @ a_tx_x)
-                err_x = error(a_rx_x, right_x)
-                if err_x < err:
-                    a_rx, a_tx, gamma, right, err = a_rx_x, a_tx_x, gamma_x, right_x, err_x
-                    power, rejected = max(power - POWER_DOWN, MIN_POWER), 0
-                else:
-                    rejected += 1
-                    if rejected == REJECTIONS:
-                        power, rejected = power + POWER_UP, 0
-            if not np.isfinite(err):
-                raise AlsDivergenceError(f"non-finite reconstruction error at iteration {it}")
+        prev_err = math.inf
+        mu, nu = None, 2.0
+        for _ in range(cfg.max_iters):
+            a_rx, _, gamma = unpack(theta)
+            jac = _jacobian(a_rx, gamma, x, g)
+            jac_h = jac.conj().T
+            normal = jac_h @ jac
+            grad = jac_h @ r.reshape(-1)
+            scale = normal.diagonal().real.max()
+            mu = DAMPING_START * scale if mu is None else max(mu, DAMPING_FLOOR * scale)
+            # Damp until the step lowers the error or can no longer change theta.
+            while True:
+                step = np.linalg.solve(normal + mu * damping, grad)
+                step_sq = np.vdot(step, step).real
+                if step_sq <= EPS**2 * np.vdot(theta, theta).real:
+                    break
+                trial = theta + step
+                r_new, g_new, err_new = residual(trial)
+                if err_new < err:
+                    # Gain ratio: actual over predicted decrease of ||r||^2.
+                    rho = (err - err_new) * y_energy / (np.vdot(step, grad).real + mu * step_sq)
+                    mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
+                    nu = 2.0
+                    theta, r, g, err = trial, r_new, g_new, err_new
+                    break
+                mu *= nu
+                nu *= 2.0
             trace.append(err)
             if abs(err - prev_err) < cfg.tol * prev_err + FLOOR_DELTA:
                 converged = True
                 break
             prev_err = err
         if best is None or trace[-1] < best.nmse_trace[-1]:
-            best = SensingEstimate(a_rx, a_tx, gamma, trace, converged)
+            best = SensingEstimate(*unpack(theta), trace, converged)
     assert best is not None
     return best
 

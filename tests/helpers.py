@@ -1,8 +1,10 @@
-"""Independent brute-force oracles used across the test modules.
+"""Independent oracles used across the test modules.
 
-Everything here is written as plain index loops and elementwise sums so a
-disagreement with the library always points at the library, not at a shared
-shortcut.
+Most are plain index loops, elementwise sums or per-slot and ``einsum``
+formulations, so a disagreement with the library points at the library,
+not at a shared shortcut.  ``paper_als_fit`` and its step functions are the
+paper's alternating-least-squares fit, the reference the library's
+Levenberg-Marquardt fit is judged against.
 """
 
 from __future__ import annotations
@@ -163,16 +165,6 @@ def oracle_reflection_step(tensor, a_rx, a_tx, code, pilots, rcond=1e-12) -> np.
     return np.array(rows)
 
 
-def oracle_als_sweeps(tensor, code, pilots, a_rx, a_tx, gamma, sweeps, rcond=1e-12):
-    """Plain ALS sweeps (rx, tx, reflections) on the uncompressed tensor."""
-    y1 = oracle_unfold1_flat(tensor)
-    for _ in range(sweeps):
-        a_rx = oracle_rx_step(y1, oracle_right_factor(gamma, a_tx, code, pilots), rcond)
-        a_tx = oracle_tx_step(tensor, a_rx, gamma, code, pilots, rcond)
-        gamma = oracle_reflection_step(tensor, a_rx, a_tx, code, pilots, rcond)
-    return a_rx, a_tx, gamma
-
-
 def oracle_extract_angles(a_hat, grid_step=0.1) -> np.ndarray:
     """Grid scan plus golden-section refinement of the normalized correlation
     ``|a(angle)^H col| / (|a(angle)| |col|)``, with every steering vector
@@ -210,58 +202,187 @@ def oracle_extract_angles(a_hat, grid_step=0.1) -> np.ndarray:
     return np.asarray(angles)
 
 
-def oracle_als_fixed_schedule(tensor, frame, num_targets, init_seed=0, max_iters=1000, tol=1e-6, rcond=1e-12):
-    """Error trace of restart 0 of ``als_fit`` with the fixed extrapolation
-    step ``it ** (1/3)`` that preceded the adaptive schedule.
+def build_right_factor(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Right factor of the flat 1-mode unfolding.
 
-    Built from the package's start and step functions, on the uncompressed
-    tensor (the pilot-mode compression leaves every update unchanged), so it
-    is a reference for the schedule alone.
+    ``g[n] = X_n @ a_tx`` with ``X_n = pilots @ diag(code[n])``.  Block ``n``
+    is ``diag(gamma[n]) @ g[n].T``, so the flat unfolding of the sensing
+    tensor equals ``a_rx @ build_right_factor(gamma, g)``.
+    """
+    blocks = g * gamma[:, None, :]
+    return blocks.transpose(2, 0, 1).reshape(blocks.shape[2], -1)
+
+
+def estimate_tx_steering(y_vec, x, a_rx, gamma, rcond=1e-12) -> np.ndarray:
+    """Least-squares update of the transmit steering matrix.
+
+    ``y_vec[n] = vec(Y_n)`` (``unfold3_tall(tensor).T``) and
+    ``x[n] = X_n = pilots @ diag(code[n])``.  Column-stacking each slice gives
+    ``vec(Y_n) = kron(X_n, a_rx @ diag(gamma[n])) @ vec(a_tx.T)``; the slot
+    blocks are stacked into one system, and ``lstsq`` returns its minimum-norm
+    least-squares solution with the ``rcond`` cutoff.
+    """
+    n_slots, p, m_t = x.shape
+    m_r, k = a_rx.shape
+    right = a_rx * gamma[:, None, :]
+    stacked = (x[:, :, None, :, None] * right[:, None, :, None, :]).reshape(n_slots * p * m_r, m_t * k)
+    return np.linalg.lstsq(stacked, y_vec.reshape(-1), rcond=rcond)[0].reshape(m_t, k)
+
+
+def estimate_reflections(y_vec, a_rx, g, rcond=1e-12) -> np.ndarray:
+    """Least-squares update of the reflection matrix, one slot row at a time.
+
+    Slice ``n`` satisfies ``vec(Y_n) = khatri_rao(g[n], a_rx) @ gamma[n]``
+    with ``g[n] = X_n @ a_tx`` and ``y_vec[n] = vec(Y_n)``; all slots are one
+    stacked ``pinv`` solve, minimum-norm with the ``rcond`` cutoff.
+    """
+    from tensorisac.tensor_ops import pinv
+
+    n_slots, p, k = g.shape
+    m_r = a_rx.shape[0]
+    basis = (g[:, :, None, :] * a_rx).reshape(n_slots, p * m_r, k)
+    return (pinv(basis, rcond) @ y_vec[:, :, None])[:, :, 0]
+
+
+# Extrapolation schedule of paper_als_fit, step ``it ** (1 / power)``: each
+# restart starts at START_POWER; an accepted step lowers ``power`` by
+# POWER_DOWN, not below MIN_POWER, and REJECTIONS rejected steps in a row
+# raise it by POWER_UP.
+START_POWER, MIN_POWER, POWER_DOWN, POWER_UP, REJECTIONS = 3.0, 1.5, 0.5, 1.0, 4
+
+
+def paper_als_fit(tensor, frame, num_targets, cfg=None):
+    """The paper's alternating-least-squares fit: the reference ``als_fit``
+    is judged against.
+
+    Same objective, pilot-mode compression, starts, restarts, stopping rule
+    and ``SensingEstimate`` as ``als_fit``; each iteration solves the three
+    exact LS sub-steps in turn (receive steering, transmit steering,
+    reflections; minimum-norm SVD solves with the ``rcond`` cutoff), then
+    tries an extrapolated step ``it ** (1 / power)`` along the sweep,
+    kept only when it strictly lowers the error, with ``power`` adapting
+    as the constants above say.
     """
     from tensorisac.sensing_als import (
         FLOOR_DELTA,
-        build_right_factor,
-        estimate_reflections,
+        AlsConfig,
+        SensingEstimate,
+        _random_factors,
         estimate_rx_steering,
-        estimate_tx_steering,
         gevd_start,
     )
     from tensorisac.tensor_ops import unfold1_flat, unfold3_tall
 
+    cfg = AlsConfig() if cfg is None else cfg
     t = np.asarray(tensor, dtype=complex)
+    m_r, p, n_slots = t.shape
     code, pilots = frame.c, frame.s_data
-    x = pilots * code[:, None, :]
-    y1, y_vec = unfold1_flat(t), unfold3_tall(t).T
+    m_t = code.shape[1]
     y_energy = np.vdot(t, t).real
+    u = np.linalg.svd(pilots, full_matrices=False)[0]
+    slots = t.transpose(2, 0, 1)
+    z = slots @ u.conj()
+    resid = slots - z @ u.T
+    t, pilots, outside = z.transpose(1, 2, 0), u.conj().T @ pilots, np.vdot(resid, resid).real
+    x = pilots * code[:, None, :]
+    y1 = unfold1_flat(t)
+    y_vec = unfold3_tall(t).T
 
     def error(a_rx, right):
         resid = y1 - a_rx @ right
-        return np.vdot(resid, resid).real / y_energy
+        return (np.vdot(resid, resid).real + outside) / y_energy
 
-    rng = np.random.default_rng(np.random.SeedSequence([init_seed, 0]))
-    a_rx, a_tx, gamma = gevd_start(t, x, num_targets, rng, rcond)
-    right = build_right_factor(gamma, x @ a_tx)
-    trace, prev_err = [], np.inf
-    for it in range(1, max_iters + 1):
-        old = (a_rx, a_tx, gamma)
-        a_rx = estimate_rx_steering(y1, right, rcond)
-        a_tx = estimate_tx_steering(y_vec, x, a_rx, gamma, rcond)
-        g = x @ a_tx
-        gamma = estimate_reflections(y_vec, a_rx, g, rcond)
-        right = build_right_factor(gamma, g)
-        err = error(a_rx, right)
-        if it > 2:
-            step = it ** (1.0 / 3.0)
-            new = [o + step * (f - o) for o, f in zip(old, (a_rx, a_tx, gamma))]
-            right_x = build_right_factor(new[2], x @ new[1])
-            err_x = error(new[0], right_x)
-            if err_x < err:
-                (a_rx, a_tx, gamma), right, err = new, right_x, err_x
-        trace.append(err)
-        if abs(err - prev_err) < tol * prev_err + FLOOR_DELTA:
-            break
-        prev_err = err
-    return trace
+    best = None
+    for restart in range(cfg.n_restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed) & (2**63 - 1), restart]))
+        if restart == 0:
+            a_rx, a_tx, gamma = gevd_start(t, x, num_targets, rng, cfg.rcond)
+        else:
+            a_rx, a_tx, gamma = _random_factors(rng, m_r, m_t, n_slots, num_targets)
+        trace, converged, prev_err = [], False, np.inf
+        right = build_right_factor(gamma, x @ a_tx)
+        power, rejected = START_POWER, 0
+        for it in range(1, cfg.max_iters + 1):
+            old = (a_rx, a_tx, gamma)
+            a_rx = estimate_rx_steering(y1, right, cfg.rcond)
+            a_tx = estimate_tx_steering(y_vec, x, a_rx, gamma, cfg.rcond)
+            g = x @ a_tx
+            gamma = estimate_reflections(y_vec, a_rx, g, cfg.rcond)
+            right = build_right_factor(gamma, g)
+            err = error(a_rx, right)
+            if it > 2:
+                step = it ** (1.0 / power)
+                a_rx_x, a_tx_x, gamma_x = (o + step * (f - o) for o, f in zip(old, (a_rx, a_tx, gamma)))
+                right_x = build_right_factor(gamma_x, x @ a_tx_x)
+                err_x = error(a_rx_x, right_x)
+                if err_x < err:
+                    a_rx, a_tx, gamma, right, err = a_rx_x, a_tx_x, gamma_x, right_x, err_x
+                    power, rejected = max(power - POWER_DOWN, MIN_POWER), 0
+                else:
+                    rejected += 1
+                    if rejected == REJECTIONS:
+                        power, rejected = power + POWER_UP, 0
+            trace.append(err)
+            if abs(err - prev_err) < cfg.tol * prev_err + FLOOR_DELTA:
+                converged = True
+                break
+            prev_err = err
+        if best is None or trace[-1] < best.nmse_trace[-1]:
+            best = SensingEstimate(a_rx, a_tx, gamma, trace, converged)
+    return best
+
+
+def oracle_lm_steps(tensor, frame, start, steps, damping_start=1e-3):
+    """Parameters after ``steps`` accepted Levenberg-Marquardt steps on the
+    uncompressed tensor, from ``start = (a_rx, a_tx, gamma)``.
+
+    The Jacobian of every slice entry ``Y_n[i, q]`` is contracted index by
+    index with ``einsum``; the damping follows Nielsen's rule as ``als_fit``
+    does (start at ``damping_start`` times the largest diagonal entry of
+    ``J^H J``; after an accepted step scale by ``max(1/3, 1 - (2 rho - 1)^3)``;
+    after a rejected one by 2, 4, 8, ...).  ``als_fit``'s damping floor is
+    not reached in a few steps, so it is left out.
+    """
+    y = np.asarray(tensor).transpose(2, 0, 1)  # y[n] = Y_n
+    code, pilots = frame.c, frame.s_data
+    shapes = [f.shape for f in start]
+    sizes = np.cumsum([f.size for f in start])[:-1]
+
+    def model(theta):
+        a_rx, a_tx, gamma = (v.reshape(s) for v, s in zip(np.split(theta, sizes), shapes))
+        return np.einsum("ij,nj,tj,nt,qt->niq", a_rx, gamma, a_tx, code, pilots)
+
+    def jacobian(theta):
+        a_rx, a_tx, gamma = (v.reshape(s) for v, s in zip(np.split(theta, sizes), shapes))
+        g = np.einsum("qt,nt,tj->nqj", pilots, code, a_tx)
+        blocks = (
+            np.einsum("ia,nj,nqj->niqaj", np.eye(a_rx.shape[0]), gamma, g),
+            np.einsum("ij,nj,qt,nt->niqtj", a_rx, gamma, pilots, code),
+            np.einsum("nm,ij,nqj->niqmj", np.eye(gamma.shape[0]), a_rx, g),
+        )
+        return np.concatenate([b.reshape(y.size, -1) for b in blocks], axis=1)
+
+    theta = np.concatenate([np.ravel(f) for f in start])
+    resid = (y - model(theta)).ravel()
+    mu, nu = None, 2.0
+    for _ in range(steps):
+        jac = jacobian(theta)
+        normal, grad = jac.conj().T @ jac, jac.conj().T @ resid
+        if mu is None:
+            mu = damping_start * normal.diagonal().real.max()
+        while True:
+            step = np.linalg.solve(normal + mu * np.eye(theta.size), grad)
+            new_resid = (y - model(theta + step)).ravel()
+            drop = np.vdot(resid, resid).real - np.vdot(new_resid, new_resid).real
+            if drop > 0:
+                rho = drop / (np.vdot(step, grad).real + mu * np.vdot(step, step).real)
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
+                nu = 2.0
+                theta, resid = theta + step, new_resid
+                break
+            mu *= nu
+            nu *= 2.0
+    return tuple(v.reshape(s) for v, s in zip(np.split(theta, sizes), shapes))
 
 
 def oracle_gevd_start(tensor, x, num_targets, rng, rcond=1e-12):

@@ -155,6 +155,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
 
+    def test_largest_gamma_std_runs_with_finite_metrics(self):
+        # Just below the bound a trial at every grid point runs, and every
+        # metric is finite; above it validate() rejects the value.
+        cfg = replace(default_config(), gamma_std=math.nextafter(harness.GAMMA_STD_MAX, 0.0))
+        cfg.validate()
+        for value in cfg.sweep_values:
+            record = run_trial(cfg, value, 0)
+            assert all(math.isfinite(getattr(record, name)) for name in METRIC_COLUMNS), record
+        with pytest.raises(ConfigError, match="^gamma_std must be at most 1e"):
+            replace(cfg, gamma_std=math.nextafter(harness.GAMMA_STD_MAX, math.inf)).validate()
+
     def test_check_accepts_exactly_what_the_first_trial_runs(self):
         # validate() raises ConfigError, and nothing else, exactly when some
         # sweep point's first trial raises.  Every shape runs at one noise level.
@@ -218,6 +229,8 @@ class TestConfig:
         ({"sweep_values": [-1e303, 0.0]}, "to have a seed key: [-1e+303]"),
         ({"sweep_variable": "n", "sweep_values": [3, 1e303]}, "to have a seed key: [1e+303]"),
         ({"sweep_values": [0.0, 1.2e12, math.inf]}, "to have a seed key: [1200000000000.0]"),
+        # A finite reflection std can still overflow the sensing tensor.
+        ({"gamma_std": 1e200}, "gamma_std must be at most 1e+100, or the sensing tensor overflows"),
     ])
     def test_validate_rejects_non_finite_values_set_in_code(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -591,6 +604,7 @@ class TestCli:
             ({"sweep": {"variable": "p", "values": [0, 8]}}, "sweep point p=0.0: p must be at least 1"),
             ({"sweep": {"values": [-3100.0, 0.0]}}, "noise variance 10 ** (3100.0 / 10) overflows"),
             ({"sweep": {"values": [0.0, 1e303]}}, "to have a seed key: [1e+303]"),
+            ({"gamma_std": 1e200}, "gamma_std must be at most 1e+100"),
         ):
             proc = self.run_cli("check", "--config", write_config(tmp_path, **overrides))
             assert proc.returncode == 2 and message in proc.stderr, (overrides, proc.stderr)
@@ -619,11 +633,13 @@ class TestCli:
         proc = self.run_cli("plotdata", "--csv", str(trials_only))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "found []" in proc.stderr, proc.stderr
-        # gamma_std 1e200 overflows the sensing tensor; als_fit used to end the run in a traceback.
+        # gamma_std 1e200 overflows the sensing tensor; it used to pass check
+        # and fail every trial in als_fit, and is now rejected before any trial.
         huge = write_config(tmp_path, sweep={"values": [10.0]}, trials=1, gamma_std=1e200)
         proc = self.run_cli("run", "--config", huge, "--out", str(tmp_path / "huge"))
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: cannot fit a tensor whose energy is"), proc.stderr
+        assert proc.stderr.startswith("error: gamma_std must be at most 1e+100"), proc.stderr
+        assert not (tmp_path / "huge").exists()
 
     def test_run_with_integral_float_als_key(self, tmp_path):
         config = write_config(tmp_path, sweep={"values": [10.0]}, trials=1, als={"max_iters": 50.0})
@@ -679,6 +695,14 @@ class TestReplayTool:
         total = sum(int(row[2]) for row in rows)
         assert f"# against: iters total {total} -> {total} (+0.0 %)" in against
         assert any(line.startswith("# against: worst objective ratio 1.000000 ") for line in against)
+        assert "# against: fits more than 1e-05 above the saved objective 0" in against
+        # Against a run whose objectives were half as large, every fit counts.
+        saved.write_text("".join(
+            line if line.startswith("#") else "\t".join([*f[:4], repr(float(f[4]) / 2), f[5]])
+            for line in out.splitlines(True) for f in [line.split("\t")]
+        ))
+        against = self.run_tool("--against", str(saved)).splitlines()
+        assert f"# against: fits more than 1e-05 above the saved objective {len(rows)}" in against
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trial_count_override_validated(self, trials):

@@ -1,7 +1,7 @@
-"""Unit tests for the alternating-least-squares sensing receiver."""
+"""Unit tests for the least-squares sensing receiver."""
 
 from dataclasses import replace
-from itertools import permutations
+from itertools import product
 
 import math
 import re
@@ -10,20 +10,18 @@ import numpy as np
 import pytest
 
 from tensorisac import harness
-from tensorisac.exceptions import IdentifiabilityError
+from tensorisac.exceptions import AlsDivergenceError, IdentifiabilityError
 from tensorisac.sensing_als import (
     AlsConfig,
     align_permutation,
     als_fit,
-    build_right_factor,
     check_identifiability,
-    estimate_reflections,
     estimate_rx_steering,
-    estimate_tx_steering,
     extract_angles,
     gevd_start,
     remove_sensing_ambiguity,
     SensingEstimate,
+    _jacobian,
     _random_factors,
 )
 from tensorisac.signal_model import (
@@ -37,15 +35,18 @@ from tensorisac.signal_model import (
 from tensorisac.tensor_ops import unfold1_flat, unfold3_tall
 
 from helpers import (
+    build_right_factor,
+    estimate_reflections,
+    estimate_tx_steering,
     golden_section_angles,
-    oracle_als_fixed_schedule,
-    oracle_als_sweeps,
     oracle_extract_angles,
     oracle_gevd_start,
+    oracle_lm_steps,
     oracle_reflection_step,
     oracle_right_factor,
     oracle_rx_step,
     oracle_tx_step,
+    paper_als_fit,
     rebuild_sensing_tensor,
 )
 
@@ -96,7 +97,8 @@ def step_operands(y, code, pilots):
 
 
 class TestLeastSquaresSteps:
-    """Each ALS step is an exact LS solve: with the other factors at truth
+    """Each step of the paper's alternating fit (the reference ``als_fit`` is
+    judged against) is an exact LS solve: with the other factors at truth
     and noiseless data, one step recovers the remaining factor."""
 
     def setup_method(self):
@@ -198,11 +200,55 @@ def uncompressed_error(y, est, frame):
     return np.vdot(y - rebuilt, y - rebuilt).real / np.vdot(y, y).real
 
 
+def compressed_pilot_systems(frame):
+    """``x[n] = (U^H S) diag(code[n])``, the pilot systems als_fit fits on."""
+    u = np.linalg.svd(frame.s_data, full_matrices=False)[0]
+    return (u.conj().T @ frame.s_data) * frame.c[:, None, :]
+
+
+JACOBIAN_SHAPES = [  # m_r, m_t, k, n, p, parallel
+    (2, 2, 2, 3, 8, False),   # default
+    (4, 4, 3, 4, 64, False),  # sense_frame
+    (3, 2, 3, 4, 6, False),   # k > min(m_r, m_t)
+    (2, 4, 2, 4, 3, False),   # p < m_t
+    (1, 2, 2, 3, 8, False),   # m_r = 1
+    (2, 3, 2, 3, 8, True),    # two parallel pilot columns
+]
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", JACOBIAN_SHAPES)
+    def test_matches_central_differences(self, m_r, m_t, k, n, p, parallel):
+        # The model is linear in each single entry, so central differences
+        # are exact up to rounding; the model is holomorphic, so a real
+        # perturbation gives the complex derivative.
+        rng = np.random.default_rng(200 + p)
+        frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=p)
+        if parallel:
+            frame = parallel_pilot_columns(frame)
+        x = compressed_pilot_systems(frame)
+        factors = [random_complex(rng, m_r, k), random_complex(rng, m_t, k), random_complex(rng, n, k)]
+        theta = np.concatenate([f.ravel() for f in factors])
+        sizes = np.cumsum([f.size for f in factors])[:-1]
+
+        def model(theta):
+            a_rx, a_tx, gamma = (v.reshape(f.shape) for v, f in zip(np.split(theta, sizes), factors))
+            return np.einsum("ij,nj,nqt,tj->niq", a_rx, gamma, x, a_tx).ravel()
+
+        h = 1e-4
+        numeric = np.stack([(model(theta + h * e) - model(theta - h * e)) / (2 * h)
+                            for e in np.eye(theta.size)], axis=1)
+        jac = _jacobian(factors[0], factors[2], x, x @ factors[1])
+        assert jac.shape == (n * m_r * x.shape[1], (m_r + m_t + n) * k)
+        assert np.linalg.norm(jac - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+
 class TestPilotCompression:
     """als_fit solves every fit on the pilot-compressed tensor.  For every
     shape, p <= m_t, compressed systems with fewer rows than unknowns and
-    rank-deficient pilots included, its updates are those of plain sweeps on
-    the full tensor, and its error trace is the error on the full tensor."""
+    rank-deficient pilots included, its steps are those of Levenberg-Marquardt
+    on the full tensor (the two objectives differ by a constant), and its
+    error trace is the error on the full tensor."""
 
     @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", [
         (2, 2, 2, 3, 8, False), (4, 4, 3, 4, 64, False), (2, 3, 2, 3, 8, True),
@@ -211,8 +257,8 @@ class TestPilotCompression:
         (2, 4, 2, 4, 3, False),   # p < m_t
     ])
     def test_first_sweeps_match_uncompressed_oracle(self, m_r, m_t, k, n, p, parallel):
-        # Extrapolation starts at the third iteration, so two iterations
-        # are two plain sweeps from the start of restart 0.
+        # Each iteration is one accepted step over all three blocks, so two
+        # iterations are the oracle's first two steps from the start of restart 0.
         scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=p)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=p + 1)
         if parallel:
@@ -221,7 +267,7 @@ class TestPilotCompression:
         est = als_fit(y, frame, k, AlsConfig(init_seed=p, max_iters=2))
         rng = np.random.default_rng(np.random.SeedSequence([p, 0]))
         start = gevd_start(y, frame.s_data * frame.c[:, None, :], k, rng)
-        want = oracle_als_sweeps(y, frame.c, frame.s_data, *start, sweeps=2)
+        want = oracle_lm_steps(y, frame, start, steps=2)
         for got, ref in zip((est.a_rx_hat, est.a_tx_hat, est.gamma_hat), want):
             assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -266,7 +312,7 @@ class TestGevdStart:
         start = gevd_start(y, frame.s_data * frame.c[:, None, :], k, np.random.default_rng(seed))
         rebuilt = rebuild_sensing_tensor(*start, frame.c, frame.s_data)
         assert np.linalg.norm(rebuilt - y) ** 2 < 1e-10 * np.linalg.norm(y) ** 2
-        # the restart-0 fit starts there, so one sweep keeps the fit exact
+        # the restart-0 fit starts there, so one step keeps the fit exact
         fit = als_fit(y, frame, k, AlsConfig(init_seed=seed, max_iters=1))
         assert fit.nmse_trace[-1] < 1e-10
 
@@ -348,25 +394,40 @@ class TestAlsFit:
         # the count is the trace length, not a stored copy
         assert replace(est, nmse_trace=[1.0]).iters == 1
 
-    def test_every_iteration_calls_the_step_functions(self, monkeypatch):
-        # Per-sub-step timings are taken by wrapping these four module-level
-        # functions, so the loop must call them rather than inline copies.
+    def test_every_trace_entry_strictly_lowers_the_error(self):
+        # One entry per accepted step; only a converged fit may end with an
+        # entry equal to the one before it (the step could no longer change
+        # the parameters).
+        for noise_db, seed in product([None, 0.0, 10.0, 20.0, 30.0], range(10)):
+            scene, frame, y = reference_instance(seed=seed, noise_db=noise_db)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            start = gevd_start(y, frame.s_data * frame.c[:, None, :], 2, rng)
+            start_err = uncompressed_error(y, SensingEstimate(*start, [], False), frame)
+            est = als_fit(y, frame, 2, AlsConfig(init_seed=seed))
+            drops = -np.diff([start_err, *est.nmse_trace])
+            assert np.all(drops[:-1] > 0), (seed, drops)
+            assert drops[-1] > 0 or (drops[-1] == 0 and est.converged), (seed, drops)
+
+    def test_long_fit_keeps_the_damped_system_solvable(self, monkeypatch):
+        # Trial 8 at 0 dB of the default sweep with this base seed takes 75
+        # steps.  Without a floor the damping shrank by up to 3x per step to
+        # below the rounding of J^H J, and the solve met a singular matrix.
+        fits = []
+        monkeypatch.setattr(harness, "als_fit", lambda *args: fits.append(als_fit(*args)) or fits[-1])
+        harness.run_trial(replace(harness.default_config(), base_seed=4046804053), 0.0, 8)
+        assert fits[0].converged and fits[0].iters > 60
+
+    def test_non_finite_start_raises(self, monkeypatch):
+        # A start of non-finite error would make every damped step fail to
+        # lower it, so the fit stops before iterating.
         import tensorisac.sensing_als as als
 
-        calls = dict.fromkeys(
-            ("estimate_rx_steering", "estimate_tx_steering", "estimate_reflections", "build_right_factor"), 0
-        )
-        for name in calls:
-            def counted(*args, _fn=getattr(als, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(als, name, counted)
-        scene, frame, y = reference_instance(seed=2, noise_db=0.0)
-        est = als_fit(y, frame, 2, AlsConfig(max_iters=6, init_seed=1))
-        assert est.iters == 6
-        assert calls["estimate_rx_steering"] == calls["estimate_tx_steering"] == calls["estimate_reflections"] == 6
-        # one before the first sweep, one per sweep, one per extrapolation (from the third)
-        assert calls["build_right_factor"] == 1 + 6 + 4
+        scene, frame, y = reference_instance(seed=7)
+        start = list(gevd_start(y, frame.s_data * frame.c[:, None, :], 2, np.random.default_rng(0)))
+        start[2] = np.full_like(start[2], np.nan)
+        monkeypatch.setattr(als, "gevd_start", lambda *args: tuple(start))
+        with pytest.raises(AlsDivergenceError, match="at the start of restart 0"):
+            als_fit(y, frame, 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
     def test_rejects_a_tensor_whose_energy_is_not_finite(self, bad):
@@ -399,14 +460,27 @@ class TestAlsFit:
                 AlsConfig(rcond=bad)
 
 
-class TestExtrapolationSchedule:
-    """The adaptive extrapolation step against the fixed ``it ** (1/3)`` step
-    it replaced, on 28 fixed default-shape instances from 0 to 30 dB plus one
-    swamp: trial 9 at 0 dB of the default sweep, where the fixed step needs
-    389 iterations and steps that lengthen too eagerly stop 0.57 % short of
-    its error."""
+def fit_against_paper_als(instances):
+    """Per-fit final objectives, iteration counts and cap flags of als_fit and
+    of the paper's alternating fit, plus als_fit's worst per-step rise."""
+    rows, worst_rise = [], -np.inf
+    for y, frame, k, cfg in instances:
+        est, oracle = als_fit(y, frame, k, cfg), paper_als_fit(y, frame, k, cfg)
+        trace = np.asarray(est.nmse_trace)
+        if trace.size > 1:
+            worst_rise = max(worst_rise, float(np.max(np.diff(trace) / trace[:-1])))
+        rows.append((trace[-1], oracle.nmse_trace[-1], est.iters, oracle.iters, est.converged, oracle.converged))
+    return np.array(rows), worst_rise
+
+
+class TestAgainstPaperAls:
+    """Levenberg-Marquardt against the paper's alternating fit (with the
+    adaptive extrapolation it shipped with), from the same starts."""
 
     def test_fewer_iterations_to_the_same_fit(self, monkeypatch):
+        # 28 fixed default-shape instances from 0 to 30 dB plus one swamp:
+        # trial 9 at 0 dB of the default sweep, where the fixed extrapolation
+        # step needed 389 iterations.
         instances = []
         for snr in range(0, 31, 5):
             for rep in range(4):
@@ -415,17 +489,32 @@ class TestExtrapolationSchedule:
                 instances.append((y, frame, 2, AlsConfig(init_seed=seed)))
         monkeypatch.setattr(harness, "als_fit", lambda *args: instances.append(args) or als_fit(*args))
         harness.run_trial(harness.default_config(), 0.0, 9)
-        iters = oracle_iters = 0
-        for y, frame, k, cfg in instances:
-            oracle = oracle_als_fixed_schedule(y, frame, k, init_seed=cfg.init_seed)
-            est = als_fit(y, frame, k, cfg)
-            trace = np.asarray(est.nmse_trace)
-            assert np.all(np.diff(trace) <= 1e-12 * trace[:-1]), cfg.init_seed
-            assert trace[-1] <= 1.001 * oracle[-1], cfg.init_seed
-            iters += est.iters
-            oracle_iters += len(oracle)
         assert len(instances) == 29
-        assert iters <= 0.75 * oracle_iters, (iters, oracle_iters)
+        rows, worst_rise = fit_against_paper_als(instances)
+        assert worst_rise <= 0.0
+        assert np.all(rows[:, 0] <= rows[:, 1] * (1 + 1e-5)), rows[:, 0] / rows[:, 1]
+        assert rows[:, 2].sum() <= 0.5 * rows[:, 3].sum(), (rows[:, 2].sum(), rows[:, 3].sum())
+
+    def test_p_below_m_t_weak_spot(self):
+        # Fewer pilots than transmit antennas (m_r=3, m_t=4, p=3, n=4, k=2) at
+        # 20 dB: the family where the alternating fit crawls.  Measured on
+        # these 60 fits: it hits the cap once and needs 8 097 iterations;
+        # Levenberg-Marquardt needs 1 392, ends lower in 14 fits and higher
+        # in one (by 8 %, a different local minimum that a tighter tol does
+        # not leave).
+        instances = []
+        for seed in range(60):
+            scene = sample_scene(k=2, n=4, sigma=1.0, m_r=3, m_t=4, seed=seed)
+            frame = sample_frame(p=3, m_t=4, n=4, order=4, seed=seed + 1)
+            y = add_noise(sensing_forward(scene, frame), 20.0, seed=seed + 2)
+            instances.append((y, frame, 2, AlsConfig(init_seed=seed)))
+        rows, worst_rise = fit_against_paper_als(instances)
+        assert worst_rise <= 0.0
+        assert rows[:, 4].all()
+        worse = int(np.sum(rows[:, 0] > rows[:, 1] * (1 + 1e-5)))
+        better = int(np.sum(rows[:, 0] < rows[:, 1] * (1 - 1e-5)))
+        assert worse <= 1 and better >= 10, (worse, better)
+        assert rows[:, 2].sum() <= 0.5 * rows[:, 3].sum(), (rows[:, 2].sum(), rows[:, 3].sum())
 
 
 class TestAmbiguityRemoval:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Replay the sensing ALS fits of an experiment config on fixed inputs.
+"""Replay the sensing fits of an experiment config on fixed inputs.
 
 Runs ``harness.run_trial`` for trials ``0 .. T-1`` of every grid point of a
 config, in grid order, and records what each ``als_fit`` call returned.  A
@@ -12,8 +12,10 @@ converged, final objective, ``nmse_ar``), then ``#`` lines with the totals:
 iterations (total, p50, p90, max), capped fits, the geometric mean of the
 nonzero ``nmse_ar`` values and the count of fits that read exactly zero.
 With ``--against`` it also compares with a file this tool wrote for another
-checkout: iteration totals, capped fits and the worst ratio of a fit's final
-objective to the saved one.  Run from the repository root::
+checkout: iteration totals, capped fits, the worst ratio of a fit's final
+objective to the saved one and the count of fits that end more than
+``WORSE_REL`` (relative) above their saved objective.  Run from the
+repository root::
 
     PYTHONPATH=src python3 tools/replay_als.py bench/configs/snr_sweep.json --trials 60 > parent.tsv
     PYTHONPATH=src python3 tools/replay_als.py bench/configs/snr_sweep.json --trials 60 --against parent.tsv
@@ -41,6 +43,10 @@ from tensorisac import harness
 from tensorisac.exceptions import ConfigError
 
 COLUMNS = ("sweep_value", "trial", "iters", "converged", "objective", "nmse_ar")
+
+# A fit whose final objective exceeds the saved one by more than this
+# fraction counts as worse than the saved fit.
+WORSE_REL = 1e-5
 
 
 def replay(cfg: harness.ExperimentConfig) -> list[tuple]:
@@ -99,6 +105,7 @@ def compare(rows: list[tuple], saved: list[tuple]) -> list[str]:
         f"# against: capped {sum(not s[3] for s in saved)} -> {sum(not r[3] for r in rows)}",
         f"# against: worst objective ratio {ratios[worst]:.6f} "
         f"(sweep_value {rows[worst][0]:g}, trial {rows[worst][1]})",
+        f"# against: fits more than {WORSE_REL:g} above the saved objective {sum(q > 1.0 + WORSE_REL for q in ratios)}",
     ]
 
 
