@@ -69,10 +69,12 @@ DIMS = ("m_t", "m_r", "m_u", "p", "n", "k", "l")
 INTEGERS = DIMS + ("constellation", "trials", "base_seed", "jobs")
 ANGLES = ("sensing_aoa", "sensing_aod", "comm_aoa", "comm_aod")
 SYMBOL_ATOL = 1e-9  # two symbols closer than this are the same constellation point
-# Largest reflection std: the energy of the sensing tensor and the fit's normal
+# Reflection std range: the energy of the sensing tensor and the fit's normal
 # equations square it, and stay below the largest double (1.8e308) with a
-# margin of about 1e108 for the tensor's size and the Gaussian tail.
-GAMMA_STD_MAX = 1e100
+# margin of about 1e108 for the tensor's size and the Gaussian tail.  Below
+# the floor the squares leave the normal doubles (from 2.2e-308): at 1e-160
+# nmse_gamma reads inf, at 1e-200 every trial fails.
+GAMMA_STD_MIN, GAMMA_STD_MAX = 1e-100, 1e100
 
 
 # ------------------------------ configuration ------------------------------ #
@@ -136,6 +138,8 @@ class ExperimentConfig:
             problems.append("gamma_std must be positive and finite")
         elif self.gamma_std > GAMMA_STD_MAX:
             problems.append(f"gamma_std must be at most {GAMMA_STD_MAX:g}, or the sensing tensor overflows")
+        elif self.gamma_std < GAMMA_STD_MIN:
+            problems.append(f"gamma_std must be at least {GAMMA_STD_MIN:g}, or its squares underflow")
         if not (math.isfinite(self.es_n0_db) or self.es_n0_db == math.inf):
             problems.append("es_n0_db must be finite or +inf")
         if not all(map(cmath.isfinite, self.comm_gains)):

@@ -41,6 +41,14 @@ rule below ends the fit; this is how exact fits end at the numerical floor.
 The two column scalings below leave ``J^H J`` singular; the damping keeps
 the system solvable, and ``J^H r`` has no component along them.
 
+``J`` is mostly zero: entry ``M_n[i, q]`` depends on ``a_rx`` only through
+row ``i`` and on ``gamma`` only through row ``n``.  :func:`als_fit` allocates
+it once per call as a zero buffer and every iteration overwrites only its
+three blocks that can be nonzero, through writable views of the buffer,
+from the products ``a_rx * gamma`` and ``x @ a_tx`` that the residual of
+the current iterate already formed; :func:`_jacobian` is the same fill on a
+fresh buffer.
+
 The first restart starts from a closed-form estimate (:func:`gevd_start`):
 once the pilots are inverted slot by slot, every slice is
 ``A_rx diag(gamma[n]) A_tx^T``, and when ``k <= min(m_r, m_t)`` simultaneous
@@ -267,22 +275,48 @@ def gevd_start(
     return a_rx, left.T, (sigma[:, None] * right.conj()).T
 
 
+def _jacobian_blocks(jac: np.ndarray, n_slots: int, m_r: int, m_t: int, k: int):
+    """Writable views ``(d_rx, d_tx, d_gamma)`` of the blocks of a Jacobian
+    buffer ``jac`` (C order, one row per entry of the slices, one column per
+    entry of ``a_rx``, ``a_tx`` and ``gamma``) that can be nonzero.
+
+    Each view has shape ``(n, m_r, r, k)`` except ``d_tx``, ``(n, m_r, r, m_t, k)``:
+    entry ``M_n[i, q]`` depends on ``a_rx[i', j]`` only for ``i' = i`` and on
+    ``gamma[n', j]`` only for ``n' = n``, so those two blocks are diagonals.
+    """
+    r = jac.shape[0] // (n_slots * m_r)
+    rx_end, tx_end = m_r * k, (m_r + m_t) * k
+    d_rx = np.einsum("nirik->nirk", jac[:, :rx_end].reshape(n_slots, m_r, r, m_r, k))
+    d_tx = jac[:, rx_end:tx_end].reshape(n_slots, m_r, r, m_t, k)
+    d_gamma = np.einsum("nirnk->nirk", jac[:, tx_end:].reshape(n_slots, m_r, r, n_slots, k))
+    return d_rx, d_tx, d_gamma
+
+
+def _fill_jacobian(blocks, a_rx: np.ndarray, gamma: np.ndarray, x: np.ndarray, a_gamma: np.ndarray, g: np.ndarray):
+    """Overwrite the :func:`_jacobian_blocks` views with the derivatives at
+    ``(a_rx, gamma)`` and ``g = x @ a_tx``, ``a_gamma = a_rx * gamma[:, None, :]``;
+    every other entry of the buffer stays zero."""
+    d_rx, d_tx, d_gamma = blocks
+    d_rx[...] = (gamma[:, None, :] * g)[:, None]
+    d_tx[...] = a_gamma[:, :, None, None, :] * x[:, None, :, :, None]
+    d_gamma[...] = a_rx[:, None, :] * g[:, None]
+
+
 def _jacobian(a_rx: np.ndarray, gamma: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Jacobian of the slices ``M_n = (a_rx diag(gamma[n])) g[n]^T``, ``g[n] = x[n] @ a_tx``.
 
     Row ``(n, i, q)`` (C order) is entry ``M_n[i, q]``; the columns are the
-    C-order entries of ``a_rx``, ``a_tx`` and ``gamma``, one broadcast block each.
+    C-order entries of ``a_rx``, ``a_tx`` and ``gamma``.  Most entries are
+    zero: a zero buffer whose nonzero blocks :func:`_fill_jacobian` writes
+    through the views of :func:`_jacobian_blocks`.  :func:`als_fit` keeps one
+    such buffer per call and refills it every iteration; this function is
+    the same fill on a fresh buffer.
     """
     n_slots, r, m_t = x.shape
     m_r, k = a_rx.shape
-    a_gamma = a_rx * gamma[:, None, :]
-    d_rx = np.eye(m_r)[:, None, :, None] * (gamma[:, None, :] * g)[:, None, :, None, :]
-    d_tx = a_gamma[:, :, None, None, :] * x[:, None, :, :, None]
-    d_gamma = np.eye(n_slots)[:, None, None, :, None] * (a_rx[:, None, :] * g[:, None, :, :])[:, :, :, None, :]
-    rows = n_slots * m_r * r
-    return np.concatenate(
-        [d_rx.reshape(rows, m_r * k), d_tx.reshape(rows, m_t * k), d_gamma.reshape(rows, n_slots * k)], axis=1
-    )
+    jac = np.zeros((n_slots * m_r * r, (m_r + m_t + n_slots) * k), dtype=complex)
+    _fill_jacobian(_jacobian_blocks(jac, n_slots, m_r, m_t, k), a_rx, gamma, x, a_rx * gamma[:, None, :], g)
+    return jac
 
 
 def als_fit(
@@ -341,16 +375,19 @@ def als_fit(
     x = (u.conj().T @ pilots) * code[:, None, :]
     rx_end, tx_end = m_r * k, (m_r + m_t) * k
     damping = np.eye((m_r + m_t + n_slots) * k)
+    jac = np.zeros((n_slots * m_r * x.shape[1], damping.shape[0]), dtype=complex)
+    blocks = _jacobian_blocks(jac, n_slots, m_r, m_t, k)
 
     def unpack(theta):
         return theta[:rx_end].reshape(m_r, k), theta[rx_end:tx_end].reshape(m_t, k), theta[tx_end:].reshape(n_slots, k)
 
     def residual(theta):
-        """Residual slices ``Z_n - M_n``, ``g = x @ a_tx`` and the normalized error."""
+        """Residual slices ``Z_n - M_n``, the products ``(a_rx * gamma, x @ a_tx)``
+        that build them and the Jacobian, and the normalized error."""
         a_rx, a_tx, gamma = unpack(theta)
-        g = x @ a_tx
-        r = z - (a_rx * gamma[:, None, :]) @ g.transpose(0, 2, 1)
-        return r, g, (np.vdot(r, r).real + outside) / y_energy
+        a_gamma, g = a_rx * gamma[:, None, :], x @ a_tx
+        r = z - a_gamma @ g.transpose(0, 2, 1)
+        return r, (a_gamma, g), (np.vdot(r, r).real + outside) / y_energy
 
     best: SensingEstimate | None = None
     for restart in range(cfg.n_restarts):
@@ -360,7 +397,7 @@ def als_fit(
         else:
             start = _random_factors(rng, m_r, m_t, n_slots, k)
         theta = np.concatenate([f.ravel() for f in start])
-        r, g, err = residual(theta)
+        r, products, err = residual(theta)
         if not math.isfinite(err):
             raise AlsDivergenceError(f"non-finite reconstruction error at the start of restart {restart}")
         trace: list[float] = []
@@ -369,7 +406,7 @@ def als_fit(
         mu, nu = None, 2.0
         for _ in range(cfg.max_iters):
             a_rx, _, gamma = unpack(theta)
-            jac = _jacobian(a_rx, gamma, x, g)
+            _fill_jacobian(blocks, a_rx, gamma, x, *products)
             jac_h = jac.conj().T
             normal = jac_h @ jac
             grad = jac_h @ r.reshape(-1)
@@ -382,13 +419,13 @@ def als_fit(
                 if step_sq <= EPS**2 * np.vdot(theta, theta).real:
                     break
                 trial = theta + step
-                r_new, g_new, err_new = residual(trial)
+                r_new, products_new, err_new = residual(trial)
                 if err_new < err:
                     # Gain ratio: actual over predicted decrease of ||r||^2.
                     rho = (err - err_new) * y_energy / (np.vdot(step, grad).real + mu * step_sq)
                     mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
                     nu = 2.0
-                    theta, r, g, err = trial, r_new, g_new, err_new
+                    theta, r, products, err = trial, r_new, products_new, err_new
                     break
                 mu *= nu
                 nu *= 2.0

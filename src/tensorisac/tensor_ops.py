@@ -124,13 +124,17 @@ def best_rank_one(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float | np.nda
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2:
         raise ValueError(f"best_rank_one expects a matrix or a stack of matrices, got ndim={m.ndim}")
-    if not np.all(np.any(m, axis=(-2, -1))):
-        raise ValueError("best_rank_one is undefined for an all-zero matrix")
+    if 0 in m.shape[-2:]:
+        raise ValueError(f"best_rank_one is undefined for an empty matrix, got shape {m.shape}")
     u_full, s, vh = np.linalg.svd(m, full_matrices=False)
+    sigma = s[..., 0]
+    # Only an all-zero matrix has a zero largest singular value.
+    if not np.all(sigma > 0.0):
+        raise ValueError("best_rank_one is undefined for an all-zero matrix")
     u = u_full[..., 0]
     v = vh[..., 0, :].conj()
-    big = np.abs(u) > 1e-12
-    lead = np.take_along_axis(u, np.argmax(big, axis=-1)[..., None], axis=-1)
-    lead = np.where(np.any(big, axis=-1, keepdims=True), lead, 1.0)
+    # u has unit norm, so some entry exceeds 1e-12 in magnitude.
+    flat = u.reshape(-1, u.shape[-1])
+    lead = flat[np.arange(flat.shape[0]), np.argmax(np.abs(flat) > 1e-12, axis=-1)].reshape(u.shape[:-1] + (1,))
     phase = (lead / np.abs(lead)).conj()
-    return u * phase, v * phase, s[..., 0]
+    return u * phase, v * phase, sigma

@@ -166,6 +166,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^gamma_std must be at most 1e"):
             replace(cfg, gamma_std=math.nextafter(harness.GAMMA_STD_MAX, math.inf)).validate()
 
+    def test_smallest_gamma_std_runs_with_finite_metrics(self):
+        # Just above the floor a trial at every grid point runs, and every
+        # metric is finite; below it validate() rejects the value.  At 1e-160
+        # nmse_gamma used to read inf, at 1e-200 every trial failed.
+        cfg = replace(default_config(), gamma_std=math.nextafter(harness.GAMMA_STD_MIN, math.inf))
+        cfg.validate()
+        for value in cfg.sweep_values:
+            record = run_trial(cfg, value, 0)
+            assert all(math.isfinite(getattr(record, name)) for name in METRIC_COLUMNS), record
+        for below in (math.nextafter(harness.GAMMA_STD_MIN, 0.0), 1e-160, 1e-200):
+            with pytest.raises(ConfigError, match="^gamma_std must be at least 1e-100, or its squares underflow$"):
+                replace(cfg, gamma_std=below).validate()
+
     def test_check_accepts_exactly_what_the_first_trial_runs(self):
         # validate() raises ConfigError, and nothing else, exactly when some
         # sweep point's first trial raises.  Every shape runs at one noise level.
@@ -605,6 +618,8 @@ class TestCli:
             ({"sweep": {"values": [-3100.0, 0.0]}}, "noise variance 10 ** (3100.0 / 10) overflows"),
             ({"sweep": {"values": [0.0, 1e303]}}, "to have a seed key: [1e+303]"),
             ({"gamma_std": 1e200}, "gamma_std must be at most 1e+100"),
+            ({"gamma_std": 1e-160}, "gamma_std must be at least 1e-100"),
+            ({"gamma_std": 1e-200}, "gamma_std must be at least 1e-100"),
         ):
             proc = self.run_cli("check", "--config", write_config(tmp_path, **overrides))
             assert proc.returncode == 2 and message in proc.stderr, (overrides, proc.stderr)
@@ -696,6 +711,16 @@ class TestReplayTool:
         assert f"# against: iters total {total} -> {total} (+0.0 %)" in against
         assert any(line.startswith("# against: worst objective ratio 1.000000 ") for line in against)
         assert "# against: fits more than 1e-05 above the saved objective 0" in against
+        assert f"# against: fits identical {len(rows)} of {len(rows)}" in against
+        # One saved objective moved by one ulp: that fit alone is no longer identical.
+        edited = out.splitlines(True)
+        first = next(i for i, line in enumerate(edited) if not line.startswith("#"))
+        fields = edited[first].split("\t")
+        fields[4] = repr(math.nextafter(float(fields[4]), math.inf))
+        edited[first] = "\t".join(fields)
+        saved.write_text("".join(edited))
+        against = self.run_tool("--against", str(saved)).splitlines()
+        assert f"# against: fits identical {len(rows) - 1} of {len(rows)}" in against
         # Against a run whose objectives were half as large, every fit counts.
         saved.write_text("".join(
             line if line.startswith("#") else "\t".join([*f[:4], repr(float(f[4]) / 2), f[5]])

@@ -21,7 +21,9 @@ from tensorisac.sensing_als import (
     gevd_start,
     remove_sensing_ambiguity,
     SensingEstimate,
+    _fill_jacobian,
     _jacobian,
+    _jacobian_blocks,
     _random_factors,
 )
 from tensorisac.signal_model import (
@@ -213,6 +215,8 @@ JACOBIAN_SHAPES = [  # m_r, m_t, k, n, p, parallel
     (2, 4, 2, 4, 3, False),   # p < m_t
     (1, 2, 2, 3, 8, False),   # m_r = 1
     (2, 3, 2, 3, 8, True),    # two parallel pilot columns
+    (2, 1, 2, 1, 8, False),   # n = 1 (the code needs n >= m_t): a dense reflection block
+    (2, 3, 1, 3, 8, False),   # k = 1
 ]
 
 
@@ -241,6 +245,36 @@ class TestJacobian:
         jac = _jacobian(factors[0], factors[2], x, x @ factors[1])
         assert jac.shape == (n * m_r * x.shape[1], (m_r + m_t + n) * k)
         assert np.linalg.norm(jac - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+    @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", JACOBIAN_SHAPES)
+    def test_refilled_buffer_is_a_fresh_jacobian(self, m_r, m_t, k, n, p, parallel):
+        # als_fit refills one buffer per call; after a fill at point A and one
+        # at point B it must hold exactly what a fresh buffer filled at B
+        # holds, nothing of A, with zeros everywhere the model has none.
+        rng = np.random.default_rng(300 + p)
+        frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=p)
+        if parallel:
+            frame = parallel_pilot_columns(frame)
+        x = compressed_pilot_systems(frame)
+        r = x.shape[1]
+        jac = np.zeros((n * m_r * r, (m_r + m_t + n) * k), dtype=complex)
+        blocks = _jacobian_blocks(jac, n, m_r, m_t, k)
+        for _ in range(2):  # point A, then point B
+            a_rx, a_tx, gamma = random_complex(rng, m_r, k), random_complex(rng, m_t, k), random_complex(rng, n, k)
+            g = x @ a_tx
+            _fill_jacobian(blocks, a_rx, gamma, x, a_rx * gamma[:, None, :], g)
+        fresh = _jacobian(a_rx, gamma, x, g)
+        assert np.array_equal(jac.view(np.uint64), fresh.view(np.uint64))
+        # Entry (n, i, q) depends on a_rx[i', j] only for i' = i, on every
+        # a_tx entry, and on gamma[n', j] only for n' = n.
+        row_slot, row_rx = np.unravel_index(np.arange(jac.shape[0]), (n, m_r, r))[:2]
+        structural = np.concatenate([
+            np.repeat(row_rx[:, None] == np.arange(m_r), k, axis=1),
+            np.ones((jac.shape[0], m_t * k), dtype=bool),
+            np.repeat(row_slot[:, None] == np.arange(n), k, axis=1),
+        ], axis=1)
+        assert np.array_equal(jac != 0.0, structural)
+        assert not jac.view(np.uint64).reshape(jac.shape + (2,))[~structural].any()
 
 
 class TestPilotCompression:

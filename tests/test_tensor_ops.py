@@ -177,12 +177,35 @@ class TestBestRankOne:
         assert abs(lead.imag) < 1e-12 and lead.real > 0
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all-zero"):
             best_rank_one(np.zeros((3, 3), dtype=complex))
-        stack = np.ones((3, 2, 2), dtype=complex)
-        stack[1] = 0.0
-        with pytest.raises(ValueError):
-            best_rank_one(stack)
+        for idx in (0, 1, -1):  # first, inside and last in a stack
+            stack = np.ones((3, 2, 2), dtype=complex)
+            stack[idx] = 0.0
+            with pytest.raises(ValueError, match="all-zero"):
+                best_rank_one(stack)
+        for shape in ((3, 0), (0, 3), (2, 0, 3)):
+            with pytest.raises(ValueError, match="empty matrix"):
+                best_rank_one(np.zeros(shape, dtype=complex))
+
+    def test_tiny_and_subnormal_matrices_accepted(self):
+        # The zero check is on the largest singular value; LAPACK scales tiny
+        # inputs, so nothing that is not all zero reads zero.
+        rng = np.random.default_rng(18)
+        m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        u, v, sigma = best_rank_one(m)
+        u_tiny, v_tiny, sigma_tiny = best_rank_one(1e-300 * m)
+        assert np.allclose(u_tiny, u, atol=1e-12) and np.allclose(v_tiny, v, atol=1e-12)
+        assert abs(sigma_tiny / (1e-300 * sigma) - 1.0) < 1e-12
+        with_zero, with_subnormal = m.copy(), m.copy()
+        with_zero[0, 0], with_subnormal[0, 0] = 0.0, 1e-320
+        for got, want in zip(best_rank_one(with_subnormal), best_rank_one(with_zero)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+        only_subnormal = np.zeros((3, 4), dtype=complex)
+        only_subnormal[1, 2] = 5e-324j
+        u, v, sigma = best_rank_one(only_subnormal)
+        assert sigma == 5e-324
+        assert np.array_equal(u, [0, 1, 0]) and np.array_equal(np.abs(v), [0, 0, 1, 0])
 
     def test_stack_equals_per_matrix_loop(self):
         rng = np.random.default_rng(19)

@@ -13,9 +13,10 @@ iterations (total, p50, p90, max), capped fits, the geometric mean of the
 nonzero ``nmse_ar`` values and the count of fits that read exactly zero.
 With ``--against`` it also compares with a file this tool wrote for another
 checkout: iteration totals, capped fits, the worst ratio of a fit's final
-objective to the saved one and the count of fits that end more than
-``WORSE_REL`` (relative) above their saved objective.  Run from the
-repository root::
+objective to the saved one, the count of fits that end more than
+``WORSE_REL`` (relative) above their saved objective and the count of fits
+identical to the saved ones (iterations, convergence, objective and
+``nmse_ar`` all exactly equal).  Run from the repository root::
 
     PYTHONPATH=src python3 tools/replay_als.py bench/configs/snr_sweep.json --trials 60 > parent.tsv
     PYTHONPATH=src python3 tools/replay_als.py bench/configs/snr_sweep.json --trials 60 --against parent.tsv
@@ -106,6 +107,7 @@ def compare(rows: list[tuple], saved: list[tuple]) -> list[str]:
         f"# against: worst objective ratio {ratios[worst]:.6f} "
         f"(sweep_value {rows[worst][0]:g}, trial {rows[worst][1]})",
         f"# against: fits more than {WORSE_REL:g} above the saved objective {sum(q > 1.0 + WORSE_REL for q in ratios)}",
+        f"# against: fits identical {sum(r[2:] == s[2:] for r, s in zip(rows, saved))} of {len(rows)}",
     ]
 
 
