@@ -75,6 +75,13 @@ SYMBOL_ATOL = 1e-9  # two symbols closer than this are the same constellation po
 # the floor the squares leave the normal doubles (from 2.2e-308): at 1e-160
 # nmse_gamma reads inf, at 1e-200 every trial fails.
 GAMMA_STD_MIN, GAMMA_STD_MAX = 1e-100, 1e100
+# Nonzero path gain magnitudes, alike: at 1e-155 the noiseless ser_zf read 0.625.
+COMM_GAIN_MIN, COMM_GAIN_MAX = GAMMA_STD_MIN, GAMMA_STD_MAX
+# Noise variance N0 per link: at most NOISE_MAX * min(1, signal power), the
+# power being gamma_std**2 or the smallest channel column energy.  The sensing
+# tensor's energy overflowed from N0 ~ 1e307, nmse_gamma and nmse_h (about N0
+# over the power) from a ratio of ~ 1e308: a 1e58 margin.
+NOISE_MAX = 1e250
 
 
 # ------------------------------ configuration ------------------------------ #
@@ -111,8 +118,9 @@ class ExperimentConfig:
         one check of values, for loaded and in-code configs alike, NaN and
         infinities included.  Each sweep point is then judged by the functions
         its trials call (``check_identifiability``, ``krst_code``,
-        ``build_comm_link``, ``zf_channel_energy``, ``add_noise``); the first
-        error is reported."""
+        ``build_comm_link``, ``zf_channel_energy``, ``add_noise``) and then
+        by the noise floor of each link (``NOISE_MAX``); the first error is
+        reported."""
         ints = {name: getattr(self, name) for name in INTEGERS}
         not_ints = [f"{name} must be an integer, got {v!r}" for name, v in ints.items()
                     if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
@@ -144,6 +152,9 @@ class ExperimentConfig:
             problems.append("es_n0_db must be finite or +inf")
         if not all(map(cmath.isfinite, self.comm_gains)):
             problems.append("comm_gains must be finite")
+        elif not all(g == 0.0 or COMM_GAIN_MIN <= abs(g) <= COMM_GAIN_MAX for g in self.comm_gains):
+            problems.append(f"nonzero comm_gains magnitudes must lie in [{COMM_GAIN_MIN:g}, {COMM_GAIN_MAX:g}], "
+                            "or the comm link's squares underflow or overflow")
         if self.base_seed < 0:
             problems.append("base_seed must be non-negative")
         if self.sweep_variable not in SWEEP_VARIABLES:
@@ -173,8 +184,13 @@ class ExperimentConfig:
                 check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k)
                 krst_code(pt.n, pt.m_t)
                 link = build_comm_link(pt.comm_aoa, pt.comm_aod, pt.comm_gains, m_u=pt.m_u, m_t=pt.m_t)
-                zf_channel_energy(link.h)
+                comm_signal = zf_channel_energy(link.h).min()
                 add_noise(np.zeros(0), pt.es_n0_db)
+                n0 = 10.0 ** (-pt.es_n0_db / 10.0)
+                for name, signal in (("sensing", pt.gamma_std**2), ("comm", comm_signal)):
+                    if n0 > NOISE_MAX * min(signal, 1.0):
+                        raise ValueError(f"{name} link noise variance {n0:.3g} exceeds {NOISE_MAX:g} * "
+                                         f"min(1, signal power {signal:.3g}), so it overflows")
             except ValueError as exc:
                 raise ConfigError(f"sweep point {self.sweep_variable}={value}: {exc}") from exc
 

@@ -46,16 +46,16 @@ row ``i`` and on ``gamma`` only through row ``n``.  :func:`als_fit` allocates
 it once per call as a zero buffer and every iteration overwrites only its
 three blocks that can be nonzero, through writable views of the buffer,
 from the products ``a_rx * gamma`` and ``x @ a_tx`` that the residual of
-the current iterate already formed; :func:`_jacobian` is the same fill on a
-fresh buffer.
+the current iterate already formed.
 
 The first restart starts from a closed-form estimate (:func:`gevd_start`):
-once the pilots are inverted slot by slot, every slice is
-``A_rx diag(gamma[n]) A_tx^T``, and when ``k <= min(m_r, m_t)`` simultaneous
-diagonalization of two random slice combinations recovers all three factors,
-exactly on noiseless data.  The iteration then refines that estimate to the
-least-squares fit.  Where the closed form does not apply, and for every
-further restart, the start is seeded random.
+slot ``n``'s pilot system is the pilot block times ``diag(code[n])``, so one
+inversion of the pilot block and a division by each code row turn every
+slice into ``A_rx diag(gamma[n]) A_tx^T``, and when ``k <= min(m_r, m_t)``
+simultaneous diagonalization of two random slice combinations recovers all
+three factors, exactly on noiseless data.  The iteration then refines that
+estimate to the least-squares fit.  Where the closed form does not apply,
+and for every further restart, the start is seeded random.
 
 Convergence is declared when the error change between consecutive
 iterations falls below ``tol`` relative to the previous error; an absolute
@@ -231,14 +231,18 @@ def _random_factors(rng: np.random.Generator, m_r: int, m_t: int, n: int, k: int
 
 def gevd_start(
     tensor: np.ndarray,
-    x: np.ndarray,
+    pilots: np.ndarray,
+    code: np.ndarray,
     num_targets: int,
     rng: np.random.Generator,
     rcond: float = 1e-12,
 ):
     """Closed-form start ``(a_rx, a_tx, gamma)`` by simultaneous diagonalization.
 
-    With ``x[n] = X_n = pilots @ diag(code[n])`` of full column rank, each slot gives
+    Slot ``n``'s pilot system is ``X_n = pilots @ diag(code[n])``, so for
+    ``pilots`` of full column rank and a code without zero entries
+    ``pinv(X_n).T = pinv(pilots).T diag(1 / code[n])``: one SVD of the pilot
+    block inverts every slot, and each slot gives
     ``M_n = Y_n @ pinv(X_n).T = A_rx diag(gamma[n]) A_tx^T``.  Projected onto
     the leading ``k`` left singular vectors ``U_1``, ``U_2`` of the mode-1 and
     mode-2 unfoldings of ``M``, the slices become ``B diag(gamma[n]) C^T`` with
@@ -248,23 +252,22 @@ def gevd_start(
     ``pinv(A_rx) M_n`` is ``gamma[n, j] A_tx[:, j]^T``, a rank-one matrix over
     the slots that :func:`best_rank_one` splits.  Exact on noiseless data.
 
-    Falls back to the seeded random start when the model does not allow it:
-    ``k > min(m_r, m_t)``, fewer than two slots, or a slot whose pilot system
-    ``X_n`` has rank below ``m_t`` (fewer pilots than transmit antennas,
-    parallel pilot columns, a zero code entry).  The fallback draws the same
-    numbers from ``rng`` as the random start would.
+    Falls back to the seeded random start, with the same draws from ``rng``,
+    when the model does not allow it: ``k > min(m_r, m_t)``, fewer than two
+    slots, pilots of rank below ``m_t`` (fewer rows than ``m_t``, or a
+    singular value at or below ``rcond`` times the largest) or a zero code entry.
     """
     tensor = np.asarray(tensor)
     m_r = tensor.shape[0]
-    n_slots, p, m_t = x.shape
+    (p, m_t), n_slots = pilots.shape, code.shape[0]
     k = num_targets
-    if k > min(m_r, m_t) or n_slots < 2 or p < m_t:
+    if k > min(m_r, m_t) or n_slots < 2 or p < m_t or np.any(code == 0.0):
         return _random_factors(rng, m_r, m_t, n_slots, k)
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    if np.any(s[:, -1] <= rcond * s[:, 0]):
+    u, s, vh = np.linalg.svd(pilots, full_matrices=False)
+    if s[-1] <= rcond * s[0]:
         return _random_factors(rng, m_r, m_t, n_slots, k)
-    # slices[n] = Y_n conj(U_n) diag(1/s_n) conj(Vh_n), i.e. Y_n @ pinv(X_n).T
-    slices = tensor.transpose(2, 0, 1) @ (u.conj() @ (vh.conj() / s[:, :, None]))
+    # slices[n] = Y_n conj(U) diag(1/s) conj(Vh) diag(1/code[n]), i.e. Y_n @ pinv(X_n).T
+    slices = tensor.transpose(2, 0, 1) @ (u.conj() @ (vh.conj() / s[:, None])) / code[:, None, :]
     u1 = np.linalg.svd(slices.transpose(1, 2, 0).reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
     u2 = np.linalg.svd(slices.transpose(2, 1, 0).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
     core = u1.conj().T @ slices @ u2.conj()
@@ -277,8 +280,10 @@ def gevd_start(
 
 def _jacobian_blocks(jac: np.ndarray, n_slots: int, m_r: int, m_t: int, k: int):
     """Writable views ``(d_rx, d_tx, d_gamma)`` of the blocks of a Jacobian
-    buffer ``jac`` (C order, one row per entry of the slices, one column per
-    entry of ``a_rx``, ``a_tx`` and ``gamma``) that can be nonzero.
+    buffer ``jac`` that can be nonzero.  ``jac`` is the Jacobian of the slices
+    ``M_n = (a_rx diag(gamma[n])) g[n]^T``, ``g[n] = x[n] @ a_tx``: row
+    ``(n, i, q)`` (C order) is entry ``M_n[i, q]``, and the columns are the
+    C-order entries of ``a_rx``, ``a_tx`` and ``gamma``.
 
     Each view has shape ``(n, m_r, r, k)`` except ``d_tx``, ``(n, m_r, r, m_t, k)``:
     entry ``M_n[i, q]`` depends on ``a_rx[i', j]`` only for ``i' = i`` and on
@@ -300,23 +305,6 @@ def _fill_jacobian(blocks, a_rx: np.ndarray, gamma: np.ndarray, x: np.ndarray, a
     d_rx[...] = (gamma[:, None, :] * g)[:, None]
     d_tx[...] = a_gamma[:, :, None, None, :] * x[:, None, :, :, None]
     d_gamma[...] = a_rx[:, None, :] * g[:, None]
-
-
-def _jacobian(a_rx: np.ndarray, gamma: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Jacobian of the slices ``M_n = (a_rx diag(gamma[n])) g[n]^T``, ``g[n] = x[n] @ a_tx``.
-
-    Row ``(n, i, q)`` (C order) is entry ``M_n[i, q]``; the columns are the
-    C-order entries of ``a_rx``, ``a_tx`` and ``gamma``.  Most entries are
-    zero: a zero buffer whose nonzero blocks :func:`_fill_jacobian` writes
-    through the views of :func:`_jacobian_blocks`.  :func:`als_fit` keeps one
-    such buffer per call and refills it every iteration; this function is
-    the same fill on a fresh buffer.
-    """
-    n_slots, r, m_t = x.shape
-    m_r, k = a_rx.shape
-    jac = np.zeros((n_slots * m_r * r, (m_r + m_t + n_slots) * k), dtype=complex)
-    _fill_jacobian(_jacobian_blocks(jac, n_slots, m_r, m_t, k), a_rx, gamma, x, a_rx * gamma[:, None, :], g)
-    return jac
 
 
 def als_fit(
@@ -372,7 +360,8 @@ def als_fit(
     resid = slots - z @ u.T
     outside = np.vdot(resid, resid).real
     # x[n] = X_n = (U^H S) diag(code[n]), the compressed pilot system of slot n.
-    x = (u.conj().T @ pilots) * code[:, None, :]
+    pilots = u.conj().T @ pilots
+    x = pilots * code[:, None, :]
     rx_end, tx_end = m_r * k, (m_r + m_t) * k
     damping = np.eye((m_r + m_t + n_slots) * k)
     jac = np.zeros((n_slots * m_r * x.shape[1], damping.shape[0]), dtype=complex)
@@ -393,7 +382,7 @@ def als_fit(
     for restart in range(cfg.n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed) & (2**63 - 1), restart]))
         if restart == 0:
-            start = gevd_start(z.transpose(1, 2, 0), x, k, rng, cfg.rcond)
+            start = gevd_start(z.transpose(1, 2, 0), pilots, code, k, rng, cfg.rcond)
         else:
             start = _random_factors(rng, m_r, m_t, n_slots, k)
         theta = np.concatenate([f.ravel() for f in start])
@@ -485,15 +474,8 @@ def align_permutation(est_cols: np.ndarray, true_cols: np.ndarray) -> tuple[int,
     denom = np.outer(est_norm, true_norm)
     denom[denom == 0.0] = 1.0
     corr = np.abs(est.conj().T @ true) / denom
-    best_perm = None
-    best_score = -np.inf
-    for perm in permutations(range(k)):
-        score = sum(corr[perm[j], j] for j in range(k))
-        if score > best_score:
-            best_score = score
-            best_perm = perm
-    assert best_perm is not None
-    return best_perm
+    # max keeps the first of equal scores.
+    return max(permutations(range(k)), key=lambda perm: sum(corr[perm[j], j] for j in range(k)))
 
 
 @lru_cache(maxsize=16)

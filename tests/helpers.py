@@ -296,7 +296,7 @@ def paper_als_fit(tensor, frame, num_targets, cfg=None):
     for restart in range(cfg.n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed) & (2**63 - 1), restart]))
         if restart == 0:
-            a_rx, a_tx, gamma = gevd_start(t, x, num_targets, rng, cfg.rcond)
+            a_rx, a_tx, gamma = gevd_start(t, pilots, code, num_targets, rng, cfg.rcond)
         else:
             a_rx, a_tx, gamma = _random_factors(rng, m_r, m_t, n_slots, num_targets)
         trace, converged, prev_err = [], False, np.inf

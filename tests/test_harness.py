@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -28,7 +29,8 @@ from tensorisac.harness import (
     ser,
 )
 from tensorisac.sensing_als import AlsConfig, SensingEstimate
-from tensorisac.signal_model import build_steering_matrix
+from tensorisac.comm_krf import zf_channel_energy
+from tensorisac.signal_model import build_comm_link, build_steering_matrix
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "default_experiment.json")
 
@@ -179,6 +181,58 @@ class TestConfig:
             with pytest.raises(ConfigError, match="^gamma_std must be at least 1e-100, or its squares underflow$"):
                 replace(cfg, gamma_std=below).validate()
 
+    @pytest.mark.parametrize("gain, message", [
+        (math.nextafter(harness.COMM_GAIN_MIN, math.inf), None),
+        (math.nextafter(harness.COMM_GAIN_MAX, 0.0), None),
+        (math.nextafter(harness.COMM_GAIN_MIN, 0.0), "nonzero comm_gains magnitudes must lie in [1e-100, 1e+100]"),
+        (1e-155, "nonzero comm_gains magnitudes must lie in [1e-100, 1e+100]"),
+        (1j * math.nextafter(harness.COMM_GAIN_MAX, math.inf), "nonzero comm_gains magnitudes must lie in [1e-100, 1e+100]"),
+        (1e155, "nonzero comm_gains magnitudes must lie in [1e-100, 1e+100]"),
+    ])
+    def test_comm_gain_range(self, gain, message):
+        # Inside the range a trial at every grid point, noiseless included,
+        # runs with finite metrics, and the perfect-CSI benchmark is exact
+        # without noise.  At 1e-155 the noiseless ser_zf used to read 0.625.
+        cfg = replace(default_config(), comm_gains=[gain], sweep_values=[0.0, 30.0, math.inf])
+        if message is not None:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+                cfg.validate()
+            return
+        cfg.validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = [run_trial(cfg, value, 0) for value in cfg.sweep_values]
+        for record in records:
+            assert all(math.isfinite(getattr(record, name)) for name in METRIC_COLUMNS), record
+        assert records[-1].ser_zf == 0.0 and records[-1].ser_krf == 0.0
+
+    @pytest.mark.parametrize("changes, link", [
+        ({"gamma_std": harness.GAMMA_STD_MIN}, "sensing"),  # N0 relative to the reflections
+        ({}, "sensing"),                                   # N0 itself
+        ({"comm_gains": [harness.COMM_GAIN_MIN]}, "comm"),  # N0 relative to the channel
+    ])
+    def test_noise_floor_per_link(self, changes, link):
+        # Just inside a link's noise floor a trial runs with finite metrics;
+        # just outside it validate() names the link.  With gamma_std 1e-100
+        # at -2000 dB nmse_gamma used to read inf, with gamma_std 1 at
+        # -3070 dB the fit met an infinite tensor energy, and with a gain of
+        # 1e-100 at -1100 dB nmse_h read inf.
+        cfg = replace(default_config(), **changes)
+        energy = zf_channel_energy(build_comm_link(
+            cfg.comm_aoa, cfg.comm_aod, cfg.comm_gains, m_u=cfg.m_u, m_t=cfg.m_t).h).min()
+        signal = cfg.gamma_std**2 if link == "sensing" else energy
+        edge_db = -10.0 * math.log10(harness.NOISE_MAX * min(signal, 1.0))
+        inside = replace(cfg, sweep_values=[edge_db + 0.01])
+        inside.validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run_trial(inside, edge_db + 0.01, 0)
+        assert all(math.isfinite(getattr(record, name)) for name in METRIC_COLUMNS), record
+        outside = replace(cfg, sweep_values=[edge_db - 0.01])
+        with pytest.raises(ConfigError, match=f"^sweep point es_n0={re.escape(str(edge_db - 0.01))}: "
+                                              f"{link} link noise variance .* so it overflows$"):
+            outside.validate()
+
     def test_check_accepts_exactly_what_the_first_trial_runs(self):
         # validate() raises ConfigError, and nothing else, exactly when some
         # sweep point's first trial raises.  Every shape runs at one noise level.
@@ -244,6 +298,12 @@ class TestConfig:
         ({"sweep_values": [0.0, 1.2e12, math.inf]}, "to have a seed key: [1200000000000.0]"),
         # A finite reflection std can still overflow the sensing tensor.
         ({"gamma_std": 1e200}, "gamma_std must be at most 1e+100, or the sensing tensor overflows"),
+        # Each of these used to pass and then write an infinite NMSE, fail
+        # every trial, or read ser_zf 0.625 without noise.
+        ({"gamma_std": 1e-100, "sweep_values": [-2000.0]}, "sweep point es_n0=-2000.0: sensing link noise"),
+        ({"sweep_values": [-3070.0]}, "sweep point es_n0=-3070.0: sensing link noise"),
+        ({"comm_gains": [1e-150], "sweep_values": [-100.0]}, "nonzero comm_gains magnitudes must lie in"),
+        ({"comm_gains": [1e-155], "sweep_values": [math.inf]}, "nonzero comm_gains magnitudes must lie in"),
     ])
     def test_validate_rejects_non_finite_values_set_in_code(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

@@ -22,7 +22,6 @@ from tensorisac.sensing_als import (
     remove_sensing_ambiguity,
     SensingEstimate,
     _fill_jacobian,
-    _jacobian,
     _jacobian_blocks,
     _random_factors,
 )
@@ -208,6 +207,16 @@ def compressed_pilot_systems(frame):
     return (u.conj().T @ frame.s_data) * frame.c[:, None, :]
 
 
+def fresh_jacobian(a_rx, gamma, x, g):
+    """The Jacobian at ``(a_rx, gamma)`` and ``g = x @ a_tx``, filled into a
+    zero buffer as ``als_fit`` fills its own."""
+    n, r, m_t = x.shape
+    m_r, k = a_rx.shape
+    jac = np.zeros((n * m_r * r, (m_r + m_t + n) * k), dtype=complex)
+    _fill_jacobian(_jacobian_blocks(jac, n, m_r, m_t, k), a_rx, gamma, x, a_rx * gamma[:, None, :], g)
+    return jac
+
+
 JACOBIAN_SHAPES = [  # m_r, m_t, k, n, p, parallel
     (2, 2, 2, 3, 8, False),   # default
     (4, 4, 3, 4, 64, False),  # sense_frame
@@ -242,7 +251,7 @@ class TestJacobian:
         h = 1e-4
         numeric = np.stack([(model(theta + h * e) - model(theta - h * e)) / (2 * h)
                             for e in np.eye(theta.size)], axis=1)
-        jac = _jacobian(factors[0], factors[2], x, x @ factors[1])
+        jac = fresh_jacobian(factors[0], factors[2], x, x @ factors[1])
         assert jac.shape == (n * m_r * x.shape[1], (m_r + m_t + n) * k)
         assert np.linalg.norm(jac - numeric) <= 1e-6 * np.linalg.norm(numeric)
 
@@ -263,7 +272,7 @@ class TestJacobian:
             a_rx, a_tx, gamma = random_complex(rng, m_r, k), random_complex(rng, m_t, k), random_complex(rng, n, k)
             g = x @ a_tx
             _fill_jacobian(blocks, a_rx, gamma, x, a_rx * gamma[:, None, :], g)
-        fresh = _jacobian(a_rx, gamma, x, g)
+        fresh = fresh_jacobian(a_rx, gamma, x, g)
         assert np.array_equal(jac.view(np.uint64), fresh.view(np.uint64))
         # Entry (n, i, q) depends on a_rx[i', j] only for i' = i, on every
         # a_tx entry, and on gamma[n', j] only for n' = n.
@@ -300,7 +309,7 @@ class TestPilotCompression:
         y = add_noise(sensing_forward(scene, frame), 10.0, seed=p + 2)
         est = als_fit(y, frame, k, AlsConfig(init_seed=p, max_iters=2))
         rng = np.random.default_rng(np.random.SeedSequence([p, 0]))
-        start = gevd_start(y, frame.s_data * frame.c[:, None, :], k, rng)
+        start = gevd_start(y, frame.s_data, frame.c, k, rng)
         want = oracle_lm_steps(y, frame, start, steps=2)
         for got, ref in zip((est.a_rx_hat, est.a_tx_hat, est.gamma_hat), want):
             assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
@@ -343,25 +352,29 @@ class TestGevdStart:
         scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, theta=theta, phi=phi, seed=seed)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=seed + 1)
         y = sensing_forward(scene, frame)
-        start = gevd_start(y, frame.s_data * frame.c[:, None, :], k, np.random.default_rng(seed))
+        start = gevd_start(y, frame.s_data, frame.c, k, np.random.default_rng(seed))
         rebuilt = rebuild_sensing_tensor(*start, frame.c, frame.s_data)
         assert np.linalg.norm(rebuilt - y) ** 2 < 1e-10 * np.linalg.norm(y) ** 2
         # the restart-0 fit starts there, so one step keeps the fit exact
         fit = als_fit(y, frame, k, AlsConfig(init_seed=seed, max_iters=1))
         assert fit.nmse_trace[-1] < 1e-10
 
-    @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", [
+    @pytest.mark.parametrize("m_r, m_t, k, n, p, defect", [
         (1, 2, 3, 2, 8, False),   # k > min(m_r, m_t)
         (2, 4, 2, 4, 3, False),   # p < m_t
         (2, 3, 2, 3, 8, True),    # two parallel pilot columns
+        (2, 2, 2, 3, 8, "zero_code"),  # a zero code entry
     ])
-    def test_fallback_is_seeded_random_start(self, m_r, m_t, k, n, p, parallel):
+    def test_fallback_is_seeded_random_start(self, m_r, m_t, k, n, p, defect):
         scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=12)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=13)
-        if parallel:
+        if defect is True:
             frame = parallel_pilot_columns(frame)
         y = sensing_forward(scene, frame)
-        got = gevd_start(y, frame.s_data * frame.c[:, None, :], k, np.random.default_rng(14))
+        code = frame.c.copy()
+        if defect == "zero_code":
+            code[1, 0] = 0.0
+        got = gevd_start(y, frame.s_data, code, k, np.random.default_rng(14))
         want = _random_factors(np.random.default_rng(14), m_r, m_t, n, k)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -384,10 +397,9 @@ class TestGevdStart:
             y = sensing_forward(scene, frame)
             if noise_db is not None:
                 y = add_noise(y, noise_db, seed=seed + 2)
-            x = frame.s_data * frame.c[:, None, :]
             rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = gevd_start(y, x, k, rng)
-            want = oracle_gevd_start(y, x, k, rng_oracle)
+            got = gevd_start(y, frame.s_data, frame.c, k, rng)
+            want = oracle_gevd_start(y, frame.s_data * frame.c[:, None, :], k, rng_oracle)
             for g, w in zip(got, want):
                 assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w)
             assert rng.bit_generator.state == rng_oracle.bit_generator.state
@@ -435,7 +447,7 @@ class TestAlsFit:
         for noise_db, seed in product([None, 0.0, 10.0, 20.0, 30.0], range(10)):
             scene, frame, y = reference_instance(seed=seed, noise_db=noise_db)
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-            start = gevd_start(y, frame.s_data * frame.c[:, None, :], 2, rng)
+            start = gevd_start(y, frame.s_data, frame.c, 2, rng)
             start_err = uncompressed_error(y, SensingEstimate(*start, [], False), frame)
             est = als_fit(y, frame, 2, AlsConfig(init_seed=seed))
             drops = -np.diff([start_err, *est.nmse_trace])
@@ -457,7 +469,7 @@ class TestAlsFit:
         import tensorisac.sensing_als as als
 
         scene, frame, y = reference_instance(seed=7)
-        start = list(gevd_start(y, frame.s_data * frame.c[:, None, :], 2, np.random.default_rng(0)))
+        start = list(gevd_start(y, frame.s_data, frame.c, 2, np.random.default_rng(0)))
         start[2] = np.full_like(start[2], np.nan)
         monkeypatch.setattr(als, "gevd_start", lambda *args: tuple(start))
         with pytest.raises(AlsDivergenceError, match="at the start of restart 0"):
