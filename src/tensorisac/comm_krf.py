@@ -6,7 +6,8 @@ by ``conj(c)`` collapses the slot dimension and leaves the column-wise
 Kronecker (Khatri-Rao) product of the symbol matrix and the channel.  Each
 of its columns is the vectorization of a rank-one matrix, so channel and
 symbols are recovered column by column from a best rank-one approximation;
-a known first symbol row then fixes the bilinear scale.
+a known first symbol row then fixes the bilinear scale.  Each frame is
+projected once: :func:`zf_detect` reuses the projection the receiver returns.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "remove_scaling",
     "detect_symbols",
     "semi_blind_receive",
+    "zf_detect",
     "zf_benchmark",
 ]
 
@@ -34,11 +36,12 @@ ORTHONORMAL_ATOL = 1e-9  # largest entry of |code.T @ conj(code) - I| an orthono
 
 @dataclass
 class CommEstimate:
-    """Output of the semi-blind pipeline: soft and hard symbols plus the channel."""
+    """Output of the semi-blind pipeline: soft/hard symbols, channel, code projection ``q``."""
 
     s_soft: np.ndarray
     s_hat: np.ndarray
     h_hat: np.ndarray
+    q: np.ndarray
 
 
 def estimate_symbol_channel_product(tensor: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -132,7 +135,7 @@ def semi_blind_receive(
     q = estimate_symbol_channel_product(t, code)
     s, h = krf_factorize(q, m_u, p)
     s, h = remove_scaling(s, h, reference_row)
-    return CommEstimate(s_soft=s, s_hat=detect_symbols(s, order), h_hat=h)
+    return CommEstimate(s_soft=s, s_hat=detect_symbols(s, order), h_hat=h, q=q)
 
 
 def zf_channel_energy(h: np.ndarray) -> np.ndarray:
@@ -151,21 +154,26 @@ def zf_channel_energy(h: np.ndarray) -> np.ndarray:
     return col_energy
 
 
+def zf_detect(q: np.ndarray, h_true: np.ndarray, col_energy: np.ndarray, order: int) -> np.ndarray:
+    """Perfect-CSI decisions from a code projection ``q``, each stream solved by least
+    squares against its true channel column; ``col_energy`` is ``zf_channel_energy(h_true)``."""
+    m_u, m_t = h_true.shape
+    if q.shape[1] != m_t or q.shape[0] % m_u:
+        raise ValueError(f"projection of shape {q.shape} does not fit a {m_u} x {m_t} channel")
+    # Stream m: unvec(q[:, m], m_u, p).T @ conj(h_true[:, m]), all streams at once.
+    combined = q.T.reshape(m_t, -1, m_u) @ h_true.T.conj()[:, :, None]
+    return detect_symbols(combined[:, :, 0].T / col_energy, order)
+
+
 def zf_benchmark(tensor: np.ndarray, h_true: np.ndarray, code: np.ndarray, order: int) -> np.ndarray:
     """Symbol decisions with perfect channel knowledge, as a lower benchmark.
 
-    Decodes the slot code exactly like the semi-blind path, then solves each
-    separated single-stream block by least squares against the true channel
-    column (for white noise this is the matched-filter combiner).  The
-    channel must pass :func:`zf_channel_energy`.
+    Decodes the slot code exactly like the semi-blind path, then calls
+    :func:`zf_detect`.  The channel must pass :func:`zf_channel_energy`.
     """
     q = estimate_symbol_channel_product(tensor, code)
     h_true = np.asarray(h_true)
-    m_u, p, _ = np.shape(tensor)
-    m_t = q.shape[1]
+    m_u, m_t = np.shape(tensor)[0], q.shape[1]
     if h_true.shape != (m_u, m_t):
         raise ValueError(f"channel must be {m_u} x {m_t} (receive antennas x code columns), got {h_true.shape}")
-    col_energy = zf_channel_energy(h_true)
-    # Stream m: unvec(q[:, m], m_u, p).T @ conj(h_true[:, m]), all streams at once.
-    combined = q.T.reshape(m_t, p, m_u) @ h_true.T.conj()[:, :, None]
-    return detect_symbols(combined[:, :, 0].T / col_energy, order)
+    return zf_detect(q, h_true, zf_channel_energy(h_true), order)

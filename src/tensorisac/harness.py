@@ -18,7 +18,9 @@ Artifacts per sweep:
 * ``summary.csv``: per grid point, median and mean of every metric column.
 
 Floats are written with 17 significant digits, so reruns with the same
-config are byte-identical.
+config are byte-identical.  A point's trials share one comm link with its
+ZF column energies (``_comm_link``) and the steering of its fixed angles,
+built once per process; a point's medians and means are one reduction each.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import pairwise
 
 import numpy as np
 
-from .comm_krf import semi_blind_receive, zf_benchmark, zf_channel_energy
+from .comm_krf import semi_blind_receive, zf_channel_energy, zf_detect
 from .exceptions import ConfigError
 from .sensing_als import (
     ALIGN_MAX_COLUMNS,
@@ -183,11 +186,10 @@ class ExperimentConfig:
             try:
                 check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k)
                 krst_code(pt.n, pt.m_t)
-                link = build_comm_link(pt.comm_aoa, pt.comm_aod, pt.comm_gains, m_u=pt.m_u, m_t=pt.m_t)
-                comm_signal = zf_channel_energy(link.h).min()
+                _, energy = _comm_link(tuple(pt.comm_aoa), tuple(pt.comm_aod), tuple(pt.comm_gains), pt.m_u, pt.m_t)
                 add_noise(np.zeros(0), pt.es_n0_db)
                 n0 = 10.0 ** (-pt.es_n0_db / 10.0)
-                for name, signal in (("sensing", pt.gamma_std**2), ("comm", comm_signal)):
+                for name, signal in (("sensing", pt.gamma_std**2), ("comm", energy.min())):
                     if n0 > NOISE_MAX * min(signal, 1.0):
                         raise ValueError(f"{name} link noise variance {n0:.3g} exceeds {NOISE_MAX:g} * "
                                          f"min(1, signal power {signal:.3g}), so it overflows")
@@ -379,6 +381,15 @@ def _sweep_key(value: float) -> int | None:
     return int(round(micro)) + 2**48 if -(2**48) <= micro < 2**60 - 2**48 else None
 
 
+@lru_cache(maxsize=64)
+def _comm_link(aoa: tuple, aod: tuple, gains: tuple, m_u: int, m_t: int):
+    """A point's link and its read-only ZF column energies, shared by its trials."""
+    link = build_comm_link(aoa, aod, gains, m_u=m_u, m_t=m_t)
+    energy = zf_channel_energy(link.h)
+    energy.setflags(write=False)
+    return link, energy
+
+
 def _trial_seeds(base_seed: int, sweep_value: float, trial: int) -> np.ndarray:
     ss = np.random.SeedSequence([int(base_seed), _sweep_key(sweep_value), int(trial)])
     return ss.generate_state(5, dtype=np.uint32)
@@ -404,7 +415,7 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
         theta=pt.sensing_aoa, phi=pt.sensing_aod, seed=scene_seed,
     )
     frame = sample_frame(p=pt.p, m_t=pt.m_t, n=pt.n, order=pt.constellation, seed=frame_seed)
-    link = build_comm_link(pt.comm_aoa, pt.comm_aod, pt.comm_gains, m_u=pt.m_u, m_t=pt.m_t)
+    link, zf_energy = _comm_link(tuple(pt.comm_aoa), tuple(pt.comm_aod), tuple(pt.comm_gains), pt.m_u, pt.m_t)
 
     y_sens = add_noise(sensing_forward(scene, frame), pt.es_n0_db, seed=sens_noise_seed)
     y_comm = add_noise(comm_forward(link, frame), pt.es_n0_db, seed=comm_noise_seed)
@@ -415,7 +426,6 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
     angle_err = np.concatenate([extract_angles(a_rx_hat) - scene.theta, extract_angles(a_tx_hat) - scene.phi])
 
     comm = semi_blind_receive(y_comm, frame.c, frame.s_data[0, :], pt.constellation)
-    s_zf = zf_benchmark(y_comm, link.h, frame.c, pt.constellation)
 
     return MetricsRecord(
         sweep_var=cfg.sweep_variable,
@@ -430,7 +440,7 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
         angle_rmse_deg=float(np.sqrt(np.mean(angle_err**2))),
         nmse_h=nmse(comm.h_hat, link.h),
         ser_krf=ser(comm.s_hat, frame.s_data),
-        ser_zf=ser(s_zf, frame.s_data),
+        ser_zf=ser(zf_detect(comm.q, link.h, zf_energy, pt.constellation), frame.s_data),
     )
 
 
@@ -479,17 +489,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
     summary_rows, wide_rows = [], []
     for i, value in enumerate(cfg.sweep_values):
         group = records[i * cfg.trials : (i + 1) * cfg.trials]
-        med = {m: float(np.median([getattr(r, m) for r in group])) for m in METRIC_COLUMNS}
-        avg = {m: float(np.mean([getattr(r, m) for r in group])) for m in METRIC_COLUMNS}
+        # Rows are contiguous, so each reduces as a per-metric list would.
+        table = np.array([[getattr(r, m) for r in group] for m in METRIC_COLUMNS], dtype=float)
+        stats = np.stack([np.median(table, axis=1), np.mean(table, axis=1)], axis=1)  # metric x (median, mean)
         n_conv = sum(1 for r in group if r.converged)
-        summary_rows.append(
-            [cfg.sweep_variable, _fmt(float(value)), "-1", "0", str(n_conv)]
-            + [_fmt(med[m]) for m in METRIC_COLUMNS]
-        )
-        wide = [cfg.sweep_variable, _fmt(float(value)), str(len(group)), str(n_conv)]
-        for m in METRIC_COLUMNS:
-            wide.extend([_fmt(med[m]), _fmt(avg[m])])
-        wide_rows.append(wide)
+        head = [cfg.sweep_variable, _fmt(float(value))]
+        summary_rows.append(head + ["-1", "0", str(n_conv)] + [_fmt(x) for x in stats[:, 0].tolist()])
+        wide_rows.append(head + [str(len(group)), str(n_conv)] + [_fmt(x) for x in stats.ravel().tolist()])
 
     results_path = os.path.join(out, "results.csv")
     _write_csv(results_path, [list(CSV_COLUMNS)] + data_rows + summary_rows)

@@ -64,6 +64,14 @@ def build_steering_matrix(angles_deg, m: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.arange(m)[:, None] * np.sin(np.deg2rad(angles)))
 
 
+@lru_cache(maxsize=64)
+def _steering(angles: bytes, m: int) -> np.ndarray:
+    """Shared read-only :func:`build_steering_matrix` of float64 angles, keyed by their exact bytes."""
+    steering = build_steering_matrix(np.frombuffer(angles), m)
+    steering.setflags(write=False)
+    return steering
+
+
 # ------------------------------ code matrix ------------------------------- #
 
 @lru_cache(maxsize=None)
@@ -129,7 +137,7 @@ class SensingScene:
     angles at the transmitter, both in degrees; ``gamma`` is the
     ``n_slots x k`` complex reflection matrix.  The steering matrices
     ``a_rx`` (``m_r x k``) and ``a_tx`` (``m_t x k``) are derived from the
-    angles once, by :func:`build_steering_matrix`, and are read-only.
+    angles by :func:`build_steering_matrix`, once per distinct angles, read-only.
     """
 
     theta: np.ndarray
@@ -151,10 +159,7 @@ class SensingScene:
             raise ValueError(
                 f"gamma has {self.gamma.shape[1]} columns but the scene has {k} scatterers"
             )
-        self.a_rx = build_steering_matrix(self.theta, self.m_r)
-        self.a_tx = build_steering_matrix(self.phi, self.m_t)
-        self.a_rx.setflags(write=False)
-        self.a_tx.setflags(write=False)
+        self.a_rx, self.a_tx = _steering(self.theta.tobytes(), self.m_r), _steering(self.phi.tobytes(), self.m_t)
 
     def rx_steering(self) -> np.ndarray:
         return self.a_rx
@@ -165,7 +170,7 @@ class CommLink:
     """Flat-fading multipath channel between base station and user terminal.
 
     The ``m_u x m_t`` channel ``h = A_u diag(gains) A_t^T`` is derived from
-    the path angles and gains, so it cannot disagree with them.
+    the path angles and gains, so it cannot disagree with them; read-only.
     """
 
     theta_ue: np.ndarray
@@ -187,6 +192,7 @@ class CommLink:
             @ np.diag(self.gains)
             @ build_steering_matrix(self.phi_ue, self.m_t).T
         )
+        self.h.setflags(write=False)
 
 
 def build_comm_link(theta_ue, phi_ue, gains, m_u: int, m_t: int) -> CommLink:

@@ -13,6 +13,8 @@ from tensorisac.comm_krf import (
     remove_scaling,
     semi_blind_receive,
     zf_benchmark,
+    zf_channel_energy,
+    zf_detect,
 )
 from tensorisac.signal_model import (
     add_noise,
@@ -216,6 +218,10 @@ class TestZfBenchmark:
         h_wide = build_comm_link([78.0], [25.0], [1.0 + 0.0j], m_u=4, m_t=3).h
         with pytest.raises(ValueError, match=r"channel must be 4 x 2 \(receive antennas x code columns\), got \(4, 3\)"):
             zf_benchmark(y, h_wide, frame.c, 4)
+        q = estimate_symbol_channel_product(y, frame.c)
+        for h in (h_wide, link.h[:3, :]):
+            with pytest.raises(ValueError, match=rf"projection of shape \(32, 2\) does not fit a {h.shape[0]} x {h.shape[1]}"):
+                zf_detect(q, h, zf_channel_energy(h), 4)
 
     def test_zero_channel_column_rejected(self):
         frame, link, y = comm_instance(92)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from tensorisac import harness
+from tensorisac import comm_krf, harness, signal_model
 from tensorisac.exceptions import ConfigError
 from tensorisac.harness import (
     CSV_COLUMNS,
@@ -29,8 +30,8 @@ from tensorisac.harness import (
     ser,
 )
 from tensorisac.sensing_als import AlsConfig, SensingEstimate
-from tensorisac.comm_krf import zf_channel_energy
-from tensorisac.signal_model import build_comm_link, build_steering_matrix
+from tensorisac.comm_krf import semi_blind_receive, zf_benchmark, zf_channel_energy
+from tensorisac.signal_model import add_noise, build_comm_link, build_steering_matrix, comm_forward, sample_frame
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "default_experiment.json")
 
@@ -526,6 +527,51 @@ class TestRunTrial:
         rec = run_trial(cfg, 20.0, 0)
         assert abs(rec.angle_rmse_deg - expected) < 1e-5
 
+    def test_shared_links_and_steering_match_fresh_builds(self):
+        # One process runs an m_u sweep, then configs differing only in the
+        # comm gains, then only in the sensing angles, on warm caches; each
+        # record must equal the one computed from empty caches.
+        base = default_config()
+        cfgs = [replace(base, m_u=m_u) for m_u in (2, 3, 4)]
+        cfgs += [replace(base, comm_gains=[gain]) for gain in (1.0 + 0.0j, 0.5 - 0.25j)]
+        cfgs += [replace(base, sensing_aoa=aoa) for aoa in ([15.0, 27.0], [15.0, -20.0])]
+        warm = [run_trial(cfg, 10.0, trial) for cfg in cfgs for trial in range(2)]
+        fresh = []
+        for cfg in cfgs:
+            for trial in range(2):
+                harness._comm_link.cache_clear()
+                signal_model._steering.cache_clear()
+                fresh.append(run_trial(cfg, 10.0, trial))
+        assert warm == fresh
+        # one link (with its energies) and two steering matrices per point, however many trials
+        harness._comm_link.cache_clear()
+        signal_model._steering.cache_clear()
+        for trial in range(3):
+            run_trial(base, 10.0, trial)
+        assert (harness._comm_link.cache_info().misses, signal_model._steering.cache_info().misses) == (1, 2)
+
+    @pytest.mark.parametrize("constellation", [4, 16])  # 16-QAM decisions also depend on the ZF scale
+    def test_comm_path_matches_public_receivers(self, monkeypatch, constellation):
+        cfg = replace(default_config(), constellation=constellation)
+        projections = []
+        project = comm_krf.estimate_symbol_channel_product
+        monkeypatch.setattr(comm_krf, "estimate_symbol_channel_product",
+                            lambda *args: projections.append(args) or project(*args))
+        for value, trial in [(0.0, 0), (0.0, 1), (10.0, 2), (math.inf, 3)]:
+            projections.clear()
+            rec = run_trial(cfg, value, trial)
+            assert len(projections) == 1  # one code projection, so one orthonormality check
+            _, frame_seed, _, comm_noise_seed, _ = (int(s) for s in harness._trial_seeds(cfg.base_seed, value, trial))
+            frame = sample_frame(p=cfg.p, m_t=cfg.m_t, n=cfg.n, order=cfg.constellation, seed=frame_seed)
+            link = build_comm_link(cfg.comm_aoa, cfg.comm_aod, cfg.comm_gains, m_u=cfg.m_u, m_t=cfg.m_t)
+            y = add_noise(comm_forward(link, frame), value, seed=comm_noise_seed)
+            est = semi_blind_receive(y, frame.c, frame.s_data[0, :], cfg.constellation)
+            s_zf = zf_benchmark(y, link.h, frame.c, cfg.constellation)
+            assert (rec.ser_krf, rec.ser_zf, rec.nmse_h) == (
+                ser(est.s_hat, frame.s_data), ser(s_zf, frame.s_data), nmse(est.h_hat, link.h))
+            if value == 0.0:
+                assert rec.ser_krf > 0 and rec.ser_zf > 0
+
 
 class TestRunSweep:
     def sweep_cfg(self, out, trials=3):
@@ -807,3 +853,33 @@ class TestReplayTool:
         zeros = sum(float(row[5]) == 0.0 for row in rows)
         assert len(rows) == 3 and zeros > 0
         assert lines[-1].endswith(f" over nonzero fits, exactly zero {zeros}")
+
+
+class TestAbSweepTool:
+    """``tools/ab_sweep.py`` times two checkouts against each other and
+    compares their artifacts."""
+
+    TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "ab_sweep.py")
+    SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+    def run_tool(self, parent_src):
+        proc = subprocess.run([sys.executable, self.TOOL, str(parent_src), "--steps", "2"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_repo_against_itself_and_against_a_changed_copy(self, tmp_path):
+        out = self.run_tool(self.SRC)
+        rows = [line.split("\t") for line in out if not line.startswith("#")]
+        assert [(row[0], row[4]) for row in rows] == [("0", "yes"), ("1", "yes")]
+        assert all(float(row[3]) == pytest.approx(float(row[2]) / float(row[1]), rel=1e-3) for row in rows)
+        assert any(re.fullmatch(r"# ratio change/parent: median [\d.]+, IQR \[[\d.]+, [\d.]+\], summed times [\d.]+", line)
+                   for line in out)
+        assert "# artifacts SHA-identical in 2 of 2 steps" in out
+        # A copy that writes 16 significant digits is timed alike, but its artifacts differ.
+        copy = tmp_path / "src"
+        shutil.copytree(self.SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        harness_py = copy / "tensorisac" / "harness.py"
+        harness_py.write_text(harness_py.read_text().replace(':.17g}"', ':.16g}"'))
+        out = self.run_tool(copy)
+        assert "# artifacts SHA-identical in 0 of 2 steps" in out

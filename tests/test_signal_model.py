@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tensorisac import signal_model
 from tensorisac.exceptions import IdentifiabilityError
 from tensorisac.signal_model import (
     CommLink,
@@ -185,6 +186,28 @@ class TestSceneAndFrame:
         with pytest.raises(TypeError):
             SensingScene(theta=[10.0], phi=[5.0], gamma=np.ones((3, 1)), m_r=3, m_t=2, a_rx=np.ones((3, 1)))
 
+    def test_scenes_share_the_steering_of_equal_angles(self):
+        signal_model._steering.cache_clear()
+        fixed = [sample_scene(k=2, n=3, sigma=1.0, m_r=3, m_t=2, theta=[10.0, -40.0], phi=[5.0, 60.0], seed=s)
+                 for s in range(3)]
+        assert all(s.a_rx is fixed[0].a_rx and s.a_tx is fixed[0].a_tx for s in fixed)
+        assert signal_model._steering.cache_info().misses == 2
+        # a different array size, a drawn scene, and angles equal as floats but
+        # not as bits (0.0 and -0.0) each get their own steering, equal to a fresh build
+        others = [
+            sample_scene(k=2, n=3, sigma=1.0, m_r=4, m_t=2, theta=[10.0, -40.0], phi=[5.0, 60.0], seed=0),
+            sample_scene(k=2, n=3, sigma=1.0, m_r=3, m_t=2, seed=1),
+            sample_scene(k=2, n=3, sigma=1.0, m_r=3, m_t=2, theta=[0.0, -40.0], phi=[5.0, 60.0], seed=0),
+            sample_scene(k=2, n=3, sigma=1.0, m_r=3, m_t=2, theta=[-0.0, -40.0], phi=[5.0, 60.0], seed=0),
+        ]
+        for scene in fixed[:1] + others:
+            for got, angles, m in ((scene.a_rx, scene.theta, scene.m_r), (scene.a_tx, scene.phi, scene.m_t)):
+                fresh = build_steering_matrix(angles, m)
+                assert got.tobytes() == fresh.tobytes() and got.shape == fresh.shape
+                assert not got.flags.writeable
+        assert others[2].a_rx is not others[3].a_rx
+        assert signal_model._steering.cache_info().maxsize is not None
+
     def test_sample_frame_contents(self):
         frame = sample_frame(p=8, m_t=2, n=3, order=4, seed=2)
         assert frame.s_data.shape == (8, 2)
@@ -234,6 +257,8 @@ class TestSceneAndFrame:
         a_u = build_steering_matrix([10.0, -50.0], 4)
         a_t = build_steering_matrix([5.0, 60.0], 3)
         assert np.abs(link.h - a_u @ np.diag(gains) @ a_t.T).max() < 1e-12
+        with pytest.raises(ValueError):
+            link.h[0, 0] = 0.0
         # h is derived, never passed in, so it cannot disagree with the paths
         with pytest.raises(TypeError):
             CommLink(theta_ue=[10.0], phi_ue=[5.0], gains=[1.0], m_u=4, m_t=3, h=np.ones((4, 3)))
