@@ -121,9 +121,9 @@ class ExperimentConfig:
         one check of values, for loaded and in-code configs alike, NaN and
         infinities included.  Each sweep point is then judged by the functions
         its trials call (``check_identifiability``, ``krst_code``,
-        ``build_comm_link``, ``zf_channel_energy``, ``add_noise``) and then
-        by the noise floor of each link (``NOISE_MAX``); the first error is
-        reported."""
+        ``build_comm_link``, ``zf_channel_energy``, ``add_noise``), then by
+        the noise floor of each link (``NOISE_MAX``) and by ``p >= 2`` (the
+        SERs score symbol rows ``1 .. p-1``); the first error is reported."""
         ints = {name: getattr(self, name) for name in INTEGERS}
         not_ints = [f"{name} must be an integer, got {v!r}" for name, v in ints.items()
                     if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
@@ -193,6 +193,9 @@ class ExperimentConfig:
                     if n0 > NOISE_MAX * min(signal, 1.0):
                         raise ValueError(f"{name} link noise variance {n0:.3g} exceeds {NOISE_MAX:g} * "
                                          f"min(1, signal power {signal:.3g}), so it overflows")
+                if pt.p < 2:
+                    raise ValueError("p must be at least 2: SER scores symbol rows 1..p-1, "
+                                     "since row 0 is the semi-blind receiver's known reference")
             except ValueError as exc:
                 raise ConfigError(f"sweep point {self.sweep_variable}={value}: {exc}") from exc
 
@@ -343,6 +346,8 @@ def ser(s_hat: np.ndarray, s_true: np.ndarray) -> float:
     s_true = np.asarray(s_true)
     if s_hat.shape != s_true.shape:
         raise ValueError(f"shape mismatch: {s_hat.shape} vs {s_true.shape}")
+    if s_true.size == 0:
+        raise ValueError("no symbols to score")
     return float(np.mean(np.abs(s_hat - s_true) > SYMBOL_ATOL))
 
 
@@ -402,8 +407,10 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
     ``(base_seed, sweep value, trial index)``; runs the sensing pipeline
     (fit, ambiguity removal, permutation alignment, angle extraction) and
     the communication pipeline (semi-blind receiver and the perfect-CSI
-    benchmark); returns the metric record.  A fit that hits the iteration
-    cap is recorded with ``converged=False``, not dropped.
+    benchmark); returns the metric record.  Both SERs score symbol rows
+    ``1 .. p-1``: row 0 is the semi-blind receiver's known reference.  A fit
+    that hits the iteration cap is recorded with ``converged=False``, not
+    dropped.
     """
     pt = apply_sweep(cfg, sweep_value)
     scene_seed, frame_seed, sens_noise_seed, comm_noise_seed, init_seed = (
@@ -439,8 +446,8 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
         nmse_gamma=nmse(gamma_hat, scene.gamma),
         angle_rmse_deg=float(np.sqrt(np.mean(angle_err**2))),
         nmse_h=nmse(comm.h_hat, link.h),
-        ser_krf=ser(comm.s_hat, frame.s_data),
-        ser_zf=ser(zf_detect(comm.q, link.h, zf_energy, pt.constellation), frame.s_data),
+        ser_krf=ser(comm.s_hat[1:], frame.s_data[1:]),
+        ser_zf=ser(zf_detect(comm.q, link.h, zf_energy, pt.constellation)[1:], frame.s_data[1:]),
     )
 
 

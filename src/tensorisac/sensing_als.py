@@ -48,14 +48,16 @@ three blocks that can be nonzero, through writable views of the buffer,
 from the products ``a_rx * gamma`` and ``x @ a_tx`` that the residual of
 the current iterate already formed.
 
-The first restart starts from a closed-form estimate (:func:`gevd_start`):
-slot ``n``'s pilot system is the pilot block times ``diag(code[n])``, so one
-inversion of the pilot block and a division by each code row turn every
-slice into ``A_rx diag(gamma[n]) A_tx^T``, and when ``k <= min(m_r, m_t)``
-simultaneous diagonalization of two random slice combinations recovers all
-three factors, exactly on noiseless data.  The iteration then refines that
-estimate to the least-squares fit.  Where the closed form does not apply,
-and for every further restart, the start is seeded random.
+The first restart starts from a closed-form estimate (:func:`gevd_start`).
+The compression's SVD ``S = U diag(s) Vh`` also inverts every slot's pilot
+system ``S diag(code[n])`` when the pilots have full column rank and the
+code has no zero entry: ``Z_n diag(1/s) conj(Vh) diag(1/code[n])`` is the
+unmixed slice ``A_rx diag(gamma[n]) A_tx^T``.  When ``k <= min(m_r, m_t)``
+and there are at least two slots, simultaneous diagonalization of two
+random combinations of the unmixed slices recovers all three factors,
+exactly on noiseless data.  The iteration then refines that estimate to the
+least-squares fit.  Where the closed form does not apply, and for every
+further restart, the start is seeded random.
 
 Convergence is declared when the error change between consecutive
 iterations falls below ``tol`` relative to the previous error; an absolute
@@ -140,10 +142,11 @@ class AlsConfig:
 
     ``tol`` bounds the relative change of the normalized squared
     reconstruction error between consecutive iterations.  ``rcond`` affects
-    only the closed-form start :func:`gevd_start`: it is the relative
-    singular-value cutoff of its pilot-rank test and pseudoinverse
-    (singular values at or below ``rcond`` times the largest count as
-    zero).  ``n_restarts`` fits are run and the best final error kept:
+    only the closed-form start: it is the relative singular-value cutoff
+    (singular values at or below ``rcond`` times the largest count as zero)
+    of the pilot-rank test in :func:`als_fit` that decides whether the start
+    applies, and of the pseudoinverse in :func:`gevd_start`.
+    ``n_restarts`` fits are run and the best final error kept:
     restart 0 starts from :func:`gevd_start` (or its seeded random
     fallback), every further restart from an independent random start.
     ``init_seed`` seeds the random numbers of every restart: the slice
@@ -229,45 +232,31 @@ def _random_factors(rng: np.random.Generator, m_r: int, m_t: int, n: int, k: int
     return cn(m_r, k), cn(m_t, k), cn(n, k)
 
 
-def gevd_start(
-    tensor: np.ndarray,
-    pilots: np.ndarray,
-    code: np.ndarray,
-    num_targets: int,
-    rng: np.random.Generator,
-    rcond: float = 1e-12,
-):
+def gevd_start(slices: np.ndarray, num_targets: int, rng: np.random.Generator, rcond: float = 1e-12):
     """Closed-form start ``(a_rx, a_tx, gamma)`` by simultaneous diagonalization.
 
-    Slot ``n``'s pilot system is ``X_n = pilots @ diag(code[n])``, so for
-    ``pilots`` of full column rank and a code without zero entries
-    ``pinv(X_n).T = pinv(pilots).T diag(1 / code[n])``: one SVD of the pilot
-    block inverts every slot, and each slot gives
-    ``M_n = Y_n @ pinv(X_n).T = A_rx diag(gamma[n]) A_tx^T``.  Projected onto
-    the leading ``k`` left singular vectors ``U_1``, ``U_2`` of the mode-1 and
-    mode-2 unfoldings of ``M``, the slices become ``B diag(gamma[n]) C^T`` with
-    ``B = U_1^H A_rx``, so for two random combinations ``G_a``, ``G_b`` of them
-    the eigenvectors of ``G_a G_b^{-1}`` are the columns of ``B`` (Leurgans,
-    Ross & Abel, 1993; the GEVD start of De Lathauwer, 2006).  Row ``j`` of
-    ``pinv(A_rx) M_n`` is ``gamma[n, j] A_tx[:, j]^T``, a rank-one matrix over
-    the slots that :func:`best_rank_one` splits.  Exact on noiseless data.
+    ``slices`` is the ``(n, m_r, m_t)`` stack of unmixed slices
+    ``M_n = A_rx diag(gamma[n]) A_tx^T``, the sensing slices with the pilot
+    system of each slot inverted (:func:`als_fit` forms them).  Projected
+    onto the leading ``k`` left singular vectors ``U_1``, ``U_2`` of the
+    mode-1 and mode-2 unfoldings of ``M``, the slices become
+    ``B diag(gamma[n]) C^T`` with ``B = U_1^H A_rx``, so for two random
+    combinations ``G_a``, ``G_b`` of them the eigenvectors of
+    ``G_a G_b^{-1}`` are the columns of ``B`` (Leurgans, Ross & Abel, 1993;
+    the GEVD start of De Lathauwer, 2006).  Row ``j`` of ``pinv(A_rx) M_n``
+    is ``gamma[n, j] A_tx[:, j]^T``, a rank-one matrix over the slots that
+    :func:`best_rank_one` splits.  Exact on noiseless data.
 
     Falls back to the seeded random start, with the same draws from ``rng``,
-    when the model does not allow it: ``k > min(m_r, m_t)``, fewer than two
-    slots, pilots of rank below ``m_t`` (fewer rows than ``m_t``, or a
-    singular value at or below ``rcond`` times the largest) or a zero code entry.
+    when the model does not allow it: ``k > min(m_r, m_t)`` or fewer than
+    two slots.  ``rcond`` is the cutoff of the pseudoinverse of the
+    recovered ``A_rx``, whose eigenvector basis can be singular on
+    degenerate slices.
     """
-    tensor = np.asarray(tensor)
-    m_r = tensor.shape[0]
-    (p, m_t), n_slots = pilots.shape, code.shape[0]
+    n_slots, m_r, m_t = slices.shape
     k = num_targets
-    if k > min(m_r, m_t) or n_slots < 2 or p < m_t or np.any(code == 0.0):
+    if k > min(m_r, m_t) or n_slots < 2:
         return _random_factors(rng, m_r, m_t, n_slots, k)
-    u, s, vh = np.linalg.svd(pilots, full_matrices=False)
-    if s[-1] <= rcond * s[0]:
-        return _random_factors(rng, m_r, m_t, n_slots, k)
-    # slices[n] = Y_n conj(U) diag(1/s) conj(Vh) diag(1/code[n]), i.e. Y_n @ pinv(X_n).T
-    slices = tensor.transpose(2, 0, 1) @ (u.conj() @ (vh.conj() / s[:, None])) / code[:, None, :]
     u1 = np.linalg.svd(slices.transpose(1, 2, 0).reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
     u2 = np.linalg.svd(slices.transpose(2, 1, 0).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
     core = u1.conj().T @ slices @ u2.conj()
@@ -316,9 +305,9 @@ def als_fit(
     """Fit the three sensing factors by least squares (Levenberg-Marquardt).
 
     Runs ``cfg.n_restarts`` restarts, the first from the closed-form
-    :func:`gevd_start`, the others from seeded random factors, and returns
-    the restart with the smallest final normalized squared reconstruction
-    error, so more restarts never raise it.  Within a restart, each iteration
+    :func:`gevd_start` where it applies (module docstring), the others from
+    seeded random factors, and returns the restart with the smallest final
+    normalized squared reconstruction error, so more restarts never raise it.  Within a restart, each iteration
     takes one damped Gauss-Newton step over all three blocks, retrying with
     more damping until the step strictly lowers the error (module docstring),
     and records the error.  The iteration stops once
@@ -354,14 +343,16 @@ def als_fit(
     if y_energy == 0.0:
         raise ValueError("cannot fit an all-zero tensor")
     # Pilot-mode compression (module docstring); outside = ||Y - Z U^T||^2 for all factors.
-    u = np.linalg.svd(pilots, full_matrices=False)[0]
+    u, s, vh = np.linalg.svd(pilots, full_matrices=False)
     slots = t.transpose(2, 0, 1)  # slots[n] = Y_n
     z = slots @ u.conj()
     resid = slots - z @ u.T
     outside = np.vdot(resid, resid).real
     # x[n] = X_n = (U^H S) diag(code[n]), the compressed pilot system of slot n.
-    pilots = u.conj().T @ pilots
-    x = pilots * code[:, None, :]
+    x = (u.conj().T @ pilots) * code[:, None, :]
+    # Pilots of full column rank and a code without zeros make every X_n
+    # invertible, so the closed-form start applies (module docstring).
+    closed_form = len(s) == m_t and s[-1] > cfg.rcond * s[0] and np.all(code != 0.0)
     rx_end, tx_end = m_r * k, (m_r + m_t) * k
     damping = np.eye((m_r + m_t + n_slots) * k)
     jac = np.zeros((n_slots * m_r * x.shape[1], damping.shape[0]), dtype=complex)
@@ -381,8 +372,9 @@ def als_fit(
     best: SensingEstimate | None = None
     for restart in range(cfg.n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed) & (2**63 - 1), restart]))
-        if restart == 0:
-            start = gevd_start(z.transpose(1, 2, 0), pilots, code, k, rng, cfg.rcond)
+        if restart == 0 and closed_form:
+            # Z_n diag(1/s) conj(Vh) diag(1/code[n]) = A_rx diag(gamma[n]) A_tx^T
+            start = gevd_start(z @ (vh.conj() / s[:, None]) / code[:, None, :], k, rng, cfg.rcond)
         else:
             start = _random_factors(rng, m_r, m_t, n_slots, k)
         theta = np.concatenate([f.ravel() for f in start])

@@ -233,20 +233,19 @@ def sample_scene(
     m_t: int,
     theta=None,
     phi=None,
-    sector: tuple[float, float] = (-80.0, 80.0),
     seed=None,
 ) -> SensingScene:
     """Draw a random scene: fixed angle lists if given, otherwise uniform in
-    ``sector``; reflections i.i.d. circular complex Gaussian with std ``sigma``.
+    [-80, 80) degrees; reflections i.i.d. circular complex Gaussian with std
+    ``sigma``.
     """
     if k < 1 or n < 1:
         raise ValueError("need at least one scatterer and one slot")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     rng = np.random.default_rng(seed)
-    lo, hi = sector
-    theta = rng.uniform(lo, hi, k) if theta is None else np.asarray(theta, dtype=float)
-    phi = rng.uniform(lo, hi, k) if phi is None else np.asarray(phi, dtype=float)
+    theta = rng.uniform(-80.0, 80.0, k) if theta is None else np.asarray(theta, dtype=float)
+    phi = rng.uniform(-80.0, 80.0, k) if phi is None else np.asarray(phi, dtype=float)
     gamma = sigma / np.sqrt(2.0) * (
         rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     )

@@ -251,12 +251,24 @@ def estimate_reflections(y_vec, a_rx, g, rcond=1e-12) -> np.ndarray:
 START_POWER, MIN_POWER, POWER_DOWN, POWER_UP, REJECTIONS = 3.0, 1.5, 0.5, 1.0, 4
 
 
+def pinv_unmix(tensor, x, rcond=1e-12):
+    """Slices ``M_n = Y_n @ pinv(x[n]).T`` of an ``(m_r, p, n)`` tensor, one
+    ``np.linalg.pinv`` per slot, stacked ``(n, m_r, m_t)``: the input of
+    ``sensing_als.gevd_start``.  ``None`` when some slot's pilot system
+    ``x[n]`` (``(n, p, m_t)``) has rank below ``m_t`` at the ``rcond`` cutoff,
+    where the slices cannot be unmixed and the fit starts at random."""
+    if any(np.linalg.matrix_rank(xn, rtol=rcond) < xn.shape[1] for xn in x):
+        return None
+    return np.stack([tensor[:, :, n] @ np.linalg.pinv(xn, rcond=rcond).T for n, xn in enumerate(x)])
+
+
 def paper_als_fit(tensor, frame, num_targets, cfg=None):
     """The paper's alternating-least-squares fit: the reference ``als_fit``
     is judged against.
 
-    Same objective, pilot-mode compression, starts, restarts, stopping rule
-    and ``SensingEstimate`` as ``als_fit``; each iteration solves the three
+    Same objective, pilot-mode compression, starts (from the slices that
+    :func:`pinv_unmix` unmixes), restarts, stopping rule and
+    ``SensingEstimate`` as ``als_fit``; each iteration solves the three
     exact LS sub-steps in turn (receive steering, transmit steering,
     reflections; minimum-norm SVD solves with the ``rcond`` cutoff), then
     tries an extrapolated step ``it ** (1 / power)`` along the sweep,
@@ -292,11 +304,12 @@ def paper_als_fit(tensor, frame, num_targets, cfg=None):
         resid = y1 - a_rx @ right
         return (np.vdot(resid, resid).real + outside) / y_energy
 
+    unmixed = pinv_unmix(t, x, cfg.rcond)
     best = None
     for restart in range(cfg.n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed) & (2**63 - 1), restart]))
-        if restart == 0:
-            a_rx, a_tx, gamma = gevd_start(t, pilots, code, num_targets, rng, cfg.rcond)
+        if restart == 0 and unmixed is not None:
+            a_rx, a_tx, gamma = gevd_start(unmixed, num_targets, rng, cfg.rcond)
         else:
             a_rx, a_tx, gamma = _random_factors(rng, m_r, m_t, n_slots, num_targets)
         trace, converged, prev_err = [], False, np.inf

@@ -82,6 +82,9 @@ class TestMetrics:
         assert ser(x + 5.0, x) == 1.0
         with pytest.raises(ValueError):
             ser(x, x[:2])
+        # a p = 1 block has no symbol besides the reference row
+        with pytest.raises(ValueError, match="no symbols to score"):
+            ser(x[1:1], x[1:1])
 
 
 # k = 9 on otherwise identifiable dimensions: more columns than align_permutation tries.
@@ -152,6 +155,9 @@ class TestConfig:
         ("m_u", [1, 4], "sweep point m_u=1.0: benchmark needs m_u >= m_t: 1 < 2"),
         # This used to pass and then fail every trial with an OverflowError.
         ("es_n0", [-3100.0, 0.0], "sweep point es_n0=-3100.0: noise variance 10 ** (3100.0 / 10) overflows"),
+        # With one symbol row there is no unknown symbol to score.
+        ("p", [1, 8], "sweep point p=1.0: p must be at least 2: SER scores symbol rows 1..p-1, "
+                      "since row 0 is the semi-blind receiver's known reference"),
     ])
     def test_sweep_point_reports_the_rule_its_trial_breaks(self, tmp_path, variable, values, message):
         path = write_config(tmp_path, sweep={"variable": variable, "values": values})
@@ -567,10 +573,21 @@ class TestRunTrial:
             y = add_noise(comm_forward(link, frame), value, seed=comm_noise_seed)
             est = semi_blind_receive(y, frame.c, frame.s_data[0, :], cfg.constellation)
             s_zf = zf_benchmark(y, link.h, frame.c, cfg.constellation)
+            # Row 0 is the known reference, so both receivers are scored on rows 1..p-1.
+            assert np.array_equal(est.s_hat[0], frame.s_data[0])
             assert (rec.ser_krf, rec.ser_zf, rec.nmse_h) == (
-                ser(est.s_hat, frame.s_data), ser(s_zf, frame.s_data), nmse(est.h_hat, link.h))
+                ser(est.s_hat[1:], frame.s_data[1:]), ser(s_zf[1:], frame.s_data[1:]), nmse(est.h_hat, link.h))
             if value == 0.0:
                 assert rec.ser_krf > 0 and rec.ser_zf > 0
+
+    def test_ser_counts_symbol_errors_outside_the_reference_row(self):
+        # Over rows 1..p-1, (p-1)*m_t*ser is a whole number of errors; over
+        # all p rows it is a multiple of (p-1)/p.
+        cfg = default_config()
+        counts = [(cfg.p - 1) * cfg.m_t * getattr(run_trial(cfg, 0.0, trial), name)
+                  for trial in range(4) for name in ("ser_krf", "ser_zf")]
+        assert all(abs(c - round(c)) < 1e-9 for c in counts), counts
+        assert any(c > 0 for c in counts)
 
 
 class TestRunSweep:
@@ -834,6 +851,35 @@ class TestReplayTool:
         ))
         against = self.run_tool("--against", str(saved)).splitlines()
         assert f"# against: fits more than 1e-05 above the saved objective {len(rows)}" in against
+
+    def test_counts_fits_whose_iterations_flag_or_nmse_differ(self, tmp_path):
+        out = self.run_tool()
+        saved = tmp_path / "saved.tsv"
+        saved.write_text(out)
+        against = self.run_tool("--against", str(saved)).splitlines()
+        assert "# against: fits with a different iteration count 0" in against
+        assert "# against: fits with a different converged flag 0" in against
+        assert any(line.startswith("# against: largest relative nmse_ar difference 0 ") for line in against)
+        assert "# against: objective ratio - 1 in [0, 0]" in against
+        # Saved fit 0 took one more iteration, fit 1 has the other flag and
+        # fit 2 an nmse_ar 0.1 % above this run's.
+        edited = out.splitlines(True)
+        first = next(i for i, line in enumerate(edited) if not line.startswith("#"))
+        for i, column, edit in ((0, 2, lambda v: str(int(v) + 1)),
+                                (1, 3, lambda v: "false" if v == "true" else "true"),
+                                (2, 5, lambda v: repr(float(v) * 1.001) + "\n")):
+            fields = edited[first + i].split("\t")
+            fields[column] = edit(fields[column])
+            edited[first + i] = "\t".join(fields)
+        saved.write_text("".join(edited))
+        against = self.run_tool("--against", str(saved)).splitlines()
+        assert "# against: fits with a different iteration count 1" in against
+        assert "# against: fits with a different converged flag 1" in against
+        line = next(line for line in against if line.startswith("# against: largest relative nmse_ar difference "))
+        values = default_config().sweep_values
+        assert line.endswith(f"(sweep_value {values[2]:g}, trial 0)")
+        assert float(line.split()[6]) == pytest.approx(0.001 / 1.001, rel=1e-3)  # printed to 3 digits
+        assert f"# against: fits identical {len(values) - 3} of {len(values)}" in against
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trial_count_override_validated(self, trials):

@@ -48,6 +48,7 @@ from helpers import (
     oracle_rx_step,
     oracle_tx_step,
     paper_als_fit,
+    pinv_unmix,
     rebuild_sensing_tensor,
 )
 
@@ -207,6 +208,24 @@ def compressed_pilot_systems(frame):
     return (u.conj().T @ frame.s_data) * frame.c[:, None, :]
 
 
+def fit_and_start(y, frame, k, cfg):
+    """``als_fit(y, frame, k, cfg)`` with one restart, and the start it used:
+    the factors returned by the outermost of ``gevd_start`` and
+    ``_random_factors`` (``gevd_start``'s own fallback calls the second),
+    with that function's name."""
+    import tensorisac.sensing_als as als
+
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("gevd_start", "_random_factors"):
+            def record(*args, name=name, fn=getattr(als, name)):
+                calls.append((name, fn(*args)))
+                return calls[-1][1]
+            mp.setattr(als, name, record)
+        est = als_fit(y, frame, k, replace(cfg, n_restarts=1))
+    return est, calls[-1]
+
+
 def fresh_jacobian(a_rx, gamma, x, g):
     """The Jacobian at ``(a_rx, gamma)`` and ``g = x @ a_tx``, filled into a
     zero buffer as ``als_fit`` fills its own."""
@@ -307,9 +326,7 @@ class TestPilotCompression:
         if parallel:
             frame = parallel_pilot_columns(frame)
         y = add_noise(sensing_forward(scene, frame), 10.0, seed=p + 2)
-        est = als_fit(y, frame, k, AlsConfig(init_seed=p, max_iters=2))
-        rng = np.random.default_rng(np.random.SeedSequence([p, 0]))
-        start = gevd_start(y, frame.s_data, frame.c, k, rng)
+        est, (_, start) = fit_and_start(y, frame, k, AlsConfig(init_seed=p, max_iters=2))
         want = oracle_lm_steps(y, frame, start, steps=2)
         for got, ref in zip((est.a_rx_hat, est.a_tx_hat, est.gamma_hat), want):
             assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
@@ -352,7 +369,8 @@ class TestGevdStart:
         scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, theta=theta, phi=phi, seed=seed)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=seed + 1)
         y = sensing_forward(scene, frame)
-        start = gevd_start(y, frame.s_data, frame.c, k, np.random.default_rng(seed))
+        slices = pinv_unmix(y, frame.s_data * frame.c[:, None, :])
+        start = gevd_start(slices, k, np.random.default_rng(seed))
         rebuilt = rebuild_sensing_tensor(*start, frame.c, frame.s_data)
         assert np.linalg.norm(rebuilt - y) ** 2 < 1e-10 * np.linalg.norm(y) ** 2
         # the restart-0 fit starts there, so one step keeps the fit exact
@@ -360,22 +378,27 @@ class TestGevdStart:
         assert fit.nmse_trace[-1] < 1e-10
 
     @pytest.mark.parametrize("m_r, m_t, k, n, p, defect", [
-        (1, 2, 3, 2, 8, False),   # k > min(m_r, m_t)
-        (2, 4, 2, 4, 3, False),   # p < m_t
-        (2, 3, 2, 3, 8, True),    # two parallel pilot columns
-        (2, 2, 2, 3, 8, "zero_code"),  # a zero code entry
+        (1, 2, 3, 2, 8, False),   # k > min(m_r, m_t): gevd_start falls back
+        (2, 1, 1, 1, 4, False),   # one slot: gevd_start falls back
+        (2, 4, 2, 4, 3, False),   # p < m_t: als_fit skips the closed form
+        (2, 3, 2, 3, 8, True),    # two parallel pilot columns: als_fit skips it
+        (2, 2, 2, 3, 8, "zero_code"),  # a zero code entry: als_fit skips it
     ])
     def test_fallback_is_seeded_random_start(self, m_r, m_t, k, n, p, defect):
+        # The start restart 0 of the fit used is bit-identical to the seeded
+        # random draws of restart 0.
         scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=12)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=13)
         if defect is True:
             frame = parallel_pilot_columns(frame)
-        y = sensing_forward(scene, frame)
-        code = frame.c.copy()
         if defect == "zero_code":
-            code[1, 0] = 0.0
-        got = gevd_start(y, frame.s_data, code, k, np.random.default_rng(14))
-        want = _random_factors(np.random.default_rng(14), m_r, m_t, n, k)
+            frame = replace(frame)
+            frame.c = frame.c.copy()
+            frame.c[1, 0] = 0.0
+        y = sensing_forward(scene, frame)
+        _, (name, got) = fit_and_start(y, frame, k, AlsConfig(init_seed=14, max_iters=1))
+        assert name == ("gevd_start" if k > min(m_r, m_t) or n < 2 else "_random_factors")
+        want = _random_factors(np.random.default_rng(np.random.SeedSequence([14, 0])), m_r, m_t, n, k)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -398,8 +421,11 @@ class TestGevdStart:
             if noise_db is not None:
                 y = add_noise(y, noise_db, seed=seed + 2)
             rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = gevd_start(y, frame.s_data, frame.c, k, rng)
-            want = oracle_gevd_start(y, frame.s_data * frame.c[:, None, :], k, rng_oracle)
+            x = frame.s_data * frame.c[:, None, :]
+            slices = pinv_unmix(y, x)
+            # where the slices cannot be unmixed, als_fit starts at random
+            got = _random_factors(rng, m_r, m_t, n, k) if slices is None else gevd_start(slices, k, rng)
+            want = oracle_gevd_start(y, x, k, rng_oracle)
             for g, w in zip(got, want):
                 assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w)
             assert rng.bit_generator.state == rng_oracle.bit_generator.state
@@ -443,13 +469,12 @@ class TestAlsFit:
     def test_every_trace_entry_strictly_lowers_the_error(self):
         # One entry per accepted step; only a converged fit may end with an
         # entry equal to the one before it (the step could no longer change
-        # the parameters).
+        # the parameters).  The first entry is compared with the error of the
+        # start the fit used, not of one recomputed outside it.
         for noise_db, seed in product([None, 0.0, 10.0, 20.0, 30.0], range(10)):
             scene, frame, y = reference_instance(seed=seed, noise_db=noise_db)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-            start = gevd_start(y, frame.s_data, frame.c, 2, rng)
+            est, (_, start) = fit_and_start(y, frame, 2, AlsConfig(init_seed=seed))
             start_err = uncompressed_error(y, SensingEstimate(*start, [], False), frame)
-            est = als_fit(y, frame, 2, AlsConfig(init_seed=seed))
             drops = -np.diff([start_err, *est.nmse_trace])
             assert np.all(drops[:-1] > 0), (seed, drops)
             assert drops[-1] > 0 or (drops[-1] == 0 and est.converged), (seed, drops)
@@ -469,7 +494,7 @@ class TestAlsFit:
         import tensorisac.sensing_als as als
 
         scene, frame, y = reference_instance(seed=7)
-        start = list(gevd_start(y, frame.s_data, frame.c, 2, np.random.default_rng(0)))
+        start = list(_random_factors(np.random.default_rng(0), 2, 2, 3, 2))
         start[2] = np.full_like(start[2], np.nan)
         monkeypatch.setattr(als, "gevd_start", lambda *args: tuple(start))
         with pytest.raises(AlsDivergenceError, match="at the start of restart 0"):

@@ -154,9 +154,12 @@ class TestSceneAndFrame:
         assert np.array_equal(a.phi, b.phi)
 
     def test_sample_scene_sector_draw(self):
-        scene = sample_scene(k=6, n=2, sigma=1.0, m_r=2, m_t=2, sector=(-30.0, 30.0), seed=9)
-        assert np.all(np.abs(scene.theta) <= 30.0)
-        assert np.all(np.abs(scene.phi) <= 30.0)
+        # Drawn angles are uniform in [-80, 80) degrees: theta's k draws come
+        # first, then phi's, from the scene's generator.
+        scene = sample_scene(k=500, n=2, sigma=1.0, m_r=2, m_t=2, seed=9)
+        want = np.random.default_rng(9).uniform(-80.0, 80.0, 1000)
+        assert np.array_equal(np.concatenate([scene.theta, scene.phi]), want)
+        assert -80.0 <= want.min() < -79.0 and 79.0 < want.max() < 80.0
 
     def test_gamma_variance(self):
         scene = sample_scene(k=100, n=500, sigma=2.0, m_r=2, m_t=2, seed=17)

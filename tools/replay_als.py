@@ -13,10 +13,14 @@ iterations (total, p50, p90, max), capped fits, the geometric mean of the
 nonzero ``nmse_ar`` values and the count of fits that read exactly zero.
 With ``--against`` it also compares with a file this tool wrote for another
 checkout: iteration totals, capped fits, the worst ratio of a fit's final
-objective to the saved one, the count of fits that end more than
-``WORSE_REL`` (relative) above their saved objective and the count of fits
+objective to the saved one and the range of those ratios, the count of
+fits that end more than ``WORSE_REL`` (relative) above their saved
+objective, the counts of fits whose iteration count or converged flag
+differs, the largest relative ``nmse_ar`` difference and the count of fits
 identical to the saved ones (iterations, convergence, objective and
-``nmse_ar`` all exactly equal).  Run from the repository root::
+``nmse_ar`` all exactly equal).  A change at rounding level leaves few fits
+identical, so the counts and the largest differences say whether any fit
+moved beyond it.  Run from the repository root::
 
     PYTHONPATH=src python3 tools/replay_als.py bench/configs/snr_sweep.json --trials 60 > parent.tsv
     PYTHONPATH=src python3 tools/replay_als.py bench/configs/snr_sweep.json --trials 60 --against parent.tsv
@@ -99,15 +103,24 @@ def compare(rows: list[tuple], saved: list[tuple]) -> list[str]:
     if [r[:2] for r in rows] != [r[:2] for r in saved]:
         raise SystemExit("error: the saved file replays different fits")
     total, saved_total = sum(r[2] for r in rows), sum(r[2] for r in saved)
-    ratios = [r[4] / s[4] for r, s in zip(rows, saved)]
+    pairs = list(zip(rows, saved))
+    ratios = [r[4] / s[4] for r, s in pairs]
     worst = int(np.argmax(ratios))
+    # Relative nmse_ar difference; a saved zero counts as 0 when matched exactly, else inf.
+    nmse_rel = [abs(r[5] - s[5]) / abs(s[5]) if s[5] else (0.0 if r[5] == 0.0 else math.inf) for r, s in pairs]
+    moved = int(np.argmax(nmse_rel))
     return [
         f"# against: iters total {saved_total} -> {total} ({100.0 * (total - saved_total) / saved_total:+.1f} %)",
         f"# against: capped {sum(not s[3] for s in saved)} -> {sum(not r[3] for r in rows)}",
         f"# against: worst objective ratio {ratios[worst]:.6f} "
         f"(sweep_value {rows[worst][0]:g}, trial {rows[worst][1]})",
+        f"# against: objective ratio - 1 in [{min(ratios) - 1.0:.3g}, {max(ratios) - 1.0:.3g}]",
         f"# against: fits more than {WORSE_REL:g} above the saved objective {sum(q > 1.0 + WORSE_REL for q in ratios)}",
-        f"# against: fits identical {sum(r[2:] == s[2:] for r, s in zip(rows, saved))} of {len(rows)}",
+        f"# against: fits with a different iteration count {sum(r[2] != s[2] for r, s in pairs)}",
+        f"# against: fits with a different converged flag {sum(r[3] != s[3] for r, s in pairs)}",
+        f"# against: largest relative nmse_ar difference {nmse_rel[moved]:.3g} "
+        f"(sweep_value {rows[moved][0]:g}, trial {rows[moved][1]})",
+        f"# against: fits identical {sum(r[2:] == s[2:] for r, s in pairs)} of {len(rows)}",
     ]
 
 
