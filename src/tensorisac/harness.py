@@ -6,6 +6,8 @@ independent trials per grid point.  Every trial seeds its own generators
 from ``(base_seed, sweep value, trial index)``, so results are reproducible
 run to run and independent of execution order; trials may therefore be
 dispatched to worker processes (``jobs`` > 1) without affecting output.
+The pool starts all its workers at once, so it is capped at the smallest of
+``jobs``, ``os.cpu_count()`` and the sweep's number of ``TASK_CHUNK``-trial chunks.
 
 Artifacts per sweep:
 
@@ -85,6 +87,8 @@ COMM_GAIN_MIN, COMM_GAIN_MAX = GAMMA_STD_MIN, GAMMA_STD_MAX
 # tensor's energy overflowed from N0 ~ 1e307, nmse_gamma and nmse_h (about N0
 # over the power) from a ratio of ~ 1e308: a 1e58 margin.
 NOISE_MAX = 1e250
+# Trials per task sent to a worker process when jobs > 1.
+TASK_CHUNK = 16
 
 
 # ------------------------------ configuration ------------------------------ #
@@ -473,7 +477,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
     """Run all grid points and trials; write ``results.csv`` and ``summary.csv``.
 
     Returns the two file paths.  Trials are independent; with
-    ``cfg.jobs > 1`` they are dispatched to worker processes.  Records come
+    ``cfg.jobs > 1`` they go to the capped worker pool (see above).  Records come
     back in task order on the ascending grid, so the rows are sorted by
     (grid point, trial) and the artifacts do not depend on ``jobs``.
     """
@@ -486,8 +490,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
         # Imported here, so that importing the package skips the ~25 ms the pool module takes.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(run_trial, *zip(*tasks), chunksize=16))
+        workers = min(cfg.jobs, os.cpu_count() or 1, -(-len(tasks) // TASK_CHUNK))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(run_trial, *zip(*tasks), chunksize=TASK_CHUNK))
     else:
         records = [run_trial(*task) for task in tasks]
 

@@ -149,9 +149,10 @@ class AlsConfig:
     ``n_restarts`` fits are run and the best final error kept:
     restart 0 starts from :func:`gevd_start` (or its seeded random
     fallback), every further restart from an independent random start.
-    ``init_seed`` seeds the random numbers of every restart: the slice
-    weights of the closed-form start and the random starts.  The damping is
-    fixed by the module constant ``DAMPING_START``, not configured here.
+    ``init_seed`` (a non-negative integer) seeds the random numbers of every
+    restart: the slice weights of the closed-form start and the random
+    starts.  The damping is fixed by the module constant ``DAMPING_START``,
+    not configured here.
     """
 
     max_iters: int = 1000
@@ -165,6 +166,8 @@ class AlsConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not isinstance(self.init_seed, numbers.Integral) or self.init_seed < 0:
+            raise ValueError(f"init_seed must be a non-negative integer, got {self.init_seed!r}")
         # Written so that NaN fails both comparisons.
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
@@ -371,7 +374,7 @@ def als_fit(
 
     best: SensingEstimate | None = None
     for restart in range(cfg.n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed) & (2**63 - 1), restart]))
+        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed), restart]))
         if restart == 0 and closed_form:
             # Z_n diag(1/s) conj(Vh) diag(1/code[n]) = A_rx diag(gamma[n]) A_tx^T
             start = gevd_start(z @ (vh.conj() / s[:, None]) / code[:, None, :], k, rng, cfg.rcond)

@@ -90,11 +90,16 @@ def krst_code(n: int, m_t: int) -> np.ndarray:
 
 # ------------------------------ constellation ------------------------------ #
 
+QAM_ORDER_MAX = 4096  # Wi-Fi 7's, the largest square QAM in use; each order builds and caches that many points
+
+
 @lru_cache(maxsize=None)
 def qam_constellation(order: int) -> np.ndarray:
     """Unit-average-energy square QAM constellation indexed 0..order-1 (read-only, shared)."""
     if order < 4 or isqrt(order) ** 2 != order:
         raise ValueError(f"QAM order must be a square (4, 16, 64, ...), got {order}")
+    if order > QAM_ORDER_MAX:
+        raise ValueError(f"QAM order must be at most {QAM_ORDER_MAX}, got {order}")
     side = isqrt(order)
     levels = 2.0 * np.arange(side) - (side - 1)
     scale = np.sqrt(2.0 * (order - 1) / 3.0)

@@ -307,7 +307,7 @@ def paper_als_fit(tensor, frame, num_targets, cfg=None):
     unmixed = pinv_unmix(t, x, cfg.rcond)
     best = None
     for restart in range(cfg.n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed) & (2**63 - 1), restart]))
+        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed), restart]))
         if restart == 0 and unmixed is not None:
             a_rx, a_tx, gamma = gevd_start(unmixed, num_targets, rng, cfg.rcond)
         else:

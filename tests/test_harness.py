@@ -1,6 +1,8 @@
 """Unit tests for configuration, metrics, the trial driver, and artifacts."""
 
+import concurrent.futures
 import csv
+import importlib.util
 import itertools
 import json
 import math
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -368,6 +371,8 @@ class TestConfig:
          r"^sweep values must be finite when sweeping n: \[inf\]$"),
         # used to load and then run the 3.5 point with n = 3
         ({"sweep": {"variable": "n", "values": [3.5, 4]}}, r"^sweep\.values: 3\.5 is not an integer$"),
+        # a negative seed used to alias a large one through a 63-bit mask
+        ({"als": {"init_seed": -1}}, r"^als section: init_seed must be a non-negative integer, got -1$"),
     ])
     def test_unparsable_value_names_its_key(self, tmp_path, overrides, message):
         path = write_config(tmp_path, **overrides)
@@ -652,6 +657,37 @@ class TestRunSweep:
             with open(x, "rb") as fx, open(y, "rb") as fy:
                 assert fx.read() == fy.read()
 
+    def test_worker_pool_is_capped(self, tmp_path, monkeypatch):
+        # The pool starts every worker it is given at its first submit.  A
+        # stand-in that runs the tasks in this process records the count
+        # asked for and starts no process.
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        serial = run_sweep(self.sweep_cfg(tmp_path / "serial", trials=1))
+        tiny = run_sweep(replace(self.sweep_cfg(tmp_path / "tiny", trials=1), jobs=100000))
+        for x, y in zip(serial, tiny):
+            with open(x, "rb") as fx, open(y, "rb") as fy:
+                assert fx.read() == fy.read()
+        # 2 grid points x 17 trials make 3 chunks of harness.TASK_CHUNK = 16.
+        for cpus, jobs in ((2, 100000), (64, 100000), (64, 2), (None, 100000)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            run_sweep(replace(self.sweep_cfg(tmp_path / f"{cpus}-{jobs}", trials=17), jobs=jobs))
+        assert asked == [1, 2, 3, 2, 1]
+
 
 class TestEmitPlotData:
     def test_files_match_reaggregation(self, tmp_path):
@@ -721,6 +757,13 @@ class TestCli:
         proc = self.run_cli("check", "--config", CONFIG_PATH)
         assert proc.returncode == 0
         assert "config ok" in proc.stdout
+
+    def test_check_bounds_the_qam_order(self, tmp_path):
+        proc = self.run_cli("check", "--config", write_config(tmp_path, constellation=2**44))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: QAM order must be at most 4096, got 17592186044416\n"
+        proc = self.run_cli("check", "--config", write_config(tmp_path, constellation=4096))
+        assert (proc.returncode, proc.stdout) == (0, "config ok\n")
 
     def test_check_bad_config(self, tmp_path):
         path = write_config(tmp_path, dims={"m_u": 1})
@@ -806,126 +849,164 @@ class TestCli:
         assert (out_a / "results.csv").read_text() != (out_b / "results.csv").read_text()
 
 
+AB_TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "ab.py")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+@pytest.fixture(scope="module")
+def ab():
+    """``tools/ab.py`` as a module.  Importing it pins BLAS to one thread in
+    ``os.environ``; that is kept out of the processes other tests start."""
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+        spec = importlib.util.spec_from_file_location("ab_tool", AB_TOOL)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
 class TestReplayTool:
-    """``tools/replay_als.py`` reports the fits ``run_trial`` makes and
-    compares a run with a saved one."""
+    """``tools/ab.py`` replays the fits ``run_trial`` makes on both checkouts
+    and compares them fit by fit."""
 
-    TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "replay_als.py")
+    # (sweep value, trial, iterations, converged, final objective, nmse_ar)
+    ROWS = [(0.0, 0, 5, True, 0.25, 0.01), (0.0, 1, 7, True, 0.125, 0.04),
+            (10.0, 0, 4, True, 0.0625, 0.02), (10.0, 1, 9, False, 0.03125, 0.02)]
 
-    def run_tool(self, *args, config=CONFIG_PATH, trials="1"):
-        proc = subprocess.run([sys.executable, self.TOOL, config, "--trials", trials, *args],
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
+    def test_rows_match_run_trial(self, ab):
+        cfg = replace(default_config(), trials=2)
+        rows = ab.replay(ab.tensorisac, cfg)
+        assert [row[:2] for row in rows] == [(value, trial) for value in cfg.sweep_values for trial in range(2)]
+        for value, trial, iters, converged, objective, nmse_ar in rows:
+            record = run_trial(cfg, value, trial)
+            assert (iters, converged, nmse_ar) == (record.als_iters, record.converged, record.nmse_ar)
+            assert 0.0 < objective < 1.0
 
-    def test_rows_match_run_trial_and_compare_with_saved_run(self, tmp_path):
-        out = self.run_tool()
-        rows = [line.split("\t") for line in out.splitlines() if not line.startswith("#")]
-        cfg = default_config()
-        assert len(rows) == len(cfg.sweep_values)
-        for row, value in zip(rows, cfg.sweep_values):
-            record = run_trial(cfg, value, 0)
-            assert (float(row[0]), int(row[1]), int(row[2])) == (value, 0, record.als_iters)
-            assert (row[3], float(row[5])) == (str(record.converged).lower(), record.nmse_ar)
-        saved = tmp_path / "saved.tsv"
-        saved.write_text(out)
-        against = self.run_tool("--against", str(saved)).splitlines()
-        total = sum(int(row[2]) for row in rows)
-        assert f"# against: iters total {total} -> {total} (+0.0 %)" in against
-        assert any(line.startswith("# against: worst objective ratio 1.000000 ") for line in against)
-        assert "# against: fits more than 1e-05 above the saved objective 0" in against
-        assert f"# against: fits identical {len(rows)} of {len(rows)}" in against
-        # One saved objective moved by one ulp: that fit alone is no longer identical.
-        edited = out.splitlines(True)
-        first = next(i for i, line in enumerate(edited) if not line.startswith("#"))
-        fields = edited[first].split("\t")
-        fields[4] = repr(math.nextafter(float(fields[4]), math.inf))
-        edited[first] = "\t".join(fields)
-        saved.write_text("".join(edited))
-        against = self.run_tool("--against", str(saved)).splitlines()
-        assert f"# against: fits identical {len(rows) - 1} of {len(rows)}" in against
-        # Against a run whose objectives were half as large, every fit counts.
-        saved.write_text("".join(
-            line if line.startswith("#") else "\t".join([*f[:4], repr(float(f[4]) / 2), f[5]])
-            for line in out.splitlines(True) for f in [line.split("\t")]
-        ))
-        against = self.run_tool("--against", str(saved)).splitlines()
-        assert f"# against: fits more than 1e-05 above the saved objective {len(rows)}" in against
+    def test_summary_and_compare_of_identical_rows(self, ab):
+        assert ab.summary(self.ROWS) == [
+            "fits 4",
+            "iters total 25 p50 6 p90 8.4 max 9",
+            "capped 1",
+            "nmse_ar geomean 0.02 over nonzero fits, exactly zero 0",
+        ]
+        assert ab.compare(self.ROWS, self.ROWS) == [
+            "# against: iters total 25 -> 25 (+0.0 %)",
+            "# against: capped 1 -> 1",
+            "# against: worst objective ratio 1.000000 (sweep_value 0, trial 0)",
+            "# against: objective ratio - 1 in [0, 0]",
+            "# against: fits more than 1e-05 above the parent's objective 0",
+            "# against: fits with a different iteration count 0",
+            "# against: fits with a different converged flag 0",
+            "# against: largest relative nmse_ar difference 0 (sweep_value 0, trial 0)",
+            "# against: fits identical 4 of 4",
+        ]
 
-    def test_counts_fits_whose_iterations_flag_or_nmse_differ(self, tmp_path):
-        out = self.run_tool()
-        saved = tmp_path / "saved.tsv"
-        saved.write_text(out)
-        against = self.run_tool("--against", str(saved)).splitlines()
-        assert "# against: fits with a different iteration count 0" in against
-        assert "# against: fits with a different converged flag 0" in against
-        assert any(line.startswith("# against: largest relative nmse_ar difference 0 ") for line in against)
-        assert "# against: objective ratio - 1 in [0, 0]" in against
-        # Saved fit 0 took one more iteration, fit 1 has the other flag and
+    def test_compare_counts_objectives_that_moved(self, ab):
+        # One parent objective one ulp higher: that fit alone is no longer
+        # identical, and it ended lower, so it did not move.
+        parent = list(self.ROWS)
+        parent[0] = (*parent[0][:4], math.nextafter(parent[0][4], math.inf), parent[0][5])
+        lines = ab.compare(self.ROWS, parent)
+        assert "# against: fits identical 3 of 4" in lines
+        assert "# against: fits more than 1e-05 above the parent's objective 0" in lines
+        assert not [line for line in lines if line.startswith("# moved:")]
+        # Against parent objectives half as large, every fit ends above its parent's.
+        lines = ab.compare(self.ROWS, [(*row[:4], row[4] / 2, row[5]) for row in self.ROWS])
+        assert "# against: fits more than 1e-05 above the parent's objective 4" in lines
+        assert "# against: objective ratio - 1 in [1, 1]" in lines
+        assert lines[-4:] == [
+            f"# moved: sweep_value {v:g}, trial {t}: iters {i} -> {i}, converged {c} -> {c}, objective ratio - 1 1"
+            for v, t, i, c, _, _ in self.ROWS
+        ]
+
+    def test_counts_fits_whose_iterations_flag_or_nmse_differ(self, ab):
+        # Parent fit 0 took one more iteration, fit 1 has the other flag and
         # fit 2 an nmse_ar 0.1 % above this run's.
-        edited = out.splitlines(True)
-        first = next(i for i, line in enumerate(edited) if not line.startswith("#"))
-        for i, column, edit in ((0, 2, lambda v: str(int(v) + 1)),
-                                (1, 3, lambda v: "false" if v == "true" else "true"),
-                                (2, 5, lambda v: repr(float(v) * 1.001) + "\n")):
-            fields = edited[first + i].split("\t")
-            fields[column] = edit(fields[column])
-            edited[first + i] = "\t".join(fields)
-        saved.write_text("".join(edited))
-        against = self.run_tool("--against", str(saved)).splitlines()
-        assert "# against: fits with a different iteration count 1" in against
-        assert "# against: fits with a different converged flag 1" in against
-        line = next(line for line in against if line.startswith("# against: largest relative nmse_ar difference "))
-        values = default_config().sweep_values
-        assert line.endswith(f"(sweep_value {values[2]:g}, trial 0)")
+        parent = list(self.ROWS)
+        parent[0] = (*parent[0][:2], parent[0][2] + 1, *parent[0][3:])
+        parent[1] = (*parent[1][:3], not parent[1][3], *parent[1][4:])
+        parent[2] = (*parent[2][:5], parent[2][5] * 1.001)
+        lines = ab.compare(self.ROWS, parent)
+        assert "# against: iters total 26 -> 25 (-3.8 %)" in lines
+        assert "# against: capped 2 -> 1" in lines
+        assert "# against: fits with a different iteration count 1" in lines
+        assert "# against: fits with a different converged flag 1" in lines
+        line = next(line for line in lines if line.startswith("# against: largest relative nmse_ar difference "))
+        assert line.endswith("(sweep_value 10, trial 0)")
         assert float(line.split()[6]) == pytest.approx(0.001 / 1.001, rel=1e-3)  # printed to 3 digits
-        assert f"# against: fits identical {len(values) - 3} of {len(values)}" in against
+        assert "# against: fits identical 1 of 4" in lines
+        assert [line for line in lines if line.startswith("# moved:")] == [
+            "# moved: sweep_value 0, trial 0: iters 6 -> 5, converged True -> True, objective ratio - 1 0",
+            "# moved: sweep_value 0, trial 1: iters 7 -> 7, converged False -> True, objective ratio - 1 0",
+        ]
+
+    def test_totals_printed_when_a_fit_reads_exactly_zero(self, ab, tmp_path):
+        # With one receive antenna the normalized a_rx estimate is the pinned
+        # entry 1, as is the truth, so fits read nmse_ar = 0.
+        config = write_config(tmp_path, dims={"m_r": 1, "m_t": 2, "n": 3, "k": 1, "p": 8},
+                              angles={"sensing_aoa": [15.0], "sensing_aod": [-37.0]},
+                              sweep={"variable": "es_n0", "values": [10.0]}, trials=3)
+        rows = ab.replay(ab.tensorisac, load_config(config))
+        zeros = sum(row[5] == 0.0 for row in rows)
+        assert len(rows) == 3 and zeros > 0
+        assert ab.summary(rows)[-1].endswith(f" over nonzero fits, exactly zero {zeros}")
+        # A zero matched exactly differs by 0; a parent zero the change misses, by inf.
+        zero = [(*self.ROWS[0][:5], 0.0)]
+        assert "# against: largest relative nmse_ar difference 0 (sweep_value 0, trial 0)" in ab.compare(zero, zero)
+        lines = ab.compare(self.ROWS[:1], zero)
+        assert "# against: largest relative nmse_ar difference inf (sweep_value 0, trial 0)" in lines
+        assert ab.summary(zero)[-1] == "nmse_ar geomean nan over nonzero fits, exactly zero 1"
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trial_count_override_validated(self, trials):
-        proc = subprocess.run([sys.executable, self.TOOL, CONFIG_PATH, "--trials", trials],
+        proc = subprocess.run([sys.executable, AB_TOOL, SRC, "--config", CONFIG_PATH, "--trials", trials],
                               capture_output=True, text=True, timeout=300)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: trials must be at least 1\n"
 
-    def test_totals_printed_when_a_fit_reads_exactly_zero(self, tmp_path):
-        # With one receive antenna the normalized a_rx estimate is all ones
-        # up to rounding, as is the truth, so some fits read nmse_ar = 0.
-        config = write_config(tmp_path, dims={"m_r": 1, "m_t": 2, "n": 2, "k": 3, "p": 8},
-                              angles={"sensing_aoa": [15.0, 27.0, 40.0], "sensing_aod": [-37.0, 65.0, 5.0]},
-                              sweep={"variable": "es_n0", "values": [10.0]})
-        lines = self.run_tool(config=config, trials="3").splitlines()
-        rows = [line.split("\t") for line in lines if not line.startswith("#")]
-        zeros = sum(float(row[5]) == 0.0 for row in rows)
-        assert len(rows) == 3 and zeros > 0
-        assert lines[-1].endswith(f" over nonzero fits, exactly zero {zeros}")
-
 
 class TestAbSweepTool:
-    """``tools/ab_sweep.py`` times two checkouts against each other and
-    compares their artifacts."""
+    """``tools/ab.py`` run end to end against another checkout: the fit
+    comparison, then both sweeps timed interleaved with their artifacts compared."""
 
-    TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "ab_sweep.py")
-    SRC = os.path.join(os.path.dirname(__file__), "..", "src")
-
-    def run_tool(self, parent_src):
-        proc = subprocess.run([sys.executable, self.TOOL, str(parent_src), "--steps", "2"],
+    def run_tool(self, parent_src, *args):
+        proc = subprocess.run([sys.executable, AB_TOOL, str(parent_src), "--config", CONFIG_PATH, "--trials", "1", *args],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
+    def copy_with(self, tmp_path, module, old, new):
+        """A copy of ``src`` with ``old`` replaced by ``new`` in ``tensorisac/<module>.py``."""
+        copy = tmp_path / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        path = copy / "tensorisac" / f"{module}.py"
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new))
+        return copy
+
     def test_repo_against_itself_and_against_a_changed_copy(self, tmp_path):
-        out = self.run_tool(self.SRC)
+        values = default_config().sweep_values
+        out = self.run_tool(SRC, "--steps", "2")
+        for side in ("parent", "change"):
+            assert f"# {side}: fits {len(values)}" in out
+        assert f"# against: fits identical {len(values)} of {len(values)}" in out
+        assert not [line for line in out if line.startswith("# moved:")]
         rows = [line.split("\t") for line in out if not line.startswith("#")]
         assert [(row[0], row[4]) for row in rows] == [("0", "yes"), ("1", "yes")]
         assert all(float(row[3]) == pytest.approx(float(row[2]) / float(row[1]), rel=1e-3) for row in rows)
         assert any(re.fullmatch(r"# ratio change/parent: median [\d.]+, IQR \[[\d.]+, [\d.]+\], summed times [\d.]+", line)
                    for line in out)
         assert "# artifacts SHA-identical in 2 of 2 steps" in out
-        # A copy that writes 16 significant digits is timed alike, but its artifacts differ.
-        copy = tmp_path / "src"
-        shutil.copytree(self.SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        harness_py = copy / "tensorisac" / "harness.py"
-        harness_py.write_text(harness_py.read_text().replace(':.17g}"', ':.16g}"'))
-        out = self.run_tool(copy)
+        # A copy that writes 16 significant digits fits alike, but its artifacts differ.
+        out = self.run_tool(self.copy_with(tmp_path, "harness", ':.17g}"', ':.16g}"'), "--steps", "2")
+        assert f"# against: fits identical {len(values)} of {len(values)}" in out
         assert "# artifacts SHA-identical in 0 of 2 steps" in out
+
+    def test_every_fit_that_moves_is_listed(self, tmp_path):
+        # Without the closed-form start every fit takes other steps.
+        values = default_config().sweep_values
+        out = self.run_tool(self.copy_with(tmp_path, "sensing_als", "if restart == 0 and closed_form:", "if False:"))
+        assert f"# against: fits identical 0 of {len(values)}" in out
+        assert f"# against: fits with a different iteration count {len(values)}" in out
+        moved = [line for line in out if line.startswith("# moved:")]
+        assert [line.split(",")[0] for line in moved] == [f"# moved: sweep_value {v:g}" for v in values]
+        assert not [line for line in out if not line.startswith("#")]  # no timed steps by default

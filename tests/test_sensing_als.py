@@ -530,6 +530,22 @@ class TestAlsFit:
             with pytest.raises(ValueError, match="rcond must be nonnegative and finite"):
                 AlsConfig(rcond=bad)
 
+    def test_init_seed_is_non_negative_and_used_whole(self):
+        with pytest.raises(ValueError, match=r"^init_seed must be a non-negative integer, got -1$"):
+            AlsConfig(init_seed=-1)
+        # Seeds 0 and 2**63 once drew the same restarts through a 63-bit mask.
+        # With p < m_t the fit starts from the seeded random draws.
+        scene = sample_scene(k=2, n=4, sigma=1.0, m_r=2, m_t=4, seed=12)
+        frame = sample_frame(p=3, m_t=4, n=4, order=4, seed=13)
+        y = sensing_forward(scene, frame)
+        starts = []
+        for seed in (0, 2**63):
+            _, (name, got) = fit_and_start(y, frame, 2, AlsConfig(init_seed=seed, max_iters=1))
+            want = _random_factors(np.random.default_rng(np.random.SeedSequence([seed, 0])), 2, 4, 4, 2)
+            assert name == "_random_factors" and all(np.array_equal(g, w) for g, w in zip(got, want))
+            starts.append(got)
+        assert not np.array_equal(starts[0][0], starts[1][0])
+
 
 def fit_against_paper_als(instances):
     """Per-fit final objectives, iteration counts and cap flags of als_fit and

@@ -111,6 +111,11 @@ class TestQam:
         with pytest.raises(ValueError, match=r"^QAM order must be a square \(4, 16, 64, \.\.\.\), got "):
             qam_constellation(bad)
 
+    def test_order_bounded_at_4096(self):
+        assert qam_constellation(4096).size == 4096
+        with pytest.raises(ValueError, match=r"^QAM order must be at most 4096, got 17592186044416$"):
+            qam_constellation(2**44)
+
     def test_modulate_demodulate_roundtrip(self):
         for order in (4, 16):
             idx = np.arange(order)
