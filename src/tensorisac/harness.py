@@ -5,9 +5,9 @@ A sweep varies one quantity (``es_n0`` in dB, or one of the dimensions
 independent trials per grid point.  Every trial seeds its own generators
 from ``(base_seed, sweep value, trial index)``, so results are reproducible
 run to run and independent of execution order; trials may therefore be
-dispatched to worker processes (``jobs`` > 1) without affecting output.
-The pool starts all its workers at once, so it is capped at the smallest of
-``jobs``, ``os.cpu_count()`` and the sweep's number of ``TASK_CHUNK``-trial chunks.
+dispatched to worker processes without affecting output.  A pool starts all
+its workers at once, so its size is the smallest of ``jobs``, ``os.cpu_count()``
+and the number of ``TASK_CHUNK``-trial chunks; when that is 1, none is opened.
 
 Artifacts per sweep:
 
@@ -476,8 +476,8 @@ def _write_csv(path: str, rows: list[list]) -> None:
 def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, str]:
     """Run all grid points and trials; write ``results.csv`` and ``summary.csv``.
 
-    Returns the two file paths.  Trials are independent; with
-    ``cfg.jobs > 1`` they go to the capped worker pool (see above).  Records come
+    Returns the two file paths.  Trials are independent; when the capped
+    worker count (see above) exceeds 1, they go to a worker pool.  Records come
     back in task order on the ascending grid, so the rows are sorted by
     (grid point, trial) and the artifacts do not depend on ``jobs``.
     """
@@ -486,11 +486,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
     os.makedirs(out, exist_ok=True)
 
     tasks = [(cfg, value, trial) for value in cfg.sweep_values for trial in range(cfg.trials)]
-    if cfg.jobs > 1:
+    workers = min(cfg.jobs, os.cpu_count() or 1, -(-len(tasks) // TASK_CHUNK))
+    if workers > 1:
         # Imported here, so that importing the package skips the ~25 ms the pool module takes.
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(cfg.jobs, os.cpu_count() or 1, -(-len(tasks) // TASK_CHUNK))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_trial, *zip(*tasks), chunksize=TASK_CHUNK))
     else:

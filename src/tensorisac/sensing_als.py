@@ -250,16 +250,15 @@ def gevd_start(slices: np.ndarray, num_targets: int, rng: np.random.Generator, r
     is ``gamma[n, j] A_tx[:, j]^T``, a rank-one matrix over the slots that
     :func:`best_rank_one` splits.  Exact on noiseless data.
 
-    Falls back to the seeded random start, with the same draws from ``rng``,
-    when the model does not allow it: ``k > min(m_r, m_t)`` or fewer than
-    two slots.  ``rcond`` is the cutoff of the pseudoinverse of the
-    recovered ``A_rx``, whose eigenvector basis can be singular on
-    degenerate slices.
+    Raises ``ValueError`` outside the model, ``k > min(m_r, m_t)`` or fewer
+    than two slots; :func:`als_fit` starts at random there.  ``rcond`` is
+    the cutoff of the pseudoinverse of the recovered ``A_rx``, whose
+    eigenvector basis can be singular on degenerate slices.
     """
     n_slots, m_r, m_t = slices.shape
     k = num_targets
     if k > min(m_r, m_t) or n_slots < 2:
-        return _random_factors(rng, m_r, m_t, n_slots, k)
+        raise ValueError(f"gevd_start needs k <= min(m_r, m_t) and two slots, got k={k}, {m_r}x{m_t}, {n_slots} slots")
     u1 = np.linalg.svd(slices.transpose(1, 2, 0).reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
     u2 = np.linalg.svd(slices.transpose(2, 1, 0).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
     core = u1.conj().T @ slices @ u2.conj()
@@ -353,9 +352,10 @@ def als_fit(
     outside = np.vdot(resid, resid).real
     # x[n] = X_n = (U^H S) diag(code[n]), the compressed pilot system of slot n.
     x = (u.conj().T @ pilots) * code[:, None, :]
-    # Pilots of full column rank and a code without zeros make every X_n
-    # invertible, so the closed-form start applies (module docstring).
-    closed_form = len(s) == m_t and s[-1] > cfg.rcond * s[0] and np.all(code != 0.0)
+    # Inside the model (module docstring), pilots of full column rank and a code
+    # without zeros make every X_n invertible, so the closed-form start applies.
+    closed_form = (k <= min(m_r, m_t) and n_slots >= 2
+                   and len(s) == m_t and s[-1] > cfg.rcond * s[0] and np.all(code != 0.0))
     rx_end, tx_end = m_r * k, (m_r + m_t) * k
     damping = np.eye((m_r + m_t + n_slots) * k)
     jac = np.zeros((n_slots * m_r * x.shape[1], damping.shape[0]), dtype=complex)

@@ -304,7 +304,8 @@ def paper_als_fit(tensor, frame, num_targets, cfg=None):
         resid = y1 - a_rx @ right
         return (np.vdot(resid, resid).real + outside) / y_energy
 
-    unmixed = pinv_unmix(t, x, cfg.rcond)
+    # The closed-form start needs the model's gate and slices that unmix, as in als_fit.
+    unmixed = pinv_unmix(t, x, cfg.rcond) if num_targets <= min(m_r, m_t) and n_slots >= 2 else None
     best = None
     for restart in range(cfg.n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed), restart]))

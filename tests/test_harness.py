@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -648,11 +649,23 @@ class TestRunSweep:
             with open(pa, "rb") as fa, open(pb, "rb") as fb:
                 assert fa.read() == fb.read()
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        serial = replace(self.sweep_cfg(tmp_path / "s", trials=2), jobs=1)
-        parallel = replace(self.sweep_cfg(tmp_path / "p", trials=2), jobs=2)
+    def test_parallel_jobs_match_serial(self, tmp_path, monkeypatch):
+        # 2 grid points x 9 trials make 2 chunks, so jobs=2 on 2 CPUs opens a
+        # real pool of 2 workers.
+        opened = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = replace(self.sweep_cfg(tmp_path / "s", trials=9), jobs=1)
+        parallel = replace(self.sweep_cfg(tmp_path / "p", trials=9), jobs=2)
         pa = run_sweep(serial)
         pb = run_sweep(parallel)
+        assert opened == [2]
         for x, y in zip(pa, pb):
             with open(x, "rb") as fx, open(y, "rb") as fy:
                 assert fx.read() == fy.read()
@@ -683,10 +696,11 @@ class TestRunSweep:
             with open(x, "rb") as fx, open(y, "rb") as fy:
                 assert fx.read() == fy.read()
         # 2 grid points x 17 trials make 3 chunks of harness.TASK_CHUNK = 16.
+        # A cap of 1 (the 2-trial sweep above, or no known CPU count) opens no pool.
         for cpus, jobs in ((2, 100000), (64, 100000), (64, 2), (None, 100000)):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             run_sweep(replace(self.sweep_cfg(tmp_path / f"{cpus}-{jobs}", trials=17), jobs=jobs))
-        assert asked == [1, 2, 3, 2, 1]
+        assert asked == [2, 3, 2]
 
 
 class TestEmitPlotData:
@@ -865,21 +879,27 @@ def ab():
 
 
 class TestReplayTool:
-    """``tools/ab.py`` replays the fits ``run_trial`` makes on both checkouts
-    and compares them fit by fit."""
+    """``tools/ab.py`` keeps the fits and artifacts of one sweep per checkout
+    and compares them fit by fit and file by file."""
 
     # (sweep value, trial, iterations, converged, final objective, nmse_ar)
     ROWS = [(0.0, 0, 5, True, 0.25, 0.01), (0.0, 1, 7, True, 0.125, 0.04),
             (10.0, 0, 4, True, 0.0625, 0.02), (10.0, 1, 9, False, 0.03125, 0.02)]
+    HASHES = {"results.csv": "0a", "summary.csv": "0b"}
 
-    def test_rows_match_run_trial(self, ab):
+    def test_rows_match_run_trial(self, ab, tmp_path):
         cfg = replace(default_config(), trials=2)
-        rows = ab.replay(ab.tensorisac, cfg)
+        rows, hashes = ab.replay(ab.tensorisac, cfg, str(tmp_path))
         assert [row[:2] for row in rows] == [(value, trial) for value in cfg.sweep_values for trial in range(2)]
         for value, trial, iters, converged, objective, nmse_ar in rows:
             record = run_trial(cfg, value, trial)
             assert (iters, converged, nmse_ar) == (record.als_iters, record.converged, record.nmse_ar)
             assert 0.0 < objective < 1.0
+        # One hash per artifact of the sweep, each of the file it names.
+        assert sorted(hashes) == sorted(path.name for path in tmp_path.iterdir())
+        assert len(hashes) == 2 + len(METRIC_COLUMNS)
+        for name, digest in hashes.items():
+            assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
     def test_summary_and_compare_of_identical_rows(self, ab):
         assert ab.summary(self.ROWS) == [
@@ -888,7 +908,7 @@ class TestReplayTool:
             "capped 1",
             "nmse_ar geomean 0.02 over nonzero fits, exactly zero 0",
         ]
-        assert ab.compare(self.ROWS, self.ROWS) == [
+        assert ab.compare(self.ROWS, self.HASHES, self.ROWS, self.HASHES) == [
             "# against: iters total 25 -> 25 (+0.0 %)",
             "# against: capped 1 -> 1",
             "# against: worst objective ratio 1.000000 (sweep_value 0, trial 0)",
@@ -898,19 +918,27 @@ class TestReplayTool:
             "# against: fits with a different converged flag 0",
             "# against: largest relative nmse_ar difference 0 (sweep_value 0, trial 0)",
             "# against: fits identical 4 of 4",
+            "# against: artifacts SHA-identical 2 of 2",
         ]
+
+    def test_compare_counts_artifacts_by_name(self, ab):
+        # A file with another hash, or on one side only, is not identical.
+        parent = {**self.HASHES, "summary.csv": "1b", "plot.txt": "0c"}
+        assert "# against: artifacts SHA-identical 1 of 3" in ab.compare(self.ROWS, self.HASHES, self.ROWS, parent)
+        assert "# against: artifacts SHA-identical 1 of 3" in ab.compare(self.ROWS, parent, self.ROWS, self.HASHES)
 
     def test_compare_counts_objectives_that_moved(self, ab):
         # One parent objective one ulp higher: that fit alone is no longer
         # identical, and it ended lower, so it did not move.
         parent = list(self.ROWS)
         parent[0] = (*parent[0][:4], math.nextafter(parent[0][4], math.inf), parent[0][5])
-        lines = ab.compare(self.ROWS, parent)
+        lines = ab.compare(self.ROWS, self.HASHES, parent, self.HASHES)
         assert "# against: fits identical 3 of 4" in lines
         assert "# against: fits more than 1e-05 above the parent's objective 0" in lines
         assert not [line for line in lines if line.startswith("# moved:")]
         # Against parent objectives half as large, every fit ends above its parent's.
-        lines = ab.compare(self.ROWS, [(*row[:4], row[4] / 2, row[5]) for row in self.ROWS])
+        parent = [(*row[:4], row[4] / 2, row[5]) for row in self.ROWS]
+        lines = ab.compare(self.ROWS, self.HASHES, parent, self.HASHES)
         assert "# against: fits more than 1e-05 above the parent's objective 4" in lines
         assert "# against: objective ratio - 1 in [1, 1]" in lines
         assert lines[-4:] == [
@@ -925,7 +953,7 @@ class TestReplayTool:
         parent[0] = (*parent[0][:2], parent[0][2] + 1, *parent[0][3:])
         parent[1] = (*parent[1][:3], not parent[1][3], *parent[1][4:])
         parent[2] = (*parent[2][:5], parent[2][5] * 1.001)
-        lines = ab.compare(self.ROWS, parent)
+        lines = ab.compare(self.ROWS, self.HASHES, parent, self.HASHES)
         assert "# against: iters total 26 -> 25 (-3.8 %)" in lines
         assert "# against: capped 2 -> 1" in lines
         assert "# against: fits with a different iteration count 1" in lines
@@ -945,14 +973,15 @@ class TestReplayTool:
         config = write_config(tmp_path, dims={"m_r": 1, "m_t": 2, "n": 3, "k": 1, "p": 8},
                               angles={"sensing_aoa": [15.0], "sensing_aod": [-37.0]},
                               sweep={"variable": "es_n0", "values": [10.0]}, trials=3)
-        rows = ab.replay(ab.tensorisac, load_config(config))
+        rows, _ = ab.replay(ab.tensorisac, load_config(config), str(tmp_path / "out"))
         zeros = sum(row[5] == 0.0 for row in rows)
         assert len(rows) == 3 and zeros > 0
         assert ab.summary(rows)[-1].endswith(f" over nonzero fits, exactly zero {zeros}")
         # A zero matched exactly differs by 0; a parent zero the change misses, by inf.
         zero = [(*self.ROWS[0][:5], 0.0)]
-        assert "# against: largest relative nmse_ar difference 0 (sweep_value 0, trial 0)" in ab.compare(zero, zero)
-        lines = ab.compare(self.ROWS[:1], zero)
+        lines = ab.compare(zero, {}, zero, {})
+        assert "# against: largest relative nmse_ar difference 0 (sweep_value 0, trial 0)" in lines
+        lines = ab.compare(self.ROWS[:1], {}, zero, {})
         assert "# against: largest relative nmse_ar difference inf (sweep_value 0, trial 0)" in lines
         assert ab.summary(zero)[-1] == "nmse_ar geomean nan over nonzero fits, exactly zero 1"
 
@@ -965,8 +994,8 @@ class TestReplayTool:
 
 
 class TestAbSweepTool:
-    """``tools/ab.py`` run end to end against another checkout: the fit
-    comparison, then both sweeps timed interleaved with their artifacts compared."""
+    """``tools/ab.py`` run end to end against another checkout: one sweep per
+    side, its fits and its artifacts compared."""
 
     def run_tool(self, parent_src, *args):
         proc = subprocess.run([sys.executable, AB_TOOL, str(parent_src), "--config", CONFIG_PATH, "--trials", "1", *args],
@@ -984,22 +1013,20 @@ class TestAbSweepTool:
         return copy
 
     def test_repo_against_itself_and_against_a_changed_copy(self, tmp_path):
-        values = default_config().sweep_values
-        out = self.run_tool(SRC, "--steps", "2")
+        values, artifacts = default_config().sweep_values, 2 + len(METRIC_COLUMNS)
+        out = self.run_tool(SRC)
         for side in ("parent", "change"):
             assert f"# {side}: fits {len(values)}" in out
         assert f"# against: fits identical {len(values)} of {len(values)}" in out
+        assert f"# against: artifacts SHA-identical {artifacts} of {artifacts}" in out
         assert not [line for line in out if line.startswith("# moved:")]
-        rows = [line.split("\t") for line in out if not line.startswith("#")]
-        assert [(row[0], row[4]) for row in rows] == [("0", "yes"), ("1", "yes")]
-        assert all(float(row[3]) == pytest.approx(float(row[2]) / float(row[1]), rel=1e-3) for row in rows)
-        assert any(re.fullmatch(r"# ratio change/parent: median [\d.]+, IQR \[[\d.]+, [\d.]+\], summed times [\d.]+", line)
-                   for line in out)
-        assert "# artifacts SHA-identical in 2 of 2 steps" in out
+        assert all(line.startswith("#") for line in out)  # nothing is timed
         # A copy that writes 16 significant digits fits alike, but its artifacts differ.
-        out = self.run_tool(self.copy_with(tmp_path, "harness", ':.17g}"', ':.16g}"'), "--steps", "2")
+        out = self.run_tool(self.copy_with(tmp_path, "harness", ':.17g}"', ':.16g}"'))
         assert f"# against: fits identical {len(values)} of {len(values)}" in out
-        assert "# artifacts SHA-identical in 0 of 2 steps" in out
+        (line,) = [line for line in out if line.startswith("# against: artifacts SHA-identical ")]
+        same = re.fullmatch(rf"# against: artifacts SHA-identical (\d+) of {artifacts}", line)
+        assert same and int(same.group(1)) < artifacts
 
     def test_every_fit_that_moves_is_listed(self, tmp_path):
         # Without the closed-form start every fit takes other steps.
@@ -1009,4 +1036,10 @@ class TestAbSweepTool:
         assert f"# against: fits with a different iteration count {len(values)}" in out
         moved = [line for line in out if line.startswith("# moved:")]
         assert [line.split(",")[0] for line in moved] == [f"# moved: sweep_value {v:g}" for v in values]
-        assert not [line for line in out if not line.startswith("#")]  # no timed steps by default
+
+    def test_timing_option_is_gone(self):
+        # Speed is measured by bench/run.py; the tool has no timer.
+        proc = subprocess.run([sys.executable, AB_TOOL, SRC, "--steps", "2"],
+                              capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "error: unrecognized arguments: --steps 2" in proc.stderr

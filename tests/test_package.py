@@ -41,7 +41,7 @@ def test_package_exports_come_from_module_exports():
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # concurrent.futures.process is loaded only by a sweep with jobs > 1.
+    # concurrent.futures.process is loaded only by a sweep that opens a worker pool.
     src = os.path.dirname(os.path.dirname(tensorisac.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, tensorisac; print('concurrent.futures.process' in sys.modules)"

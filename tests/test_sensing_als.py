@@ -210,9 +210,8 @@ def compressed_pilot_systems(frame):
 
 def fit_and_start(y, frame, k, cfg):
     """``als_fit(y, frame, k, cfg)`` with one restart, and the start it used:
-    the factors returned by the outermost of ``gevd_start`` and
-    ``_random_factors`` (``gevd_start``'s own fallback calls the second),
-    with that function's name."""
+    the factors returned by its one call of ``gevd_start`` or
+    ``_random_factors``, with that function's name."""
     import tensorisac.sensing_als as als
 
     calls = []
@@ -223,7 +222,8 @@ def fit_and_start(y, frame, k, cfg):
                 return calls[-1][1]
             mp.setattr(als, name, record)
         est = als_fit(y, frame, k, replace(cfg, n_restarts=1))
-    return est, calls[-1]
+    (call,) = calls
+    return est, call
 
 
 def fresh_jacobian(a_rx, gamma, x, g):
@@ -359,8 +359,8 @@ class TestPilotCompression:
 
 
 class TestGevdStart:
-    """The closed-form start recovers noiseless factors before any ALS sweep
-    and falls back to the seeded random start where the model forbids it."""
+    """The closed-form start recovers noiseless factors before any ALS sweep;
+    where it does not apply, ``als_fit`` starts from the seeded random draws."""
 
     @pytest.mark.parametrize("m_r, m_t, k, n, p", [(2, 2, 2, 3, 8), (4, 4, 3, 4, 64)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -378,9 +378,9 @@ class TestGevdStart:
         assert fit.nmse_trace[-1] < 1e-10
 
     @pytest.mark.parametrize("m_r, m_t, k, n, p, defect", [
-        (1, 2, 3, 2, 8, False),   # k > min(m_r, m_t): gevd_start falls back
-        (2, 1, 1, 1, 4, False),   # one slot: gevd_start falls back
-        (2, 4, 2, 4, 3, False),   # p < m_t: als_fit skips the closed form
+        (1, 2, 3, 2, 8, False),   # k > min(m_r, m_t): als_fit skips the closed form
+        (2, 1, 1, 1, 4, False),   # one slot: als_fit skips it
+        (2, 4, 2, 4, 3, False),   # p < m_t: als_fit skips it
         (2, 3, 2, 3, 8, True),    # two parallel pilot columns: als_fit skips it
         (2, 2, 2, 3, 8, "zero_code"),  # a zero code entry: als_fit skips it
     ])
@@ -397,7 +397,7 @@ class TestGevdStart:
             frame.c[1, 0] = 0.0
         y = sensing_forward(scene, frame)
         _, (name, got) = fit_and_start(y, frame, k, AlsConfig(init_seed=14, max_iters=1))
-        assert name == ("gevd_start" if k > min(m_r, m_t) or n < 2 else "_random_factors")
+        assert name == "_random_factors"
         want = _random_factors(np.random.default_rng(np.random.SeedSequence([14, 0])), m_r, m_t, n, k)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -423,12 +423,26 @@ class TestGevdStart:
             rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
             x = frame.s_data * frame.c[:, None, :]
             slices = pinv_unmix(y, x)
-            # where the slices cannot be unmixed, als_fit starts at random
-            got = _random_factors(rng, m_r, m_t, n, k) if slices is None else gevd_start(slices, k, rng)
+            # outside the model, or where the slices cannot be unmixed, als_fit starts at random
+            if slices is None or k > min(m_r, m_t) or n < 2:
+                got = _random_factors(rng, m_r, m_t, n, k)
+            else:
+                got = gevd_start(slices, k, rng)
             want = oracle_gevd_start(y, x, k, rng_oracle)
             for g, w in zip(got, want):
                 assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w)
             assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    @pytest.mark.parametrize("n_slots, m_r, m_t, k", [(3, 1, 2, 2), (3, 2, 1, 2), (1, 2, 2, 2)])
+    def test_rejects_slices_outside_the_model(self, n_slots, m_r, m_t, k):
+        # k > min(m_r, m_t) or one slot: als_fit gates these out, so a call is an error.
+        rng = np.random.default_rng(0)
+        slices = rng.standard_normal((n_slots, m_r, m_t)) + 0j
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"^gevd_start needs k <= min\(m_r, m_t\) and two slots, "
+                                             rf"got k={k}, {m_r}x{m_t}, {n_slots} slots$"):
+            gevd_start(slices, k, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestAlsFit:

@@ -1,30 +1,26 @@
 #!/usr/bin/env python3
-"""Compare this checkout with another one: the same sensing fits, then interleaved sweep timings.
+"""Compare this checkout with another one: the same sensing fits and the same artifacts.
 
 Imports this checkout's ``src/tensorisac`` and the package under
-``PARENT_SRC`` (as ``tensorisac_parent``) in one process.  Fits: on one
-config (``--trials`` replaces its trial count) each side runs
-``harness.run_trial`` for trials ``0 .. T-1`` of every grid point and
-records what its ``als_fit`` call returned.  A trial's inputs depend only
-on the config, grid value and trial index, so a change to the fit shows
-per fit, not as noise.  Prints per side the fits, their iterations, capped
-fits and the geometric mean of the nonzero ``nmse_ar``; then ``# against:``
-lines (iteration totals, objective ratios, fits more than ``WORSE_REL``
-above the parent's objective, fits whose iteration count or converged flag
-differs, the largest relative ``nmse_ar`` difference, identical fits) and a
-``# moved:`` line per fit that differs in iterations or flag or ends more
-than ``WORSE_REL`` above the parent.
+``PARENT_SRC`` (as ``tensorisac_parent``) in one process.  Each side runs
+its own ``harness.run_sweep`` + ``emit_plot_data`` once on one config
+(``--trials`` replaces its trial count, ``jobs`` is forced to 1), with its
+``run_trial`` and ``als_fit`` wrapped so that every trial's record and fit
+are kept.  A trial's inputs depend only on the config, grid value and
+trial index, so a change to the fit shows per fit, not as noise.  Prints
+per side the fits, their iterations, capped fits and the geometric mean of
+the nonzero ``nmse_ar``; then ``# against:`` lines (iteration totals,
+objective ratios, fits more than ``WORSE_REL`` above the parent's
+objective, fits whose iteration count or converged flag differs, the
+largest relative ``nmse_ar`` difference, identical fits, artifacts whose
+SHA-256 is identical) and a ``# moved:`` line per fit that differs in
+iterations or flag or ends more than ``WORSE_REL`` above the parent.
 
-Timings (``--steps S`` > 0): ``run_sweep`` + ``emit_plot_data`` (jobs
-forced to 1) once per side and step after one untimed warm-up step, the
-side that goes first alternating.  Both sides of step ``i`` use base seed
-``base_seed + i``, so host drift cancels out of the per-step ratio.  Prints
-one row per step, each side's median step time and trials/s, the median
-and IQR of the ratio, the ratio of the summed times and the number of
-steps whose artifacts are SHA-identical.  Run from the repository root::
+It times nothing: speed is measured by ``bench/run.py`` in both checkouts
+(README).  Run from the repository root::
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
-    python3 tools/ab.py ../parent/src --config bench/configs/snr_sweep.json --trials 60 --steps 40
+    python3 tools/ab.py ../parent/src --config bench/configs/snr_sweep.json --trials 60
 """
 
 from __future__ import annotations
@@ -39,10 +35,8 @@ import argparse
 import hashlib
 import importlib.util
 import math
-import statistics
 import sys
 import tempfile
-import time
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -68,24 +62,28 @@ def load_package(src: Path, name: str):
     return module
 
 
-def replay(package, cfg) -> list[tuple]:
-    """One row (sweep value, trial, iterations, converged, final objective,
-    ``nmse_ar``) per ``als_fit`` call of the config's trials."""
-    fits = []
-    fit = package.harness.als_fit
+def replay(package, cfg, out: str) -> tuple[list[tuple], dict[str, str]]:
+    """Run the config's sweep and its plot data once into ``out``.  Returns
+    one row (sweep value, trial, iterations, converged, final objective,
+    ``nmse_ar``) per trial and the SHA-256 of each artifact by file name."""
+    harness, fits, rows = package.harness, [], []
+    fit, trial = harness.als_fit, harness.run_trial
 
     def recording_fit(*args, **kwargs):
         fits.append(fit(*args, **kwargs))
         return fits[-1]
 
-    rows = []
-    with mock.patch.object(package.harness, "als_fit", recording_fit):
-        for value in cfg.sweep_values:
-            for trial in range(cfg.trials):
-                record = package.harness.run_trial(cfg, value, trial)
-                est = fits.pop()
-                rows.append((value, trial, est.iters, est.converged, float(est.nmse_trace[-1]), record.nmse_ar))
-    return rows
+    def recording_trial(*args, **kwargs):
+        record, est = trial(*args, **kwargs), fits.pop()
+        rows.append((record.sweep_value, record.trial, est.iters, est.converged, float(est.nmse_trace[-1]),
+                     record.nmse_ar))
+        return record
+
+    with mock.patch.object(harness, "als_fit", recording_fit), mock.patch.object(harness, "run_trial", recording_trial):
+        results, summary_csv = harness.run_sweep(replace(cfg, jobs=1), out_dir=out)
+        plots = harness.emit_plot_data(results, out_dir=out)
+    return rows, {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                  for p in (results, summary_csv, *plots)}
 
 
 def summary(rows: list[tuple]) -> list[str]:
@@ -101,8 +99,9 @@ def summary(rows: list[tuple]) -> list[str]:
     ]
 
 
-def compare(rows: list[tuple], parent: list[tuple]) -> list[str]:
-    """The ``# against:`` and ``# moved:`` lines of the change's rows against the parent's."""
+def compare(rows: list[tuple], hashes: dict[str, str], parent: list[tuple], parent_hashes: dict[str, str]) -> list[str]:
+    """The ``# against:`` and ``# moved:`` lines of the change's rows and
+    artifact hashes against the parent's."""
     total, parent_total = sum(r[2] for r in rows), sum(p[2] for p in parent)
     pairs = list(zip(rows, parent))
     ratios = [r[4] / p[4] for r, p in pairs]
@@ -121,46 +120,13 @@ def compare(rows: list[tuple], parent: list[tuple]) -> list[str]:
         f"# against: largest relative nmse_ar difference {nmse_rel[most]:.3g} "
         f"(sweep_value {rows[most][0]:g}, trial {rows[most][1]})",
         f"# against: fits identical {sum(r[2:] == p[2:] for r, p in pairs)} of {len(rows)}",
+        f"# against: artifacts SHA-identical {sum(hashes.get(k) == v for k, v in parent_hashes.items())} "
+        f"of {len(hashes.keys() | parent_hashes.keys())}",
     ] + [
         f"# moved: sweep_value {r[0]:g}, trial {r[1]}: iters {p[2]} -> {r[2]}, "
         f"converged {p[3]} -> {r[3]}, objective ratio - 1 {q - 1.0:.3g}"
         for (r, p), q in zip(pairs, ratios) if r[2] != p[2] or r[3] != p[3] or q > 1.0 + WORSE_REL
     ]
-
-
-def time_steps(sides: dict, cfgs: dict, steps: int) -> None:
-    """Time ``run_sweep`` + ``emit_plot_data`` per side and step, and hash each artifact by name."""
-    times: dict[str, list[float]] = {"parent": [], "change": []}
-    identical = 0
-    print("# step\tparent_s\tchange_s\tratio\tidentical")
-    with tempfile.TemporaryDirectory() as work:
-        for step in range(-1, steps):
-            timed = {}
-            for name in ("parent", "change") if step % 2 == 0 else ("change", "parent"):
-                cfg, out = replace(cfgs[name], base_seed=cfgs[name].base_seed + max(step, 0)), f"{work}/{name}{step}"
-                start = time.perf_counter()
-                results, summary_csv = sides[name].harness.run_sweep(cfg, out_dir=out)
-                plots = sides[name].harness.emit_plot_data(results, out_dir=out)
-                timed[name] = (time.perf_counter() - start, {
-                    Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (results, summary_csv, *plots)})
-            if step < 0:
-                continue
-            same = timed["parent"][1] == timed["change"][1]
-            identical += same
-            for name in times:
-                times[name].append(timed[name][0])
-            print(f"{step}\t{timed['parent'][0]:.6f}\t{timed['change'][0]:.6f}\t"
-                  f"{timed['change'][0] / timed['parent'][0]:.4f}\t{'yes' if same else 'no'}")
-
-    trials = len(cfgs["change"].sweep_values) * cfgs["change"].trials
-    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
-    q1, q2, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    for name in times:
-        median = statistics.median(times[name])
-        print(f"# {name}: median step {median:.4f} s, {trials / median:.1f} trials/s ({trials} trials per step)")
-    print(f"# ratio change/parent: median {q2:.4f}, IQR [{q1:.4f}, {q3:.4f}], "
-          f"summed times {sum(times['change']) / sum(times['parent']):.4f}")
-    print(f"# artifacts SHA-identical in {identical} of {steps} steps")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -169,10 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", default=str(ROOT / "bench" / "configs" / "snr_sweep.json"),
                         help="experiment config (JSON); default: bench/configs/snr_sweep.json")
     parser.add_argument("--trials", type=int, default=None, help="trials per grid point (default: from config)")
-    parser.add_argument("--steps", type=int, default=0, help="timed steps per side after the fits (default: 0)")
     args = parser.parse_args(argv)
-    if args.steps < 0:
-        parser.error("--steps must be at least 0")
     if not (args.parent_src / "tensorisac" / "__init__.py").is_file():
         parser.error(f"{args.parent_src} holds no tensorisac package")
     sides = {"parent": load_package(args.parent_src.resolve(), "tensorisac_parent"), "change": tensorisac}
@@ -180,18 +143,17 @@ def main(argv: list[str] | None = None) -> int:
     for name, package in sides.items():
         try:
             cfg = package.harness.load_config(args.config)
-            cfgs[name] = replace(cfg, trials=cfg.trials if args.trials is None else args.trials, jobs=1)
+            cfgs[name] = replace(cfg, trials=cfg.trials if args.trials is None else args.trials)
             cfgs[name].validate()
         except (package.exceptions.ConfigError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    rows = {name: replay(package, cfgs[name]) for name, package in sides.items()}
+    with tempfile.TemporaryDirectory() as work:
+        runs = {name: replay(package, cfgs[name], f"{work}/{name}") for name, package in sides.items()}
     for name in sides:
-        print("\n".join(f"# {name}: {line}" for line in summary(rows[name])))
-    print("\n".join(compare(rows["change"], rows["parent"])))
-    if args.steps:
-        time_steps(sides, cfgs, args.steps)
+        print("\n".join(f"# {name}: {line}" for line in summary(runs[name][0])))
+    print("\n".join(compare(*runs["change"], *runs["parent"])))
     return 0
 
 
