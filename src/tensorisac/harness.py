@@ -20,9 +20,9 @@ Artifacts per sweep:
 * ``summary.csv``: per grid point, median and mean of every metric column.
 
 Floats are written with 17 significant digits, so reruns with the same
-config are byte-identical.  A point's trials share one comm link with its
-ZF column energies (``_comm_link``) and the steering of its fixed angles,
-built once per process; a point's medians and means are one reduction each.
+config are byte-identical.  ``ExperimentConfig.validate`` builds each grid
+point once (a :class:`GridPoint`: config, value, comm link, ZF energies) and
+its trials all read it; a point's medians and means are one reduction each.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
 from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,12 +51,13 @@ from .sensing_als import (
     remove_sensing_ambiguity,
 )
 from .signal_model import (
-    add_noise, build_comm_link, comm_forward, krst_code, qam_constellation, sample_frame, sample_scene,
+    CommLink, add_noise, build_comm_link, comm_forward, krst_code, qam_constellation, sample_frame, sample_scene,
     sensing_forward,
 )
 
 __all__ = [
     "ExperimentConfig",
+    "GridPoint",
     "MetricsRecord",
     "load_config",
     "default_config",
@@ -120,14 +121,16 @@ class ExperimentConfig:
     output_dir: str = "results"
     jobs: int = 1
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` naming every violated requirement: the
+    def validate(self) -> list[GridPoint]:
+        """Build the grid points, in grid order, that :func:`run_sweep` runs.
+
+        Raises :class:`ConfigError` naming every violated requirement: the
         one check of values, for loaded and in-code configs alike, NaN and
-        infinities included.  Each sweep point is then judged by the functions
-        its trials call (``check_identifiability``, ``krst_code``,
-        ``build_comm_link``, ``zf_channel_energy``, ``add_noise``), then by
-        the noise floor of each link (``NOISE_MAX``) and by ``p >= 2`` (the
-        SERs score symbol rows ``1 .. p-1``); the first error is reported."""
+        infinities included.  Each point is then built and judged by the
+        functions its trials rely on (``check_identifiability``, ``krst_code``,
+        ``build_comm_link``, ``zf_channel_energy``, ``add_noise``), by each
+        link's noise floor (``NOISE_MAX``) and by ``p >= 2`` (the SERs score
+        symbol rows ``1 .. p-1``); the first error is reported."""
         ints = {name: getattr(self, name) for name in INTEGERS}
         not_ints = [f"{name} must be an integer, got {v!r}" for name, v in ints.items()
                     if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
@@ -164,6 +167,8 @@ class ExperimentConfig:
                             "or the comm link's squares underflow or overflow")
         if self.base_seed < 0:
             problems.append("base_seed must be non-negative")
+        if not isinstance(self.als, AlsConfig):
+            problems.append(f"als must be an AlsConfig, got {type(self.als).__name__}")
         if self.sweep_variable not in SWEEP_VARIABLES:
             problems.append(f"sweep variable must be one of {SWEEP_VARIABLES}")
         values = list(self.sweep_values)
@@ -185,12 +190,16 @@ class ExperimentConfig:
             problems += [f"sweep.values: {v!r} is not an integer" for v in values if v != int(v)]
         if problems:
             raise ConfigError("; ".join(problems))
+        points = []
         for value in values:
-            pt = apply_sweep(self, value)
+            swept = {"es_n0_db": float(value)} if noise_sweep else {self.sweep_variable: int(value)}
+            pt = replace(self, **swept)
             try:
                 check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k)
                 krst_code(pt.n, pt.m_t)
-                _, energy = _comm_link(tuple(pt.comm_aoa), tuple(pt.comm_aod), tuple(pt.comm_gains), pt.m_u, pt.m_t)
+                link = build_comm_link(pt.comm_aoa, pt.comm_aod, pt.comm_gains, m_u=pt.m_u, m_t=pt.m_t)
+                energy = zf_channel_energy(link.h)
+                energy.setflags(write=False)
                 add_noise(np.zeros(0), pt.es_n0_db)
                 n0 = 10.0 ** (-pt.es_n0_db / 10.0)
                 for name, signal in (("sensing", pt.gamma_std**2), ("comm", energy.min())):
@@ -202,6 +211,18 @@ class ExperimentConfig:
                                      "since row 0 is the semi-blind receiver's known reference")
             except ValueError as exc:
                 raise ConfigError(f"sweep point {self.sweep_variable}={value}: {exc}") from exc
+            points.append(GridPoint(pt, value, link, energy))
+        return points
+
+
+class GridPoint(NamedTuple):
+    """A sweep point as :meth:`ExperimentConfig.validate` builds it for its trials: the config
+    with the swept quantity set, the sweep value, the comm link and its read-only ZF energies."""
+
+    cfg: ExperimentConfig
+    value: float
+    link: CommLink
+    zf_energy: np.ndarray
 
 
 def _int(value) -> int:
@@ -322,13 +343,6 @@ def default_config() -> ExperimentConfig:
     return cfg
 
 
-def apply_sweep(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
-    """Config for one grid point: the swept quantity replaced by ``value``."""
-    if cfg.sweep_variable == "es_n0":
-        return replace(cfg, es_n0_db=float(value))
-    return replace(cfg, **{cfg.sweep_variable: int(value)})
-
-
 # --------------------------------- metrics --------------------------------- #
 
 def nmse(x_hat: np.ndarray, x_true: np.ndarray) -> float:
@@ -390,22 +404,13 @@ def _sweep_key(value: float) -> int | None:
     return int(round(micro)) + 2**48 if -(2**48) <= micro < 2**60 - 2**48 else None
 
 
-@lru_cache(maxsize=64)
-def _comm_link(aoa: tuple, aod: tuple, gains: tuple, m_u: int, m_t: int):
-    """A point's link and its read-only ZF column energies, shared by its trials."""
-    link = build_comm_link(aoa, aod, gains, m_u=m_u, m_t=m_t)
-    energy = zf_channel_energy(link.h)
-    energy.setflags(write=False)
-    return link, energy
-
-
 def _trial_seeds(base_seed: int, sweep_value: float, trial: int) -> np.ndarray:
     ss = np.random.SeedSequence([int(base_seed), _sweep_key(sweep_value), int(trial)])
     return ss.generate_state(5, dtype=np.uint32)
 
 
-def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsRecord:
-    """One independent trial at one grid point.
+def run_trial(point: GridPoint, trial: int) -> MetricsRecord:
+    """One independent trial at a grid point (config, comm link and ZF energies) from ``validate``.
 
     Draws scene, frame and noise from seeds derived from
     ``(base_seed, sweep value, trial index)``; runs the sensing pipeline
@@ -416,9 +421,9 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
     that hits the iteration cap is recorded with ``converged=False``, not
     dropped.
     """
-    pt = apply_sweep(cfg, sweep_value)
+    pt, sweep_value, link, zf_energy = point
     scene_seed, frame_seed, sens_noise_seed, comm_noise_seed, init_seed = (
-        int(s) for s in _trial_seeds(cfg.base_seed, sweep_value, trial)
+        int(s) for s in _trial_seeds(pt.base_seed, sweep_value, trial)
     )
 
     scene = sample_scene(
@@ -426,7 +431,6 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
         theta=pt.sensing_aoa, phi=pt.sensing_aod, seed=scene_seed,
     )
     frame = sample_frame(p=pt.p, m_t=pt.m_t, n=pt.n, order=pt.constellation, seed=frame_seed)
-    link, zf_energy = _comm_link(tuple(pt.comm_aoa), tuple(pt.comm_aod), tuple(pt.comm_gains), pt.m_u, pt.m_t)
 
     y_sens = add_noise(sensing_forward(scene, frame), pt.es_n0_db, seed=sens_noise_seed)
     y_comm = add_noise(comm_forward(link, frame), pt.es_n0_db, seed=comm_noise_seed)
@@ -439,7 +443,7 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial: int) -> MetricsR
     comm = semi_blind_receive(y_comm, frame.c, frame.s_data[0, :], pt.constellation)
 
     return MetricsRecord(
-        sweep_var=cfg.sweep_variable,
+        sweep_var=pt.sweep_variable,
         sweep_value=float(sweep_value),
         trial=trial,
         seed=scene_seed,
@@ -476,16 +480,18 @@ def _write_csv(path: str, rows: list[list]) -> None:
 def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, str]:
     """Run all grid points and trials; write ``results.csv`` and ``summary.csv``.
 
-    Returns the two file paths.  Trials are independent; when the capped
-    worker count (see above) exceeds 1, they go to a worker pool.  Records come
-    back in task order on the ascending grid, so the rows are sorted by
-    (grid point, trial) and the artifacts do not depend on ``jobs``.
+    Returns the two file paths.  ``run_trial`` runs once per ``(point, trial)``
+    task, on the points :meth:`ExperimentConfig.validate` returns.  Trials are
+    independent; when the capped worker count (see above) exceeds 1, they go to
+    a worker pool.  Records come back in task order on the ascending grid, so
+    the rows are sorted by (grid point, trial) and the artifacts do not depend
+    on ``jobs``.
     """
-    cfg.validate()
+    points = cfg.validate()
     out = out_dir if out_dir is not None else cfg.output_dir
     os.makedirs(out, exist_ok=True)
 
-    tasks = [(cfg, value, trial) for value in cfg.sweep_values for trial in range(cfg.trials)]
+    tasks = [(point, trial) for point in points for trial in range(cfg.trials)]
     workers = min(cfg.jobs, os.cpu_count() or 1, -(-len(tasks) // TASK_CHUNK))
     if workers > 1:
         # Imported here, so that importing the package skips the ~25 ms the pool module takes.

@@ -10,6 +10,7 @@ Levenberg-Marquardt fit is judged against.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -464,3 +465,8 @@ def golden_section_angles(a_hat, grid_step=0.1, clip=89.999):
                 f1 = correlation(x1, coeffs)
         angles.append(0.5 * (lo + hi))
     return np.asarray(angles)
+
+
+def grid_point(cfg, value):
+    """The grid point of ``cfg`` at sweep value ``value``, as ``validate`` builds it."""
+    return replace(cfg, sweep_values=[value]).validate()[0]

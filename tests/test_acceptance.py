@@ -50,6 +50,7 @@ from tensorisac.tensor_ops import (
 )
 
 from helpers import (
+    grid_point,
     oracle_comm_forward,
     oracle_khatri_rao,
     oracle_sensing_forward,
@@ -254,10 +255,11 @@ def test_criterion_07_ser_behavior():
     grid = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
     medians, mean_krf, mean_zf = [], [], []
     for value in grid:
+        point = grid_point(cfg, value)
         krf = np.empty(500)
         zf = np.empty(500)
         for trial in range(500):
-            rec = run_trial(cfg, value, trial)
+            rec = run_trial(point, trial)
             krf[trial] = rec.ser_krf
             zf[trial] = rec.ser_zf
         medians.append(float(np.median(krf)))

@@ -19,12 +19,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tensorisac import comm_krf, harness, signal_model
+from tensorisac import comm_krf, harness
 from tensorisac.exceptions import ConfigError
 from tensorisac.harness import (
     CSV_COLUMNS,
     METRIC_COLUMNS,
     ExperimentConfig,
+    GridPoint,
     default_config,
     emit_plot_data,
     load_config,
@@ -36,6 +37,8 @@ from tensorisac.harness import (
 from tensorisac.sensing_als import AlsConfig, SensingEstimate
 from tensorisac.comm_krf import semi_blind_receive, zf_benchmark, zf_channel_energy
 from tensorisac.signal_model import add_noise, build_comm_link, build_steering_matrix, comm_forward, sample_frame
+
+from helpers import grid_point
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "default_experiment.json")
 
@@ -172,9 +175,8 @@ class TestConfig:
         # Just below the bound a trial at every grid point runs, and every
         # metric is finite; above it validate() rejects the value.
         cfg = replace(default_config(), gamma_std=math.nextafter(harness.GAMMA_STD_MAX, 0.0))
-        cfg.validate()
-        for value in cfg.sweep_values:
-            record = run_trial(cfg, value, 0)
+        for point in cfg.validate():
+            record = run_trial(point, 0)
             assert all(math.isfinite(getattr(record, name)) for name in METRIC_COLUMNS), record
         with pytest.raises(ConfigError, match="^gamma_std must be at most 1e"):
             replace(cfg, gamma_std=math.nextafter(harness.GAMMA_STD_MAX, math.inf)).validate()
@@ -184,9 +186,8 @@ class TestConfig:
         # metric is finite; below it validate() rejects the value.  At 1e-160
         # nmse_gamma used to read inf, at 1e-200 every trial failed.
         cfg = replace(default_config(), gamma_std=math.nextafter(harness.GAMMA_STD_MIN, math.inf))
-        cfg.validate()
-        for value in cfg.sweep_values:
-            record = run_trial(cfg, value, 0)
+        for point in cfg.validate():
+            record = run_trial(point, 0)
             assert all(math.isfinite(getattr(record, name)) for name in METRIC_COLUMNS), record
         for below in (math.nextafter(harness.GAMMA_STD_MIN, 0.0), 1e-160, 1e-200):
             with pytest.raises(ConfigError, match="^gamma_std must be at least 1e-100, or its squares underflow$"):
@@ -209,10 +210,10 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
                 cfg.validate()
             return
-        cfg.validate()
+        points = cfg.validate()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records = [run_trial(cfg, value, 0) for value in cfg.sweep_values]
+            records = [run_trial(point, 0) for point in points]
         for record in records:
             assert all(math.isfinite(getattr(record, name)) for name in METRIC_COLUMNS), record
         assert records[-1].ser_zf == 0.0 and records[-1].ser_krf == 0.0
@@ -233,11 +234,10 @@ class TestConfig:
             cfg.comm_aoa, cfg.comm_aod, cfg.comm_gains, m_u=cfg.m_u, m_t=cfg.m_t).h).min()
         signal = cfg.gamma_std**2 if link == "sensing" else energy
         edge_db = -10.0 * math.log10(harness.NOISE_MAX * min(signal, 1.0))
-        inside = replace(cfg, sweep_values=[edge_db + 0.01])
-        inside.validate()
+        (point,) = replace(cfg, sweep_values=[edge_db + 0.01]).validate()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            record = run_trial(inside, edge_db + 0.01, 0)
+            record = run_trial(point, 0)
         assert all(math.isfinite(getattr(record, name)) for name in METRIC_COLUMNS), record
         outside = replace(cfg, sweep_values=[edge_db - 0.01])
         with pytest.raises(ConfigError, match=f"^sweep point es_n0={re.escape(str(edge_db - 0.01))}: "
@@ -246,7 +246,9 @@ class TestConfig:
 
     def test_check_accepts_exactly_what_the_first_trial_runs(self):
         # validate() raises ConfigError, and nothing else, exactly when some
-        # sweep point's first trial raises.  Every shape runs at one noise level.
+        # sweep point's first trial raises.  Every shape runs at one noise
+        # level.  Each point is built here as validate() would build it, so
+        # that a rejected config still shows whether its trials would run.
         cases = [
             {"m_r": m_r, "m_t": m_t, "m_u": m_u, "p": p, "n": n, "k": k, "sweep_values": [10.0],
              "sensing_aoa": [15.0, 27.0, -50.0][:k], "sensing_aod": [-37.0, 65.0, 5.0][:k]}
@@ -265,7 +267,10 @@ class TestConfig:
                 rejected = True
             try:
                 for value in cfg.sweep_values:
-                    run_trial(cfg, value, 0)
+                    noise = cfg.sweep_variable == "es_n0"
+                    pt = replace(cfg, **({"es_n0_db": value} if noise else {cfg.sweep_variable: int(value)}))
+                    link = build_comm_link(pt.comm_aoa, pt.comm_aod, pt.comm_gains, m_u=pt.m_u, m_t=pt.m_t)
+                    run_trial(GridPoint(pt, value, link, zf_channel_energy(link.h)), 0)
                 failed = False
             except Exception:
                 failed = True
@@ -315,6 +320,9 @@ class TestConfig:
         ({"sweep_values": [-3070.0]}, "sweep point es_n0=-3070.0: sensing link noise"),
         ({"comm_gains": [1e-150], "sweep_values": [-100.0]}, "nonzero comm_gains magnitudes must lie in"),
         ({"comm_gains": [1e-155], "sweep_values": [math.inf]}, "nonzero comm_gains magnitudes must lie in"),
+        # These too used to pass validate() and then fail the first trial, in replace().
+        ({"als": None}, "als must be an AlsConfig, got NoneType"),
+        ({"als": {"max_iters": 5}}, "als must be an AlsConfig, got dict"),
     ])
     def test_validate_rejects_non_finite_values_set_in_code(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -495,13 +503,13 @@ class TestConfig:
 class TestRunTrial:
     def test_deterministic(self):
         cfg = default_config()
-        a = run_trial(cfg, 10.0, 3)
-        b = run_trial(cfg, 10.0, 3)
+        a = run_trial(grid_point(cfg, 10.0), 3)
+        b = run_trial(grid_point(cfg, 10.0), 3)
         assert a == b
 
     def test_noiseless_record(self):
         cfg = default_config()
-        rec = run_trial(cfg, float("inf"), 0)
+        rec = run_trial(grid_point(cfg, math.inf), 0)
         assert rec.converged
         assert rec.nmse_ar < 1e-8 and rec.nmse_at < 1e-8 and rec.nmse_gamma < 1e-8
         assert rec.nmse_h < 1e-8
@@ -509,7 +517,7 @@ class TestRunTrial:
 
     def test_metric_ranges(self):
         cfg = default_config()
-        rec = run_trial(cfg, 5.0, 1)
+        rec = run_trial(grid_point(cfg, 5.0), 1)
         assert rec.nmse_ar >= 0 and rec.nmse_at >= 0 and rec.nmse_gamma >= 0
         assert 0 <= rec.ser_krf <= 1 and 0 <= rec.ser_zf <= 1
         assert rec.angle_rmse_deg >= 0
@@ -517,7 +525,8 @@ class TestRunTrial:
 
     def test_different_trials_differ(self):
         cfg = default_config()
-        assert run_trial(cfg, 10.0, 0) != run_trial(cfg, 10.0, 1)
+        point = grid_point(cfg, 10.0)
+        assert run_trial(point, 0) != run_trial(point, 1)
 
     @pytest.mark.parametrize("theta, phi, expected", [
         # columns swapped together: each target keeps its pair, no error
@@ -536,31 +545,20 @@ class TestRunTrial:
             converged=True,
         )
         monkeypatch.setattr(harness, "als_fit", lambda *args: fixed)
-        rec = run_trial(cfg, 20.0, 0)
+        rec = run_trial(grid_point(cfg, 20.0), 0)
         assert abs(rec.angle_rmse_deg - expected) < 1e-5
 
-    def test_shared_links_and_steering_match_fresh_builds(self):
-        # One process runs an m_u sweep, then configs differing only in the
-        # comm gains, then only in the sensing angles, on warm caches; each
-        # record must equal the one computed from empty caches.
-        base = default_config()
-        cfgs = [replace(base, m_u=m_u) for m_u in (2, 3, 4)]
-        cfgs += [replace(base, comm_gains=[gain]) for gain in (1.0 + 0.0j, 0.5 - 0.25j)]
-        cfgs += [replace(base, sensing_aoa=aoa) for aoa in ([15.0, 27.0], [15.0, -20.0])]
-        warm = [run_trial(cfg, 10.0, trial) for cfg in cfgs for trial in range(2)]
-        fresh = []
-        for cfg in cfgs:
-            for trial in range(2):
-                harness._comm_link.cache_clear()
-                signal_model._steering.cache_clear()
-                fresh.append(run_trial(cfg, 10.0, trial))
-        assert warm == fresh
-        # one link (with its energies) and two steering matrices per point, however many trials
-        harness._comm_link.cache_clear()
-        signal_model._steering.cache_clear()
-        for trial in range(3):
-            run_trial(base, 10.0, trial)
-        assert (harness._comm_link.cache_info().misses, signal_model._steering.cache_info().misses) == (1, 2)
+    def test_each_point_builds_its_link_once(self, tmp_path, monkeypatch):
+        # A 2-point x 3-trial sweep builds one comm link per point, not one
+        # per trial nor one per validate() call, and a point's trials all see it.
+        cfg = replace(default_config(), sweep_values=[0.0, 10.0], trials=3, output_dir=str(tmp_path))
+        built, seen = [], []
+        build, trial = harness.build_comm_link, harness.run_trial
+        monkeypatch.setattr(harness, "build_comm_link", lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
+        monkeypatch.setattr(harness, "run_trial", lambda point, t: seen.append(point.link) or trial(point, t))
+        run_sweep(cfg)
+        assert len(built) == 2 and built[0] is not built[1]
+        assert len(seen) == 6 and all(link is built[i // 3] for i, link in enumerate(seen))
 
     @pytest.mark.parametrize("constellation", [4, 16])  # 16-QAM decisions also depend on the ZF scale
     def test_comm_path_matches_public_receivers(self, monkeypatch, constellation):
@@ -571,7 +569,7 @@ class TestRunTrial:
                             lambda *args: projections.append(args) or project(*args))
         for value, trial in [(0.0, 0), (0.0, 1), (10.0, 2), (math.inf, 3)]:
             projections.clear()
-            rec = run_trial(cfg, value, trial)
+            rec = run_trial(grid_point(cfg, value), trial)
             assert len(projections) == 1  # one code projection, so one orthonormality check
             _, frame_seed, _, comm_noise_seed, _ = (int(s) for s in harness._trial_seeds(cfg.base_seed, value, trial))
             frame = sample_frame(p=cfg.p, m_t=cfg.m_t, n=cfg.n, order=cfg.constellation, seed=frame_seed)
@@ -590,7 +588,7 @@ class TestRunTrial:
         # Over rows 1..p-1, (p-1)*m_t*ser is a whole number of errors; over
         # all p rows it is a multiple of (p-1)/p.
         cfg = default_config()
-        counts = [(cfg.p - 1) * cfg.m_t * getattr(run_trial(cfg, 0.0, trial), name)
+        counts = [(cfg.p - 1) * cfg.m_t * getattr(run_trial(grid_point(cfg, 0.0), trial), name)
                   for trial in range(4) for name in ("ser_krf", "ser_zf")]
         assert all(abs(c - round(c)) < 1e-9 for c in counts), counts
         assert any(c > 0 for c in counts)
@@ -892,7 +890,7 @@ class TestReplayTool:
         rows, hashes = ab.replay(ab.tensorisac, cfg, str(tmp_path))
         assert [row[:2] for row in rows] == [(value, trial) for value in cfg.sweep_values for trial in range(2)]
         for value, trial, iters, converged, objective, nmse_ar in rows:
-            record = run_trial(cfg, value, trial)
+            record = run_trial(grid_point(cfg, value), trial)
             assert (iters, converged, nmse_ar) == (record.als_iters, record.converged, record.nmse_ar)
             assert 0.0 < objective < 1.0
         # One hash per artifact of the sweep, each of the file it names.

@@ -40,6 +40,7 @@ from helpers import (
     estimate_reflections,
     estimate_tx_steering,
     golden_section_angles,
+    grid_point,
     oracle_extract_angles,
     oracle_gevd_start,
     oracle_lm_steps,
@@ -499,7 +500,7 @@ class TestAlsFit:
         # below the rounding of J^H J, and the solve met a singular matrix.
         fits = []
         monkeypatch.setattr(harness, "als_fit", lambda *args: fits.append(als_fit(*args)) or fits[-1])
-        harness.run_trial(replace(harness.default_config(), base_seed=4046804053), 0.0, 8)
+        harness.run_trial(grid_point(replace(harness.default_config(), base_seed=4046804053), 0.0), 8)
         assert fits[0].converged and fits[0].iters > 60
 
     def test_non_finite_start_raises(self, monkeypatch):
@@ -589,7 +590,7 @@ class TestAgainstPaperAls:
                 _, frame, y = reference_instance(seed=seed, noise_db=float(snr))
                 instances.append((y, frame, 2, AlsConfig(init_seed=seed)))
         monkeypatch.setattr(harness, "als_fit", lambda *args: instances.append(args) or als_fit(*args))
-        harness.run_trial(harness.default_config(), 0.0, 9)
+        harness.run_trial(grid_point(harness.default_config(), 0.0), 9)
         assert len(instances) == 29
         rows, worst_rise = fit_against_paper_als(instances)
         assert worst_rise <= 0.0
