@@ -154,12 +154,13 @@ def zf_channel_energy(h: np.ndarray) -> np.ndarray:
     return col_energy
 
 
-def zf_detect(q: np.ndarray, h_true: np.ndarray, col_energy: np.ndarray, order: int) -> np.ndarray:
+def zf_detect(q: np.ndarray, h_true: np.ndarray, order: int) -> np.ndarray:
     """Perfect-CSI decisions from a code projection ``q``, each stream solved by least
-    squares against its true channel column; ``col_energy`` is ``zf_channel_energy(h_true)``."""
+    squares against its true channel column; the channel must pass :func:`zf_channel_energy`."""
     m_u, m_t = h_true.shape
     if q.shape[1] != m_t or q.shape[0] % m_u:
         raise ValueError(f"projection of shape {q.shape} does not fit a {m_u} x {m_t} channel")
+    col_energy = zf_channel_energy(h_true)
     # Stream m: unvec(q[:, m], m_u, p).T @ conj(h_true[:, m]), all streams at once.
     combined = q.T.reshape(m_t, -1, m_u) @ h_true.T.conj()[:, :, None]
     return detect_symbols(combined[:, :, 0].T / col_energy, order)
@@ -169,11 +170,12 @@ def zf_benchmark(tensor: np.ndarray, h_true: np.ndarray, code: np.ndarray, order
     """Symbol decisions with perfect channel knowledge, as a lower benchmark.
 
     Decodes the slot code exactly like the semi-blind path, then calls
-    :func:`zf_detect`.  The channel must pass :func:`zf_channel_energy`.
+    :func:`zf_detect`.  No ``src/`` caller: it stays only for ``bench/run.py``'s spot check,
+    which ``bench/test_bench.py`` runs, and goes with ROADMAP items 1a and 8.
     """
     q = estimate_symbol_channel_product(tensor, code)
     h_true = np.asarray(h_true)
     m_u, m_t = np.shape(tensor)[0], q.shape[1]
     if h_true.shape != (m_u, m_t):
         raise ValueError(f"channel must be {m_u} x {m_t} (receive antennas x code columns), got {h_true.shape}")
-    return zf_detect(q, h_true, zf_channel_energy(h_true), order)
+    return zf_detect(q, h_true, order)

@@ -21,8 +21,8 @@ Artifacts per sweep:
 
 Floats are written with 17 significant digits, so reruns with the same
 config are byte-identical.  ``ExperimentConfig.validate`` builds each grid
-point once (a :class:`GridPoint`: config, value, comm link, ZF energies) and
-its trials all read it; a point's medians and means are one reduction each.
+point once (a :class:`GridPoint`: config, sweep value, comm link) and its
+trials all read it; a point's medians and means are one reduction each.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .sensing_als import (
     remove_sensing_ambiguity,
 )
 from .signal_model import (
-    CommLink, add_noise, build_comm_link, comm_forward, krst_code, qam_constellation, sample_frame, sample_scene,
-    sensing_forward,
+    CommLink, add_noise, build_comm_link, comm_forward, krst_code, noise_variance, qam_constellation, sample_frame,
+    sample_scene, sensing_forward,
 )
 
 __all__ = [
@@ -128,7 +128,7 @@ class ExperimentConfig:
         one check of values, for loaded and in-code configs alike, NaN and
         infinities included.  Each point is then built and judged by the
         functions its trials rely on (``check_identifiability``, ``krst_code``,
-        ``build_comm_link``, ``zf_channel_energy``, ``add_noise``), by each
+        ``build_comm_link``, ``zf_channel_energy``, ``noise_variance``), by each
         link's noise floor (``NOISE_MAX``) and by ``p >= 2`` (the SERs score
         symbol rows ``1 .. p-1``); the first error is reported."""
         ints = {name: getattr(self, name) for name in INTEGERS}
@@ -198,11 +198,9 @@ class ExperimentConfig:
                 check_identifiability(pt.m_r, pt.m_t, pt.p, pt.n, pt.k)
                 krst_code(pt.n, pt.m_t)
                 link = build_comm_link(pt.comm_aoa, pt.comm_aod, pt.comm_gains, m_u=pt.m_u, m_t=pt.m_t)
-                energy = zf_channel_energy(link.h)
-                energy.setflags(write=False)
-                add_noise(np.zeros(0), pt.es_n0_db)
-                n0 = 10.0 ** (-pt.es_n0_db / 10.0)
-                for name, signal in (("sensing", pt.gamma_std**2), ("comm", energy.min())):
+                comm_power = zf_channel_energy(link.h).min()
+                n0 = noise_variance(pt.es_n0_db)
+                for name, signal in (("sensing", pt.gamma_std**2), ("comm", comm_power)):
                     if n0 > NOISE_MAX * min(signal, 1.0):
                         raise ValueError(f"{name} link noise variance {n0:.3g} exceeds {NOISE_MAX:g} * "
                                          f"min(1, signal power {signal:.3g}), so it overflows")
@@ -211,18 +209,17 @@ class ExperimentConfig:
                                      "since row 0 is the semi-blind receiver's known reference")
             except ValueError as exc:
                 raise ConfigError(f"sweep point {self.sweep_variable}={value}: {exc}") from exc
-            points.append(GridPoint(pt, value, link, energy))
+            points.append(GridPoint(pt, value, link))
         return points
 
 
 class GridPoint(NamedTuple):
     """A sweep point as :meth:`ExperimentConfig.validate` builds it for its trials: the config
-    with the swept quantity set, the sweep value, the comm link and its read-only ZF energies."""
+    with the swept quantity set, the sweep value and the comm link."""
 
     cfg: ExperimentConfig
     value: float
     link: CommLink
-    zf_energy: np.ndarray
 
 
 def _int(value) -> int:
@@ -410,7 +407,7 @@ def _trial_seeds(base_seed: int, sweep_value: float, trial: int) -> np.ndarray:
 
 
 def run_trial(point: GridPoint, trial: int) -> MetricsRecord:
-    """One independent trial at a grid point (config, comm link and ZF energies) from ``validate``.
+    """One independent trial at a grid point (config, sweep value, comm link) from ``validate``.
 
     Draws scene, frame and noise from seeds derived from
     ``(base_seed, sweep value, trial index)``; runs the sensing pipeline
@@ -421,7 +418,7 @@ def run_trial(point: GridPoint, trial: int) -> MetricsRecord:
     that hits the iteration cap is recorded with ``converged=False``, not
     dropped.
     """
-    pt, sweep_value, link, zf_energy = point
+    pt, sweep_value, link = point
     scene_seed, frame_seed, sens_noise_seed, comm_noise_seed, init_seed = (
         int(s) for s in _trial_seeds(pt.base_seed, sweep_value, trial)
     )
@@ -455,7 +452,7 @@ def run_trial(point: GridPoint, trial: int) -> MetricsRecord:
         angle_rmse_deg=float(np.sqrt(np.mean(angle_err**2))),
         nmse_h=nmse(comm.h_hat, link.h),
         ser_krf=ser(comm.s_hat[1:], frame.s_data[1:]),
-        ser_zf=ser(zf_detect(comm.q, link.h, zf_energy, pt.constellation)[1:], frame.s_data[1:]),
+        ser_zf=ser(zf_detect(comm.q, link.h, pt.constellation)[1:], frame.s_data[1:]),
     )
 
 

@@ -218,7 +218,8 @@ def check_identifiability(m_r: int, m_t: int, p: int, n: int, k: int) -> None:
 def estimate_rx_steering(y1: np.ndarray, right_factor: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     """Least-squares receive steering matrix ``y1 @ pinv(right_factor)`` for a
     flat unfolding ``y1 ~ a_rx @ right_factor``: the receive step of the
-    alternating fit."""
+    alternating fit.  No ``src/`` caller: it stays only for ``bench/run.py``'s tracer and
+    ``bench/test_bench.py``'s hook test, and goes with ROADMAP items 1a and 8."""
     y1 = np.asarray(y1)
     right_factor = np.asarray(right_factor)
     if y1.ndim != 2 or right_factor.ndim != 2 or y1.shape[1] != right_factor.shape[1]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
+from math import inf, isnan, isqrt
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "build_comm_link",
     "sensing_forward",
     "comm_forward",
+    "noise_variance",
     "add_noise",
 ]
 
@@ -167,6 +168,8 @@ class SensingScene:
         self.a_rx, self.a_tx = _steering(self.theta.tobytes(), self.m_r), _steering(self.phi.tobytes(), self.m_t)
 
     def rx_steering(self) -> np.ndarray:
+        """``a_rx``.  No ``src/`` caller: it stays only for ``bench/run.py``'s ``SenseFrame.step``,
+        which ``bench/test_bench.py`` runs, and goes with ROADMAP items 1a and 8."""
         return self.a_rx
 
 
@@ -192,6 +195,8 @@ class CommLink:
         n_paths = self.theta_ue.size
         if self.phi_ue.size != n_paths or self.gains.size != n_paths:
             raise ValueError("theta_ue, phi_ue and gains must list one value per path")
+        if not np.all(np.isfinite(self.gains)):
+            raise ValueError("path gains must be finite")
         self.h = (
             build_steering_matrix(self.theta_ue, self.m_u)
             @ np.diag(self.gains)
@@ -246,8 +251,8 @@ def sample_scene(
     """
     if k < 1 or n < 1:
         raise ValueError("need at least one scatterer and one slot")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < inf:
+        raise ValueError("sigma must be positive and finite")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-80.0, 80.0, k) if theta is None else np.asarray(theta, dtype=float)
     phi = rng.uniform(-80.0, 80.0, k) if phi is None else np.asarray(phi, dtype=float)
@@ -297,23 +302,26 @@ def comm_forward(link: CommLink, frame: TransmitFrame) -> np.ndarray:
     return _coded_slices(link.h, frame)
 
 
-def add_noise(tensor: np.ndarray, es_n0_db: float, seed=None) -> np.ndarray:
-    """Add i.i.d. circular complex Gaussian noise at the given Es/N0.
-
-    Symbol energy is 1 by construction, so the per-entry noise variance is
-    ``10 ** (-es_n0_db / 10)``; an Es/N0 at which that overflows (below
-    about -3082.5 dB) raises ``ValueError``.  ``es_n0_db = inf`` is the
-    noiseless sentinel and returns the tensor unchanged.
-    """
-    t = np.asarray(tensor, dtype=complex)
-    if np.isinf(es_n0_db):
-        if es_n0_db < 0:
-            raise ValueError("es_n0_db = -inf is not a valid noise level")
-        return t.copy()
+def noise_variance(es_n0_db: float) -> float:
+    """Per-entry noise variance N0 ``= 10 ** (-es_n0_db / 10)``, symbol energy being 1 by
+    construction: 0.0 at the noiseless sentinel ``inf``.  NaN, ``-inf`` and an Es/N0 at
+    which N0 overflows (below about -3082.5 dB) raise ``ValueError``."""
+    es_n0_db = float(es_n0_db)
+    if isnan(es_n0_db) or es_n0_db == -inf:
+        raise ValueError(f"es_n0_db = {es_n0_db} is not a valid noise level")
     try:
-        n0 = 10.0 ** (-es_n0_db / 10.0)
+        return 10.0 ** (-es_n0_db / 10.0)
     except OverflowError:
         raise ValueError(f"noise variance 10 ** ({-es_n0_db} / 10) overflows") from None
+
+
+def add_noise(tensor: np.ndarray, es_n0_db: float, seed=None) -> np.ndarray:
+    """Add i.i.d. circular complex Gaussian noise of variance ``noise_variance(es_n0_db)`` per
+    entry; at variance 0 (the sentinel ``inf``) return a copy of the tensor, drawing nothing."""
+    n0 = noise_variance(es_n0_db)
+    t = np.asarray(tensor, dtype=complex)
+    if n0 == 0.0:
+        return t.copy()
     rng = np.random.default_rng(seed)
     noise = np.sqrt(n0 / 2.0) * (
         rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)

@@ -211,6 +211,11 @@ class TestZfBenchmark:
         frame, link, y = comm_instance(91, m_u=2, m_t=2)
         with pytest.raises(IdentifiabilityError):
             zf_benchmark(y[:1, :, :], link.h[:1, :], frame.c, 4)
+        # zf_detect judges the channel itself: it used to take the column
+        # energies as an argument and trust them.
+        q = estimate_symbol_channel_product(y[:1, :, :], frame.c)
+        with pytest.raises(IdentifiabilityError, match=r"^benchmark needs m_u >= m_t: 1 < 2$"):
+            zf_detect(q, link.h[:1, :], 4)
 
     def test_channel_and_code_column_counts_must_match(self):
         # This used to fail inside numpy: "cannot reshape array of size 64 into shape (3,8,4)".
@@ -221,7 +226,7 @@ class TestZfBenchmark:
         q = estimate_symbol_channel_product(y, frame.c)
         for h in (h_wide, link.h[:3, :]):
             with pytest.raises(ValueError, match=rf"projection of shape \(32, 2\) does not fit a {h.shape[0]} x {h.shape[1]}"):
-                zf_detect(q, h, zf_channel_energy(h), 4)
+                zf_detect(q, h, 4)
 
     def test_zero_channel_column_rejected(self):
         frame, link, y = comm_instance(92)
@@ -229,3 +234,19 @@ class TestZfBenchmark:
         h_bad[:, 0] = 0.0
         with pytest.raises(ValueError):
             zf_benchmark(y, h_bad, frame.c, 4)
+        # zf_detect used to divide this stream by its zero energy.
+        q = estimate_symbol_channel_product(y, frame.c)
+        with pytest.raises(ValueError, match="^channel has a zero column; that stream is unobservable$"):
+            zf_detect(q, h_bad, 4)
+
+    def test_detect_derives_the_channel_energies(self):
+        # Same decisions as the least-squares rule with the energies
+        # zf_channel_energy states, on a channel whose columns differ in energy.
+        frame = sample_frame(p=8, m_t=2, n=3, order=16, seed=95)
+        link = build_comm_link([10.0, -50.0], [5.0, 60.0], [0.7 - 0.2j, 1.1 + 0.4j], m_u=3, m_t=2)
+        y = add_noise(comm_forward(link, frame), 5.0, seed=96)
+        q = estimate_symbol_channel_product(y, frame.c)
+        energy = zf_channel_energy(link.h)
+        assert energy[0] != energy[1]
+        soft = np.stack([link.h[:, m].conj() @ unvec(q[:, m], 3, 8) for m in range(2)], axis=1) / energy
+        assert np.array_equal(zf_detect(q, link.h, 16), detect_symbols(soft, 16))

@@ -270,7 +270,7 @@ class TestConfig:
                     noise = cfg.sweep_variable == "es_n0"
                     pt = replace(cfg, **({"es_n0_db": value} if noise else {cfg.sweep_variable: int(value)}))
                     link = build_comm_link(pt.comm_aoa, pt.comm_aod, pt.comm_gains, m_u=pt.m_u, m_t=pt.m_t)
-                    run_trial(GridPoint(pt, value, link, zf_channel_energy(link.h)), 0)
+                    run_trial(GridPoint(pt, value, link), 0)
                 failed = False
             except Exception:
                 failed = True
@@ -769,6 +769,20 @@ class TestCli:
         proc = self.run_cli("check", "--config", CONFIG_PATH)
         assert proc.returncode == 0
         assert "config ok" in proc.stdout
+
+    def test_check_draws_nothing(self):
+        # Validating judges the noise level by its rule alone: it used to draw
+        # an empty noise tensor, which imported numpy.random (about 13 ms).
+        config = os.path.join(os.path.dirname(__file__), "..", "bench", "configs", "snr_sweep.json")
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "tensorisac.cli", "check", "--config", config],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "config ok\n"), proc.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert {"numpy", "tensorisac.harness"} <= imported
+        assert not any(name == "numpy.random" or name.startswith("numpy.random.") for name in imported)
 
     def test_check_bounds_the_qam_order(self, tmp_path):
         proc = self.run_cli("check", "--config", write_config(tmp_path, constellation=2**44))

@@ -14,6 +14,7 @@ from tensorisac.signal_model import (
     build_steering_matrix,
     comm_forward,
     krst_code,
+    noise_variance,
     qam_constellation,
     qam_demodulate,
     qam_modulate,
@@ -181,6 +182,10 @@ class TestSceneAndFrame:
                          gamma=gamma, m_r=2, m_t=2)
         with pytest.raises(ValueError, match="at least one element, got 0"):
             SensingScene(theta=[10.0, 20.0], phi=[0.0, 5.0], gamma=gamma, m_r=2, m_t=0)
+        # NaN used to pass the sign check and draw NaN reflections.
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^sigma must be positive and finite$"):
+                sample_scene(k=1, n=1, sigma=sigma, m_r=2, m_t=2)
 
     def test_scene_derives_read_only_steering(self):
         scene = SensingScene(theta=[10.0, -40.0], phi=[5.0, 60.0],
@@ -270,6 +275,10 @@ class TestSceneAndFrame:
         # h is derived, never passed in, so it cannot disagree with the paths
         with pytest.raises(TypeError):
             CommLink(theta_ue=[10.0], phi_ue=[5.0], gains=[1.0], m_u=4, m_t=3, h=np.ones((4, 3)))
+        # A non-finite gain used to give an all-NaN channel.
+        for gain in (float("nan"), complex(1.0, float("inf"))):
+            with pytest.raises(ValueError, match="^path gains must be finite$"):
+                build_comm_link([10.0], [20.0], [gain], m_u=2, m_t=2)
 
 
 class TestForwardModels:
@@ -328,8 +337,28 @@ class TestNoise:
         assert out is not t
 
     def test_negative_infinity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^es_n0_db = -inf is not a valid noise level$"):
+            noise_variance(float("-inf"))
+        with pytest.raises(ValueError, match=r"^es_n0_db = -inf is not a valid noise level$"):
             add_noise(np.ones((1, 1, 1), dtype=complex), float("-inf"))
+
+    def test_nan_rejected(self):
+        # add_noise used to return an all-NaN tensor here.
+        with pytest.raises(ValueError, match=r"^es_n0_db = nan is not a valid noise level$"):
+            noise_variance(float("nan"))
+        with pytest.raises(ValueError, match=r"^es_n0_db = nan is not a valid noise level$"):
+            add_noise(np.ones(2), float("nan"))
+
+    def test_overflow_rejected(self):
+        for apply in (noise_variance, lambda db: add_noise(np.ones(2), db)):
+            with pytest.raises(ValueError, match=r"^noise variance 10 \*\* \(3100\.0 / 10\) overflows$"):
+                apply(-3100.0)
+
+    def test_variance_is_the_es_n0_rule(self):
+        assert noise_variance(float("inf")) == 0.0
+        assert noise_variance(0.0) == 1.0
+        assert noise_variance(10.0) == 0.1
+        assert noise_variance(-3000.0) == 1e300
 
     def test_deterministic_under_seed(self):
         t = np.zeros((2, 3, 4), dtype=complex)
