@@ -72,7 +72,6 @@ __all__ = [
 
 SWEEP_VARIABLES = ("es_n0", "n", "p", "m_u")
 DIMS = ("m_t", "m_r", "m_u", "p", "n", "k", "l")
-INTEGERS = DIMS + ("constellation", "trials", "base_seed", "jobs")
 ANGLES = ("sensing_aoa", "sensing_aod", "comm_aoa", "comm_aod")
 SYMBOL_ATOL = 1e-9  # two symbols closer than this are the same constellation point
 # Reflection std range: the energy of the sensing tensor and the fit's normal
@@ -96,7 +95,7 @@ TASK_CHUNK = 16
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; ``_SCHEMA`` maps the file keys to its fields."""
+    """Experiment description, judged by :meth:`validate`; each field's annotation names its parser."""
 
     m_t: int = 2
     m_r: int = 2
@@ -105,15 +104,15 @@ class ExperimentConfig:
     n: int = 3
     k: int = 2
     l: int = 1
-    sensing_aoa: list = field(default_factory=lambda: [15.0, 27.0])
-    sensing_aod: list = field(default_factory=lambda: [-37.0, 65.0])
-    comm_aoa: list = field(default_factory=lambda: [78.0])
-    comm_aod: list = field(default_factory=lambda: [25.0])
-    comm_gains: list = field(default_factory=lambda: [1.0 + 0.0j])
+    sensing_aoa: list[float] = field(default_factory=lambda: [15.0, 27.0])
+    sensing_aod: list[float] = field(default_factory=lambda: [-37.0, 65.0])
+    comm_aoa: list[float] = field(default_factory=lambda: [78.0])
+    comm_aod: list[float] = field(default_factory=lambda: [25.0])
+    comm_gains: list[complex] = field(default_factory=lambda: [1.0 + 0.0j])
     constellation: int = 4
     gamma_std: float = 1.0
     sweep_variable: str = "es_n0"
-    sweep_values: list = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+    sweep_values: list[float] = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
     es_n0_db: float = 10.0
     trials: int = 100
     base_seed: int = 20240721
@@ -124,18 +123,24 @@ class ExperimentConfig:
     def validate(self) -> list[GridPoint]:
         """Build the grid points, in grid order, that :func:`run_sweep` runs.
 
-        Raises :class:`ConfigError` naming every violated requirement: the
-        one check of values, for loaded and in-code configs alike, NaN and
-        infinities included.  Each point is then built and judged by the
-        functions its trials rely on (``check_identifiability``, ``krst_code``,
-        ``build_comm_link``, ``zf_channel_energy``, ``noise_variance``), by each
-        link's noise floor (``NOISE_MAX``) and by ``p >= 2`` (the SERs score
-        symbol rows ``1 .. p-1``); the first error is reported."""
-        ints = {name: getattr(self, name) for name in INTEGERS}
-        not_ints = [f"{name} must be an integer, got {v!r}" for name, v in ints.items()
-                    if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
-        if not_ints:
-            raise ConfigError("; ".join(not_ints))
+        Raises :class:`ConfigError` naming every violated requirement: the one check of values,
+        for loaded and in-code configs alike, NaN and infinities included.  Types come first: an
+        integer field must hold an integer (not a boolean), any other field must pass the file
+        parser of its annotation (``_PARSERS``).  Each point is then built and judged by the
+        functions its trials rely on (``check_identifiability``, ``krst_code``, ``build_comm_link``,
+        ``zf_channel_energy``, ``noise_variance``), by each link's noise floor (``NOISE_MAX``) and
+        by ``p >= 2`` (the SERs score symbol rows ``1 .. p-1``); the first error is reported."""
+        ints = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "int"}
+        wrong_types = [f"{name} must be an integer, got {v!r}" for name, v in ints.items()
+                       if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+        for f in fields(self):
+            if f.type != "int" and f.type in _PARSERS:
+                try:
+                    _PARSERS[f.type](getattr(self, f.name))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    wrong_types.append(f"{f.name}: {exc}")
+        if wrong_types:
+            raise ConfigError("; ".join(wrong_types))
         problems = [f"{name} must be at least 1" for name in DIMS + ("trials", "jobs") if ints[name] < 1]
         if self.k > ALIGN_MAX_COLUMNS:
             problems.append(f"k must be at most {ALIGN_MAX_COLUMNS}, the exhaustive alignment's column cap")
@@ -158,6 +163,7 @@ class ExperimentConfig:
             problems.append(f"gamma_std must be at most {GAMMA_STD_MAX:g}, or the sensing tensor overflows")
         elif self.gamma_std < GAMMA_STD_MIN:
             problems.append(f"gamma_std must be at least {GAMMA_STD_MIN:g}, or its squares underflow")
+        # Restates noise_variance's NaN/-inf rule to name the field among all problems; overflow is judged per point.
         if not (math.isfinite(self.es_n0_db) or self.es_n0_db == math.inf):
             problems.append("es_n0_db must be finite or +inf")
         if not all(map(cmath.isfinite, self.comm_gains)):
@@ -254,40 +260,39 @@ def _as_gain(value) -> complex:
         if len(value) != 2:
             raise ConfigError(f"complex gain must be [re, im], got {value!r}")
         return complex(_float(value[0]), _float(value[1]))
-    return complex(_float(value), 0.0)
+    return value if isinstance(value, complex) else complex(_float(value), 0.0)
 
 
-# File key -> (ExperimentConfig field, parser); a nested object maps each
-# subkey the same way.  A parser checks the JSON type only; the values are
-# judged by ExperimentConfig.validate and, for the ``als`` subkeys (the
-# AlsConfig fields, parsed by their type), by AlsConfig.
+# Field annotation -> parser of a file value; validate runs the same parsers,
+# "int" excepted (its in-code rule is stricter), on a config built in code.
+# A parser checks the type only; AlsConfig and validate judge the values.
+_PARSERS = {"int": _int, "float": _float, "str": _str, "list[float]": _floats,
+            "list[complex]": lambda gains: [_as_gain(g) for g in gains]}
+# Field name -> annotation, for the fields of ExperimentConfig and AlsConfig.
+_FIELD_TYPES = {f.name: f.type for cls in (ExperimentConfig, AlsConfig) for f in fields(cls)}
+# File key -> field; a nested object maps each subkey the same way.
 _SCHEMA = {
-    "dims": {name: (name, _int) for name in DIMS},
-    "angles": {name: (name, _floats) for name in ANGLES},
-    "comm_gains": ("comm_gains", lambda gains: [_as_gain(g) for g in gains]),
-    "constellation": ("constellation", _int),
-    "gamma_std": ("gamma_std", _float),
-    "sweep": {"variable": ("sweep_variable", _str), "values": ("sweep_values", _floats)},
-    "es_n0_db": ("es_n0_db", _float),
-    "trials": ("trials", _int),
-    "base_seed": ("base_seed", _int),
-    "als": {f.name: (f.name, _int if f.type == "int" else _float) for f in fields(AlsConfig)},
-    "output_dir": ("output_dir", _str),
-    "jobs": ("jobs", _int),
+    "dims": {name: name for name in DIMS},
+    "angles": {name: name for name in ANGLES},
+    "sweep": {"variable": "sweep_variable", "values": "sweep_values"},
+    "als": {f.name: f.name for f in fields(AlsConfig)},
+    **{name: name for name in ("comm_gains", "constellation", "gamma_std", "es_n0_db", "trials", "base_seed",
+                               "output_dir", "jobs")},
 }
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Load and validate a JSON experiment file.
 
-    The keys are those of ``_SCHEMA`` (README describes each one), and
-    every key is optional.  Parsing checks JSON types only, each error
-    naming its key (``dims.p: ...``): unknown keys, a string or a boolean
-    where a number is due, a non-string where a string is due, anything
-    but a whole number (NaN and infinities included) in an integer key,
-    and values that do not parse are rejected.  The values are then judged
-    as in a config built in code, by :class:`AlsConfig` (``als section:
-    ...``) and :meth:`ExperimentConfig.validate`, before anything runs.
+    Every key of ``_SCHEMA`` (README describes each one) is optional.  One
+    pass in file order parses each value by its field's annotation
+    (``_PARSERS``), checking JSON types only, and reports the first error
+    with its key (``dims.p: ...``): an unknown key, a string or a boolean
+    where a number is due, a non-string where a string is due, anything but
+    a whole number (NaN and infinities included) in an integer key, or a
+    value that does not parse.  The values are then judged as in a config
+    built in code, by :class:`AlsConfig` (``als section: ...``) and
+    :meth:`ExperimentConfig.validate`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -299,26 +304,22 @@ def load_config(path: str) -> ExperimentConfig:
     unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    for key, spec in _SCHEMA.items():
-        if isinstance(spec, dict) and key in raw:
-            if not isinstance(raw[key], dict):
+    kwargs: dict = {}
+    for key, value in raw.items():
+        spec = _SCHEMA[key]
+        if isinstance(spec, dict):
+            if not isinstance(value, dict):
                 raise ConfigError(f"{key} must be an object")
-            bad = set(raw[key]) - set(spec)
+            bad = set(value) - set(spec)
             if bad:
                 raise ConfigError(f"unknown keys under {key}: {sorted(bad)}")
-
-    kwargs: dict = {}
-    for key, spec in _SCHEMA.items():
-        if key not in raw:
-            continue
-        if isinstance(spec, dict):
-            entries = [(f"{key}.{sub}", value, spec[sub]) for sub, value in raw[key].items()]
+            entries = [(f"{key}.{sub}", spec[sub], v) for sub, v in value.items()]
         else:
-            entries = [(key, raw[key], spec)]
+            entries = [(key, spec, value)]
         parsed = {}
-        for name, value, (target, parse) in entries:
+        for name, target, v in entries:
             try:
-                parsed[target] = parse(value)
+                parsed[target] = _PARSERS[_FIELD_TYPES[target]](v)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
         if key == "als":
@@ -327,7 +328,6 @@ def load_config(path: str) -> ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"als section: {exc}") from exc
         kwargs.update(parsed)
-
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg

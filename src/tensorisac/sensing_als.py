@@ -164,9 +164,9 @@ class AlsConfig:
     def __post_init__(self) -> None:
         for name in ("max_iters", "n_restarts"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        if not isinstance(self.init_seed, numbers.Integral) or self.init_seed < 0:
+        if isinstance(self.init_seed, bool) or not isinstance(self.init_seed, numbers.Integral) or self.init_seed < 0:
             raise ValueError(f"init_seed must be a non-negative integer, got {self.init_seed!r}")
         # Written so that NaN fails both comparisons.
         if not 0.0 < self.tol < math.inf:

@@ -121,6 +121,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="m_x"):
             load_config(path)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dims": 5}, r"^dims must be an object$"),
+        ({"als": []}, r"^als must be an object$"),
+        ({"dims": {"m_x": 3}}, r"^unknown keys under dims: \['m_x'\]$"),
+        ({"b": 1, "a": 2}, r"^unknown keys: \['a', 'b'\]$"),
+    ])
+    def test_malformed_structure_rejected(self, tmp_path, overrides, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(overrides))
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: top level must be an object$"):
+            load_config(str(path))
+
     def test_identifiability_violation_named(self, tmp_path):
         # one receive antenna and one pilot: n*p*m_r = 3 < m_t*k = 4
         path = write_config(tmp_path, dims={"p": 1, "m_r": 1})
@@ -323,6 +341,16 @@ class TestConfig:
         # These too used to pass validate() and then fail the first trial, in replace().
         ({"als": None}, "als must be an AlsConfig, got NoneType"),
         ({"als": {"max_iters": 5}}, "als must be an AlsConfig, got dict"),
+        # A field that is not an integer is judged by the file parser of its
+        # annotation: each of these ended validate() in a bare TypeError, or
+        # passed and then failed the run or ran a target at 1 degree.
+        ({"gamma_std": "1"}, "gamma_std: could not convert '1' to a number"),
+        ({"es_n0_db": "10"}, "es_n0_db: could not convert '10' to a number"),
+        ({"sensing_aoa": None}, "sensing_aoa: 'NoneType' object is not iterable"),
+        ({"sweep_values": "abc"}, "sweep_values: expected a list of numbers, got 'abc'"),
+        ({"comm_gains": ["x"]}, "comm_gains: could not convert 'x' to a number"),
+        ({"output_dir": None}, "output_dir: None is not a string"),
+        ({"sensing_aod": [True, 3.0]}, "sensing_aod: could not convert True to a number"),
     ])
     def test_validate_rejects_non_finite_values_set_in_code(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

@@ -537,6 +537,13 @@ class TestAlsFit:
             AlsConfig(max_iters=50.0)
         with pytest.raises(ValueError, match="n_restarts must be an integer"):
             AlsConfig(n_restarts=1.5)
+        # bool is an Integral, but True iterations or restarts and a False seed are typos
+        with pytest.raises(ValueError, match=r"^max_iters must be an integer of at least 1, got True$"):
+            AlsConfig(max_iters=True)
+        with pytest.raises(ValueError, match=r"^n_restarts must be an integer of at least 1, got True$"):
+            AlsConfig(n_restarts=True)
+        with pytest.raises(ValueError, match=r"^init_seed must be a non-negative integer, got False$"):
+            AlsConfig(init_seed=False)
         # NaN fails every comparison, so the range checks are written to catch it
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
