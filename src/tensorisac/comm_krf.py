@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import IdentifiabilityError
 from .signal_model import qam_constellation, qam_demodulate
-from .tensor_ops import best_rank_one, unfold3_tall
+from .tensor_ops import unfold3_tall
 
 __all__ = [
     "CommEstimate",
@@ -88,9 +88,9 @@ def krf_factorize(q: np.ndarray, m_u: int, p: int) -> tuple[np.ndarray, np.ndarr
         raise ValueError(f"rows {q.shape[0]} != m_u*p = {m_u * p}")
     # blocks[m] = unvec(q[:, m], m_u, p), all columns split in one call
     blocks = q.T.reshape(q.shape[1], p, m_u).swapaxes(1, 2)
-    u, v, sigma = best_rank_one(blocks)
-    root = np.sqrt(sigma)[:, None]
-    return (root * v.conj()).T, (root * u).T
+    u, sigma, vh = np.linalg.svd(blocks, full_matrices=False)
+    root = np.sqrt(sigma[:, :1])
+    return (root * vh[:, 0, :]).T, (root * u[:, :, 0]).T
 
 
 def remove_scaling(s: np.ndarray, h: np.ndarray, reference_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -173,6 +173,9 @@ class ExperimentConfig:
                             "or the comm link's squares underflow or overflow")
         if self.base_seed < 0:
             problems.append("base_seed must be non-negative")
+        if not self.output_dir:
+            # run_sweep would fail in os.makedirs("") after validating.
+            problems.append("output_dir must be a non-empty path")
         if not isinstance(self.als, AlsConfig):
             problems.append(f"als must be an AlsConfig, got {type(self.als).__name__}")
         if self.sweep_variable not in SWEEP_VARIABLES:

@@ -53,9 +53,10 @@ The compression's SVD ``S = U diag(s) Vh`` also inverts every slot's pilot
 system ``S diag(code[n])`` when the pilots have full column rank and the
 code has no zero entry: ``Z_n diag(1/s) conj(Vh) diag(1/code[n])`` is the
 unmixed slice ``A_rx diag(gamma[n]) A_tx^T``.  When ``k <= min(m_r, m_t)``
-and there are at least two slots, simultaneous diagonalization of two
-random combinations of the unmixed slices recovers all three factors,
-exactly on noiseless data.  The iteration then refines that estimate to the
+and there are at least two slots, simultaneous diagonalization of the two
+principal slot-mode combinations of the unmixed slices (a DTLD-style
+pencil) recovers all three factors, exactly on noiseless data, and draws no
+random numbers.  The iteration then refines that estimate to the
 least-squares fit.  Where the closed form does not apply, and for every
 further restart, the start is seeded random.
 
@@ -86,7 +87,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -94,7 +95,7 @@ import numpy as np
 
 from .exceptions import AlsDivergenceError, IdentifiabilityError
 from .signal_model import TransmitFrame, build_steering_matrix
-from .tensor_ops import best_rank_one, pinv
+from .tensor_ops import pinv
 
 __all__ = [
     "AlsConfig",
@@ -149,10 +150,10 @@ class AlsConfig:
     ``n_restarts`` fits are run and the best final error kept:
     restart 0 starts from :func:`gevd_start` (or its seeded random
     fallback), every further restart from an independent random start.
-    ``init_seed`` (a non-negative integer) seeds the random numbers of every
-    restart: the slice weights of the closed-form start and the random
-    starts.  The damping is fixed by the module constant ``DAMPING_START``,
-    not configured here.
+    ``init_seed`` (a non-negative integer) seeds the random starts: restart
+    0 where the closed form does not apply, and every further restart; the
+    closed-form start draws nothing.  The damping is fixed by the module
+    constant ``DAMPING_START``, not configured here.
     """
 
     max_iters: int = 1000
@@ -236,7 +237,7 @@ def _random_factors(rng: np.random.Generator, m_r: int, m_t: int, n: int, k: int
     return cn(m_r, k), cn(m_t, k), cn(n, k)
 
 
-def gevd_start(slices: np.ndarray, num_targets: int, rng: np.random.Generator, rcond: float = 1e-12):
+def gevd_start(slices: np.ndarray, num_targets: int, rcond: float = 1e-12):
     """Closed-form start ``(a_rx, a_tx, gamma)`` by simultaneous diagonalization.
 
     ``slices`` is the ``(n, m_r, m_t)`` stack of unmixed slices
@@ -244,12 +245,16 @@ def gevd_start(slices: np.ndarray, num_targets: int, rng: np.random.Generator, r
     system of each slot inverted (:func:`als_fit` forms them).  Projected
     onto the leading ``k`` left singular vectors ``U_1``, ``U_2`` of the
     mode-1 and mode-2 unfoldings of ``M``, the slices become
-    ``B diag(gamma[n]) C^T`` with ``B = U_1^H A_rx``, so for two random
-    combinations ``G_a``, ``G_b`` of them the eigenvectors of
-    ``G_a G_b^{-1}`` are the columns of ``B`` (Leurgans, Ross & Abel, 1993;
-    the GEVD start of De Lathauwer, 2006).  Row ``j`` of ``pinv(A_rx) M_n``
-    is ``gamma[n, j] A_tx[:, j]^T``, a rank-one matrix over the slots that
-    :func:`best_rank_one` splits.  Exact on noiseless data.
+    ``B diag(gamma[n]) C^T`` with ``B = U_1^H A_rx``.  The two principal
+    slot-mode combinations of them, ``G_b`` then ``G_a`` (the leading left
+    singular vectors of the ``n x k^2`` slot unfolding; ``G_a`` is zero for
+    ``k = 1``), complete the Tucker compression in the slot mode and drop
+    its noise-only directions; the eigenvectors of ``G_a G_b^{-1}`` are the
+    columns of ``B`` (Leurgans, Ross & Abel, 1993; the DTLD pencil of
+    Sanchez & Kowalski, 1990).  Row ``j`` of ``pinv(A_rx) M_n`` is
+    ``gamma[n, j] A_tx[:, j]^T``, a rank-one matrix over the slots that its
+    leading singular triple splits.  Exact on noiseless data; it draws no
+    random numbers.
 
     Raises ``ValueError`` outside the model, ``k > min(m_r, m_t)`` or fewer
     than two slots; :func:`als_fit` starts at random there.  ``rcond`` is
@@ -262,12 +267,13 @@ def gevd_start(slices: np.ndarray, num_targets: int, rng: np.random.Generator, r
         raise ValueError(f"gevd_start needs k <= min(m_r, m_t) and two slots, got k={k}, {m_r}x{m_t}, {n_slots} slots")
     u1 = np.linalg.svd(slices.transpose(1, 2, 0).reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
     u2 = np.linalg.svd(slices.transpose(2, 1, 0).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
-    core = u1.conj().T @ slices @ u2.conj()
-    weights = rng.standard_normal((2, n_slots)) + 1j * rng.standard_normal((2, n_slots))
-    g_a, g_b = (weights @ core.reshape(n_slots, k * k)).reshape(2, k, k)
+    core = (u1.conj().T @ slices @ u2.conj()).reshape(n_slots, k * k)
+    # full_matrices: a second combination exists also for k = 1.
+    weights = np.linalg.svd(core, full_matrices=True)[0][:, :2].conj().T
+    g_b, g_a = (weights @ core).reshape(2, k, k)
     a_rx = u1 @ np.linalg.eig(np.linalg.solve(g_b.T, g_a.T).T)[1]
-    left, right, sigma = best_rank_one((pinv(a_rx, rcond) @ slices).transpose(1, 2, 0))
-    return a_rx, left.T, (sigma[:, None] * right.conj()).T
+    left, sigma, right_h = np.linalg.svd((pinv(a_rx, rcond) @ slices).transpose(1, 2, 0), full_matrices=False)
+    return a_rx, left[:, :, 0].T, (sigma[:, :1] * right_h[:, 0, :]).T
 
 
 def _jacobian_blocks(jac: np.ndarray, n_slots: int, m_r: int, m_t: int, k: int):
@@ -294,9 +300,9 @@ def _fill_jacobian(blocks, a_rx: np.ndarray, gamma: np.ndarray, x: np.ndarray, a
     ``(a_rx, gamma)`` and ``g = x @ a_tx``, ``a_gamma = a_rx * gamma[:, None, :]``;
     every other entry of the buffer stays zero."""
     d_rx, d_tx, d_gamma = blocks
-    d_rx[...] = (gamma[:, None, :] * g)[:, None]
-    d_tx[...] = a_gamma[:, :, None, None, :] * x[:, None, :, :, None]
-    d_gamma[...] = a_rx[:, None, :] * g[:, None]
+    np.multiply(gamma[:, None, None, :], g[:, None], out=d_rx)
+    np.multiply(a_gamma[:, :, None, None, :], x[:, None, :, :, None], out=d_tx)
+    np.multiply(a_rx[:, None, :], g[:, None], out=d_gamma)
 
 
 def als_fit(
@@ -360,6 +366,9 @@ def als_fit(
     rx_end, tx_end = m_r * k, (m_r + m_t) * k
     damping = np.eye((m_r + m_t + n_slots) * k)
     jac = np.zeros((n_slots * m_r * x.shape[1], damping.shape[0]), dtype=complex)
+    # J^H is written into the transpose of a buffer shaped like J: the layout
+    # jac.conj().T has, so J^H J and J^H r run the same BLAS calls.
+    jac_h = np.empty_like(jac).T
     blocks = _jacobian_blocks(jac, n_slots, m_r, m_t, k)
 
     def unpack(theta):
@@ -375,11 +384,11 @@ def als_fit(
 
     best: SensingEstimate | None = None
     for restart in range(cfg.n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed), restart]))
         if restart == 0 and closed_form:
             # Z_n diag(1/s) conj(Vh) diag(1/code[n]) = A_rx diag(gamma[n]) A_tx^T
-            start = gevd_start(z @ (vh.conj() / s[:, None]) / code[:, None, :], k, rng, cfg.rcond)
+            start = gevd_start(z @ (vh.conj() / s[:, None]) / code[:, None, :], k, cfg.rcond)
         else:
+            rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed), restart]))
             start = _random_factors(rng, m_r, m_t, n_slots, k)
         theta = np.concatenate([f.ravel() for f in start])
         r, products, err = residual(theta)
@@ -392,7 +401,7 @@ def als_fit(
         for _ in range(cfg.max_iters):
             a_rx, _, gamma = unpack(theta)
             _fill_jacobian(blocks, a_rx, gamma, x, *products)
-            jac_h = jac.conj().T
+            np.conjugate(jac.T, out=jac_h)
             normal = jac_h @ jac
             grad = jac_h @ r.reshape(-1)
             scale = normal.diagonal().real.max()
@@ -442,12 +451,22 @@ def remove_sensing_ambiguity(est: SensingEstimate) -> SensingEstimate:
     tx_row = est.a_tx_hat[0, :]
     if np.any(np.abs(rx_row) == 0.0) or np.any(np.abs(tx_row) == 0.0):
         raise ValueError("a steering estimate has a zero first-row entry")
-    return replace(
-        est,
-        a_rx_hat=est.a_rx_hat / rx_row[None, :],
-        a_tx_hat=est.a_tx_hat / tx_row[None, :],
-        gamma_hat=est.gamma_hat * (rx_row * tx_row)[None, :],
+    return SensingEstimate(
+        est.a_rx_hat / rx_row[None, :],
+        est.a_tx_hat / tx_row[None, :],
+        est.gamma_hat * (rx_row * tx_row)[None, :],
+        est.nmse_trace,
+        est.converged,
     )
+
+
+@lru_cache(maxsize=ALIGN_MAX_COLUMNS)
+def _permutation_table(k: int) -> np.ndarray:
+    """All ``k!`` column orders of :func:`align_permutation`, one per column
+    in ``itertools.permutations`` order, shape ``(k, k!)``; shared, read-only."""
+    table = np.array(list(permutations(range(k))), dtype=np.intp).T
+    table.flags.writeable = False
+    return table
 
 
 def align_permutation(est_cols: np.ndarray, true_cols: np.ndarray) -> tuple[int, ...]:
@@ -470,8 +489,11 @@ def align_permutation(est_cols: np.ndarray, true_cols: np.ndarray) -> tuple[int,
     denom = np.outer(est_norm, true_norm)
     denom[denom == 0.0] = 1.0
     corr = np.abs(est.conj().T @ true) / denom
-    # max keeps the first of equal scores.
-    return max(permutations(range(k)), key=lambda perm: sum(corr[perm[j], j] for j in range(k)))
+    table = _permutation_table(k)
+    # Summed over the leading axis, each order's score adds its columns left
+    # to right; argmax keeps the first of equal scores.
+    scores = corr[table, np.arange(k)[:, None]].sum(axis=0)
+    return tuple(table[:, np.argmax(scores)].tolist())
 
 
 @lru_cache(maxsize=16)

@@ -322,8 +322,6 @@ def add_noise(tensor: np.ndarray, es_n0_db: float, seed=None) -> np.ndarray:
     t = np.asarray(tensor, dtype=complex)
     if n0 == 0.0:
         return t.copy()
-    rng = np.random.default_rng(seed)
-    noise = np.sqrt(n0 / 2.0) * (
-        rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-    )
-    return t + noise
+    # Both parts in one call: the stream of two calls, real part first.
+    re, im = np.random.default_rng(seed).standard_normal((2, *t.shape))
+    return t + np.sqrt(n0 / 2.0) * (re + 1j * im)

@@ -309,10 +309,10 @@ def paper_als_fit(tensor, frame, num_targets, cfg=None):
     unmixed = pinv_unmix(t, x, cfg.rcond) if num_targets <= min(m_r, m_t) and n_slots >= 2 else None
     best = None
     for restart in range(cfg.n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed), restart]))
         if restart == 0 and unmixed is not None:
-            a_rx, a_tx, gamma = gevd_start(unmixed, num_targets, rng, cfg.rcond)
+            a_rx, a_tx, gamma = gevd_start(unmixed, num_targets, cfg.rcond)
         else:
+            rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed), restart]))
             a_rx, a_tx, gamma = _random_factors(rng, m_r, m_t, n_slots, num_targets)
         trace, converged, prev_err = [], False, np.inf
         right = build_right_factor(gamma, x @ a_tx)
@@ -400,32 +400,32 @@ def oracle_lm_steps(tensor, frame, start, steps, damping_start=1e-3):
     return tuple(v.reshape(s) for v, s in zip(np.split(theta, sizes), shapes))
 
 
-def oracle_gevd_start(tensor, x, num_targets, rng, rcond=1e-12):
+def oracle_gevd_start(tensor, x, num_targets, rcond=1e-12):
     """``einsum`` formulation of ``sensing_als.gevd_start``, the closed-form
     start before it moved to batched matrix products: the same gate, the
-    same random draws and the same SVD-family calls, contracted index by
-    index on the ``(m_r, m_t, n)`` slice stack ``M``."""
-    from tensorisac.sensing_als import _random_factors
-    from tensorisac.tensor_ops import best_rank_one, pinv
+    principal slot-mode pencil and the same SVD-family calls, contracted
+    index by index on the ``(m_r, m_t, n)`` slice stack ``M``.  ``None``
+    where the gate fails, so ``als_fit`` starts at random."""
+    from tensorisac.tensor_ops import pinv
 
     tensor = np.asarray(tensor)
     m_r = tensor.shape[0]
     n_slots, p, m_t = x.shape
     k = num_targets
     if k > min(m_r, m_t) or n_slots < 2 or p < m_t:
-        return _random_factors(rng, m_r, m_t, n_slots, k)
+        return None
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     if np.any(s[:, -1] <= rcond * s[:, 0]):
-        return _random_factors(rng, m_r, m_t, n_slots, k)
+        return None
     m = np.einsum("ipn,npr,nrt->itn", tensor, u.conj(), vh.conj() / s[:, :, None])
     u1 = np.linalg.svd(m.reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
     u2 = np.linalg.svd(m.transpose(1, 0, 2).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
     core = np.einsum("ik,itn,tl->nkl", u1.conj(), m, u2.conj())
-    weights = rng.standard_normal((2, n_slots)) + 1j * rng.standard_normal((2, n_slots))
-    g_a, g_b = np.einsum("wn,nkl->wkl", weights, core)
+    weights = np.linalg.svd(core.reshape(n_slots, k * k), full_matrices=True)[0][:, :2]
+    g_b, g_a = np.einsum("nw,nkl->wkl", weights.conj(), core)
     a_rx = u1 @ np.linalg.eig(np.linalg.solve(g_b.T, g_a.T).T)[1]
-    left, right, sigma = best_rank_one(np.einsum("ki,itn->ktn", pinv(a_rx, rcond), m))
-    return a_rx, left.T, (sigma[:, None] * right.conj()).T
+    left, sigma, right_h = np.linalg.svd(np.einsum("ki,itn->ktn", pinv(a_rx, rcond), m), full_matrices=False)
+    return a_rx, np.einsum("kt->tk", left[:, :, 0]), np.einsum("k,kn->nk", sigma[:, 0], right_h[:, 0, :])
 
 
 def golden_section_angles(a_hat, grid_step=0.1, clip=89.999):

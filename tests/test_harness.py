@@ -189,6 +189,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
 
+    def test_empty_output_dir_rejected(self, tmp_path):
+        # It used to pass, and run_sweep then raised FileNotFoundError in os.makedirs("").
+        message = "^output_dir must be a non-empty path$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, output_dir=""))
+        with pytest.raises(ConfigError, match=message):
+            replace(default_config(), output_dir="").validate()
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(replace(default_config(), output_dir="", trials=1))
+
     def test_largest_gamma_std_runs_with_finite_metrics(self):
         # Just below the bound a trial at every grid point runs, and every
         # metric is finite; above it validate() rejects the value.
@@ -840,6 +850,7 @@ class TestCli:
             ({"gamma_std": 1e200}, "gamma_std must be at most 1e+100"),
             ({"gamma_std": 1e-160}, "gamma_std must be at least 1e-100"),
             ({"gamma_std": 1e-200}, "gamma_std must be at least 1e-100"),
+            ({"output_dir": ""}, "output_dir must be a non-empty path"),
         ):
             proc = self.run_cli("check", "--config", write_config(tmp_path, **overrides))
             assert proc.returncode == 2 and message in proc.stderr, (overrides, proc.stderr)
@@ -954,6 +965,7 @@ class TestReplayTool:
             "# against: worst objective ratio 1.000000 (sweep_value 0, trial 0)",
             "# against: objective ratio - 1 in [0, 0]",
             "# against: fits more than 1e-05 above the parent's objective 0",
+            "# against: fits more than 1e-05 below the parent's objective 0",
             "# against: fits with a different iteration count 0",
             "# against: fits with a different converged flag 0",
             "# against: largest relative nmse_ar difference 0 (sweep_value 0, trial 0)",
@@ -975,11 +987,22 @@ class TestReplayTool:
         lines = ab.compare(self.ROWS, self.HASHES, parent, self.HASHES)
         assert "# against: fits identical 3 of 4" in lines
         assert "# against: fits more than 1e-05 above the parent's objective 0" in lines
+        assert "# against: fits more than 1e-05 below the parent's objective 0" in lines
         assert not [line for line in lines if line.startswith("# moved:")]
+        # Against parent objectives twice as large, every fit ends below its parent's.
+        parent = [(*row[:4], row[4] * 2, row[5]) for row in self.ROWS]
+        lines = ab.compare(self.ROWS, self.HASHES, parent, self.HASHES)
+        assert "# against: fits more than 1e-05 above the parent's objective 0" in lines
+        assert "# against: fits more than 1e-05 below the parent's objective 4" in lines
+        # With one parent objective only 5e-6 above this run's, three are counted.
+        parent[1] = (*parent[1][:4], self.ROWS[1][4] * (1 + 5e-6), parent[1][5])
+        assert "# against: fits more than 1e-05 below the parent's objective 3" in ab.compare(
+            self.ROWS, self.HASHES, parent, self.HASHES)
         # Against parent objectives half as large, every fit ends above its parent's.
         parent = [(*row[:4], row[4] / 2, row[5]) for row in self.ROWS]
         lines = ab.compare(self.ROWS, self.HASHES, parent, self.HASHES)
         assert "# against: fits more than 1e-05 above the parent's objective 4" in lines
+        assert "# against: fits more than 1e-05 below the parent's objective 0" in lines
         assert "# against: objective ratio - 1 in [1, 1]" in lines
         assert lines[-4:] == [
             f"# moved: sweep_value {v:g}, trial {t}: iters {i} -> {i}, converged {c} -> {c}, objective ratio - 1 1"

@@ -10,9 +10,9 @@ are kept.  A trial's inputs depend only on the config, grid value and
 trial index, so a change to the fit shows per fit, not as noise.  Prints
 per side the fits, their iterations, capped fits and the geometric mean of
 the nonzero ``nmse_ar``; then ``# against:`` lines (iteration totals,
-objective ratios, fits more than ``WORSE_REL`` above the parent's
-objective, fits whose iteration count or converged flag differs, the
-largest relative ``nmse_ar`` difference, identical fits, artifacts whose
+objective ratios, fits more than ``WORSE_REL`` above and below the
+parent's objective, fits whose iteration count or converged flag differs,
+the largest relative ``nmse_ar`` difference, identical fits, artifacts whose
 SHA-256 is identical) and a ``# moved:`` line per fit that differs in
 iterations or flag or ends more than ``WORSE_REL`` above the parent.
 
@@ -48,7 +48,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import tensorisac  # noqa: E402  (this checkout, from the path set above)
 
-# A fit ending more than this fraction above the parent's objective is worse than the parent's.
+# A fit ending more than this fraction above (below) the parent's objective is worse (better) than the parent's.
 WORSE_REL = 1e-5
 
 
@@ -115,6 +115,7 @@ def compare(rows: list[tuple], hashes: dict[str, str], parent: list[tuple], pare
         f"# against: worst objective ratio {ratios[worst]:.6f} (sweep_value {rows[worst][0]:g}, trial {rows[worst][1]})",
         f"# against: objective ratio - 1 in [{min(ratios) - 1.0:.3g}, {max(ratios) - 1.0:.3g}]",
         f"# against: fits more than {WORSE_REL:g} above the parent's objective {sum(q > 1.0 + WORSE_REL for q in ratios)}",
+        f"# against: fits more than {WORSE_REL:g} below the parent's objective {sum(q < 1.0 - WORSE_REL for q in ratios)}",
         f"# against: fits with a different iteration count {sum(r[2] != p[2] for r, p in pairs)}",
         f"# against: fits with a different converged flag {sum(r[3] != p[3] for r, p in pairs)}",
         f"# against: largest relative nmse_ar difference {nmse_rel[most]:.3g} "
