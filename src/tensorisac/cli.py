@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``run --config <file> [--out <dir>] [--trials N] [--seed S] [--noiseless]``
     Run the configured Monte Carlo sweep and write ``results.csv`` plus
-    ``summary.csv``.  ``--trials``/``--seed`` override the config file;
+    ``summary.csv``.  ``--out``/``--trials``/``--seed`` replace config values;
     ``--noiseless`` replaces the noise level with the exact sentinel
     (an ``es_n0`` sweep collapses to a single noiseless point).
 ``check --config <file>``
@@ -20,7 +20,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .exceptions import ConfigError
 from .harness import emit_plot_data, load_config, run_sweep
 
 
@@ -33,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the configured sweep and write CSV artifacts")
     p_run.add_argument("--config", required=True, help="experiment config (JSON)")
-    p_run.add_argument("--out", default=None, help="output directory (default: from config)")
+    p_run.add_argument("--out", default=None, help="replaces the config's output_dir")
     p_run.add_argument("--trials", type=int, default=None, help="override trials per sweep point")
     p_run.add_argument("--seed", type=int, default=None, help="override the base seed")
     p_run.add_argument("--noiseless", action="store_true", help="disable noise (exact-recovery mode)")
@@ -51,17 +50,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = load_config(args.config)
-            if args.trials is not None:
-                cfg = replace(cfg, trials=args.trials)
-            if args.seed is not None:
-                cfg = replace(cfg, base_seed=args.seed)
+            edits = {"trials": args.trials, "base_seed": args.seed, "output_dir": args.out}
+            cfg = replace(load_config(args.config), **{k: v for k, v in edits.items() if v is not None})
             if args.noiseless:
                 if cfg.sweep_variable == "es_n0":
                     cfg = replace(cfg, sweep_values=[float("inf")])
                 else:
                     cfg = replace(cfg, es_n0_db=float("inf"))
-            results_path, summary_path = run_sweep(cfg, out_dir=args.out)
+            results_path, summary_path = run_sweep(cfg)
             print(results_path)
             print(summary_path)
         elif args.command == "check":
@@ -70,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "plotdata":
             for path in emit_plot_data(args.csv, out_dir=args.out):
                 print(path)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -480,16 +480,17 @@ def _write_csv(path: str, rows: list[list]) -> None:
 def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, str]:
     """Run all grid points and trials; write ``results.csv`` and ``summary.csv``.
 
-    Returns the two file paths.  ``run_trial`` runs once per ``(point, trial)``
-    task, on the points :meth:`ExperimentConfig.validate` returns.  Trials are
-    independent; when the capped worker count (see above) exceeds 1, they go to
-    a worker pool.  Records come back in task order on the ascending grid, so
-    the rows are sorted by (grid point, trial) and the artifacts do not depend
-    on ``jobs``.
+    Returns the two file paths, in ``cfg.output_dir``.  A given ``out_dir`` replaces ``output_dir``
+    before :meth:`ExperimentConfig.validate` judges the config; only ``bench/run.py`` passes it,
+    and it goes with ROADMAP items 1a and 8.  ``run_trial`` runs once per ``(point, trial)`` task,
+    on the points ``validate`` returns.  Trials are independent; when the capped worker count (see
+    above) exceeds 1, they go to a worker pool.  Records come back in task order on the ascending
+    grid, so the rows are sorted by (grid point, trial) and the artifacts do not depend on ``jobs``.
     """
+    if out_dir is not None:
+        cfg = replace(cfg, output_dir=out_dir)
     points = cfg.validate()
-    out = out_dir if out_dir is not None else cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(cfg.output_dir, exist_ok=True)
 
     tasks = [(point, trial) for point in points for trial in range(cfg.trials)]
     workers = min(cfg.jobs, os.cpu_count() or 1, -(-len(tasks) // TASK_CHUNK))
@@ -515,13 +516,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
         summary_rows.append(head + ["-1", "0", str(n_conv)] + [_fmt(x) for x in stats[:, 0].tolist()])
         wide_rows.append(head + [str(len(group)), str(n_conv)] + [_fmt(x) for x in stats.ravel().tolist()])
 
-    results_path = os.path.join(out, "results.csv")
+    results_path = os.path.join(cfg.output_dir, "results.csv")
     _write_csv(results_path, [list(CSV_COLUMNS)] + data_rows + summary_rows)
 
     summary_header = ["sweep_var", "sweep_value", "n_trials", "n_converged"]
     for m in METRIC_COLUMNS:
         summary_header.extend([f"median_{m}", f"mean_{m}"])
-    summary_path = os.path.join(out, "summary.csv")
+    summary_path = os.path.join(cfg.output_dir, "summary.csv")
     _write_csv(summary_path, [summary_header] + wide_rows)
     return results_path, summary_path
 
@@ -531,13 +532,16 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[str, s
 def emit_plot_data(csv_path: str, out_dir: str | None = None) -> list[str]:
     """Write one two-column text file per metric from a ``results.csv``.
 
-    Each file holds one ``sweep_value median_<metric>`` line per summary row
-    (``trial`` = -1), in file order: the medians :func:`run_sweep` wrote.
-    Trial rows are not read.  Raises ``ValueError`` for a wrong header, no
-    summary row, summary rows without one shared sweep variable from
-    ``SWEEP_VARIABLES``, or a cell that is not a number.
+    Each file holds one ``sweep_value median_<metric>`` line per summary row (``trial`` = -1),
+    in file order: the medians :func:`run_sweep` wrote.  Trial rows are not read.  The files go
+    to ``out_dir``, by default the CSV's directory.  Raises ``ValueError`` for an empty
+    ``out_dir`` (before the CSV is read), a wrong header, no summary row, summary rows without
+    one shared sweep variable from ``SWEEP_VARIABLES``, or a cell that is not a number.
     """
-    out = out_dir if out_dir is not None else os.path.dirname(os.path.abspath(csv_path))
+    if out_dir is None:
+        out_dir = os.path.dirname(os.path.abspath(csv_path))
+    elif not out_dir:
+        raise ValueError("out_dir must be a non-empty path")
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or list(reader.fieldnames) != list(CSV_COLUMNS):
@@ -549,11 +553,11 @@ def emit_plot_data(csv_path: str, out_dir: str | None = None) -> list[str]:
                          f"from {SWEEP_VARIABLES}, found {sorted(sweep_vars)}")
     (sweep_var,) = sweep_vars
     points = [(float(row["sweep_value"]), [float(row[m]) for m in METRIC_COLUMNS]) for row in rows]
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, metric in enumerate(METRIC_COLUMNS):
         lines = [f"# {sweep_var} median_{metric}"] + [f"{value:.17g} {medians[i]:.17g}" for value, medians in points]
-        path = os.path.join(out, f"{metric}_vs_{sweep_var}.txt")
+        path = os.path.join(out_dir, f"{metric}_vs_{sweep_var}.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         paths.append(path)

@@ -166,43 +166,6 @@ def oracle_reflection_step(tensor, a_rx, a_tx, code, pilots, rcond=1e-12) -> np.
     return np.array(rows)
 
 
-def oracle_extract_angles(a_hat, grid_step=0.1) -> np.ndarray:
-    """Grid scan plus golden-section refinement of the normalized correlation
-    ``|a(angle)^H col| / (|a(angle)| |col|)``, with every steering vector
-    built by ``build_steering_matrix`` one angle at a time; angles in column
-    order."""
-    from tensorisac.signal_model import build_steering_matrix
-
-    def correlation(angle, col):
-        a = build_steering_matrix([angle], col.size)[:, 0]
-        return abs(np.vdot(a, col)) / (np.linalg.norm(a) * np.linalg.norm(col))
-
-    a_hat = np.asarray(a_hat)
-    grid = np.linspace(-89.9, 89.9, max(2, int(round(179.8 / grid_step)) + 1))
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    angles = []
-    for j in range(a_hat.shape[1]):
-        col = a_hat[:, j]
-        center = grid[int(np.argmax([correlation(g, col) for g in grid]))]
-        lo = max(center - grid_step, -89.999)
-        hi = min(center + grid_step, 89.999)
-        x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-        f1, f2 = correlation(x1, col), correlation(x2, col)
-        for _ in range(60):
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + invphi * (hi - lo)
-                f2 = correlation(x2, col)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - invphi * (hi - lo)
-                f1 = correlation(x1, col)
-            if hi - lo < 1e-9:
-                break
-        angles.append(0.5 * (lo + hi))
-    return np.asarray(angles)
-
-
 def build_right_factor(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Right factor of the flat 1-mode unfolding.
 

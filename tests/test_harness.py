@@ -189,7 +189,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
 
-    def test_empty_output_dir_rejected(self, tmp_path):
+    def test_empty_output_dir_rejected(self, tmp_path, monkeypatch):
         # It used to pass, and run_sweep then raised FileNotFoundError in os.makedirs("").
         message = "^output_dir must be a non-empty path$"
         with pytest.raises(ConfigError, match=message):
@@ -198,6 +198,18 @@ class TestConfig:
             replace(default_config(), output_dir="").validate()
         with pytest.raises(ConfigError, match=message):
             run_sweep(replace(default_config(), output_dir="", trials=1))
+        # run_sweep's out_dir replaces output_dir and meets the same rules: it used to bypass
+        # validate, so "" failed in os.makedirs("") and 5 reached os.makedirs unchecked.
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cfg = replace(default_config(), trials=1)
+        for out_dir, rule in (("", message), (5, "^output_dir: 5 is not a string$")):
+            with pytest.raises(ConfigError, match=rule):
+                run_sweep(cfg, out_dir=out_dir)
+        assert calls == [] and list(work.iterdir()) == []
 
     def test_largest_gamma_std_runs_with_finite_metrics(self):
         # Just below the bound a trial at every grid point runs, and every
@@ -788,6 +800,9 @@ class TestEmitPlotData:
         paths = emit_plot_data(str(path), out_dir=str(out))
         assert all(os.path.dirname(p) == str(out) for p in paths)
         assert all(os.path.exists(p) for p in paths)
+        # An empty out_dir is rejected before the CSV is read; it used to fail in os.makedirs("").
+        with pytest.raises(ValueError, match="^out_dir must be a non-empty path$"):
+            emit_plot_data(str(tmp_path / "missing.csv"), out_dir="")
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -866,6 +881,10 @@ class TestCli:
         proc = self.run_cli("run", "--config", config, "--out", str(out), "--seed", "-1")
         assert proc.returncode == 2
         assert "error: base_seed must be non-negative" in proc.stderr and not out.exists()
+        # --out replaces output_dir and meets its rules; "" used to fail in os.makedirs("").
+        proc = self.run_cli("run", "--config", config, "--out", "")
+        assert proc.returncode == 2
+        assert "error: output_dir must be a non-empty path" in proc.stderr, proc.stderr
         proc = self.run_cli("run", "--config", config, "--out", str(out), "--trials", "2")
         assert proc.returncode == 0, proc.stderr
         results = out / "results.csv"
@@ -873,6 +892,9 @@ class TestCli:
         proc = self.run_cli("plotdata", "--csv", str(results))
         assert proc.returncode == 0, proc.stderr
         assert (out / "ser_krf_vs_es_n0.txt").exists()
+        proc = self.run_cli("plotdata", "--csv", str(results), "--out", "")
+        assert proc.returncode == 2
+        assert "out_dir" in proc.stderr, proc.stderr
         # Plot data copies the summary rows; a CSV without them is rejected.
         trials_only = tmp_path / "trials_only.csv"
         trials_only.write_text("".join(l for l in results.read_text().splitlines(True) if ",-1," not in l))

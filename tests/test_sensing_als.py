@@ -42,7 +42,6 @@ from helpers import (
     estimate_tx_steering,
     golden_section_angles,
     grid_point,
-    oracle_extract_angles,
     oracle_gevd_start,
     oracle_lm_steps,
     oracle_reflection_step,
@@ -758,7 +757,7 @@ class TestAngleExtraction:
         angles = rng.uniform(-80.0, 80.0, 4)
         near = build_steering_matrix(angles, m) + 0.05 * random_complex(rng, m, 4)
         cols = np.concatenate([random_complex(rng, m, 4), near], axis=1)
-        assert np.abs(extract_angles(cols) - oracle_extract_angles(cols)).max() < 1e-4
+        assert np.abs(extract_angles(cols) - golden_section_angles(cols)).max() < 1e-5
 
 
 def closed_form_angle(col):

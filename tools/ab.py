@@ -80,7 +80,7 @@ def replay(package, cfg, out: str) -> tuple[list[tuple], dict[str, str]]:
         return record
 
     with mock.patch.object(harness, "als_fit", recording_fit), mock.patch.object(harness, "run_trial", recording_trial):
-        results, summary_csv = harness.run_sweep(replace(cfg, jobs=1), out_dir=out)
+        results, summary_csv = harness.run_sweep(replace(cfg, jobs=1, output_dir=out))
         plots = harness.emit_plot_data(results, out_dir=out)
     return rows, {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
                   for p in (results, summary_csv, *plots)}
