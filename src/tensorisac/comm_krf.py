@@ -141,13 +141,9 @@ def semi_blind_receive(
 def zf_channel_energy(h: np.ndarray) -> np.ndarray:
     """The benchmark's channel rule: squared norm of each channel column.
 
-    Needs at least as many receive as transmit antennas
-    (``IdentifiabilityError``) and no zero column (``ValueError``), since
-    the stream such a column carries is unobservable.
+    Needs no zero column (``ValueError``), since the stream such a column
+    carries is unobservable; any ``m_u >= 1`` will do (:func:`zf_detect`).
     """
-    m_u, m_t = h.shape
-    if m_u < m_t:
-        raise IdentifiabilityError(f"benchmark needs m_u >= m_t: {m_u} < {m_t}")
     col_energy = np.sum(np.abs(h) ** 2, axis=0)
     if np.any(col_energy == 0.0):
         raise ValueError("channel has a zero column; that stream is unobservable")
@@ -156,7 +152,9 @@ def zf_channel_energy(h: np.ndarray) -> np.ndarray:
 
 def zf_detect(q: np.ndarray, h_true: np.ndarray, order: int) -> np.ndarray:
     """Perfect-CSI decisions from a code projection ``q``, each stream solved by least
-    squares against its true channel column; the channel must pass :func:`zf_channel_energy`."""
+    squares against its true channel column; the channel must pass :func:`zf_channel_energy`.
+    The code is column orthonormal, so the ZF solution ``diag(1/||h_m||^2) (C ⊙ H)^H`` is this
+    per-stream matched filter and exists for any ``m_u >= 1``, fewer than ``m_t`` included."""
     m_u, m_t = h_true.shape
     if q.shape[1] != m_t or q.shape[0] % m_u:
         raise ValueError(f"projection of shape {q.shape} does not fit a {m_u} x {m_t} channel")

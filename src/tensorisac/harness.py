@@ -464,8 +464,6 @@ def run_trial(point: GridPoint, trial: int) -> MetricsRecord:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -534,14 +532,19 @@ def emit_plot_data(csv_path: str, out_dir: str | None = None) -> list[str]:
 
     Each file holds one ``sweep_value median_<metric>`` line per summary row (``trial`` = -1),
     in file order: the medians :func:`run_sweep` wrote.  Trial rows are not read.  The files go
-    to ``out_dir``, by default the CSV's directory.  Raises ``ValueError`` for an empty
-    ``out_dir`` (before the CSV is read), a wrong header, no summary row, summary rows without
-    one shared sweep variable from ``SWEEP_VARIABLES``, or a cell that is not a number.
+    to ``out_dir``, by default the CSV's directory.  Raises ``ValueError`` for an ``out_dir`` that
+    is empty or not a string (before the CSV is read), a wrong header, no summary row, summary
+    rows without one shared sweep variable from ``SWEEP_VARIABLES``, or a cell that is not a number.
     """
     if out_dir is None:
         out_dir = os.path.dirname(os.path.abspath(csv_path))
-    elif not out_dir:
-        raise ValueError("out_dir must be a non-empty path")
+    else:
+        try:
+            _str(out_dir)
+        except ValueError as exc:
+            raise ValueError(f"out_dir: {exc}") from None
+        if not out_dir:
+            raise ValueError("out_dir must be a non-empty path")
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or list(reader.fieldnames) != list(CSV_COLUMNS):

@@ -50,8 +50,8 @@ the current iterate already formed.
 
 The first restart starts from a closed-form estimate (:func:`gevd_start`).
 The compression's SVD ``S = U diag(s) Vh`` also inverts every slot's pilot
-system ``S diag(code[n])`` when the pilots have full column rank and the
-code has no zero entry: ``Z_n diag(1/s) conj(Vh) diag(1/code[n])`` is the
+system ``S diag(code[n])`` when the pilots have full column rank (every code
+entry has modulus ``1/sqrt(n)``): ``Z_n diag(1/s) conj(Vh) diag(1/code[n])`` is the
 unmixed slice ``A_rx diag(gamma[n]) A_tx^T``.  When ``k <= min(m_r, m_t)``
 and there are at least two slots, simultaneous diagonalization of the two
 principal slot-mode combinations of the unmixed slices (a DTLD-style
@@ -359,10 +359,9 @@ def als_fit(
     outside = np.vdot(resid, resid).real
     # x[n] = X_n = (U^H S) diag(code[n]), the compressed pilot system of slot n.
     x = (u.conj().T @ pilots) * code[:, None, :]
-    # Inside the model (module docstring), pilots of full column rank and a code
-    # without zeros make every X_n invertible, so the closed-form start applies.
-    closed_form = (k <= min(m_r, m_t) and n_slots >= 2
-                   and len(s) == m_t and s[-1] > cfg.rcond * s[0] and np.all(code != 0.0))
+    # Inside the model (module docstring), pilots of full column rank make
+    # every X_n invertible, so the closed-form start applies.
+    closed_form = k <= min(m_r, m_t) and n_slots >= 2 and len(s) == m_t and s[-1] > cfg.rcond * s[0]
     rx_end, tx_end = m_r * k, (m_r + m_t) * k
     damping = np.eye((m_r + m_t + n_slots) * k)
     jac = np.zeros((n_slots * m_r * x.shape[1], damping.shape[0]), dtype=complex)

@@ -164,7 +164,8 @@ class TestZfBenchmark:
         s = zf_benchmark(y, link.h, frame.c, 4)
         assert np.array_equal(s, detect_symbols(frame.s_data, 4))
 
-    @pytest.mark.parametrize("m_u, m_t, noise_db", [(2, 2, -5.0), (4, 3, -10.0), (5, 2, -12.0)])
+    @pytest.mark.parametrize("m_u, m_t, noise_db", [(2, 2, -5.0), (4, 3, -10.0), (5, 2, -12.0),
+                                                    (1, 2, 0.0), (2, 3, -5.0)])
     def test_matches_per_stream_loop(self, m_u, m_t, noise_db):
         # Reference: the separated block of stream m is unvec(q[:, m], m_u, p);
         # combine it with the conjugated true channel column, one stream at a time.
@@ -185,37 +186,41 @@ class TestZfBenchmark:
         # With an orthonormal code, stream m reaches the detector with noise
         # variance N0 / ||h_m||^2, so each entry is a square-QAM decision at
         # SNR ||h_m||^2 / N0 with a closed-form error rate.
+        # The default comm link, and the same link to a single-antenna user (m_u < m_t).
         trials, p, m_t, n = 400, 8, 2, 3
-        link = build_comm_link([78.0], [25.0], [1.0 + 0.0j], m_u=2, m_t=m_t)  # default comm link
-        errors = 0
-        for t in range(trials):
-            frame = sample_frame(p=p, m_t=m_t, n=n, order=order, seed=7 * t + order)
-            y = add_noise(comm_forward(link, frame), es_n0_db, seed=7 * t + order + 1)
-            errors += np.count_nonzero(zf_benchmark(y, link.h, frame.c, order) != detect_symbols(frame.s_data, order))
-        measured = errors / (trials * p * m_t)
 
         def q_func(x):
             return 0.5 * math.erfc(x / math.sqrt(2.0))
 
         n0 = 10.0 ** (-es_n0_db / 10.0)
-        per_stream = [
-            1.0 - (1.0 - 2.0 * (1.0 - 1.0 / math.sqrt(order))
-                   * q_func(math.sqrt(3.0 * energy / ((order - 1) * n0)))) ** 2
-            for energy in np.sum(np.abs(link.h) ** 2, axis=0)
-        ]
-        expected = float(np.mean(per_stream))
-        se = math.sqrt(sum(r * (1.0 - r) for r in per_stream) * trials * p) / (trials * p * m_t)
-        assert abs(measured - expected) < 4.0 * se, (measured, expected, se)
+        for m_u in (2, 1):
+            link = build_comm_link([78.0], [25.0], [1.0 + 0.0j], m_u=m_u, m_t=m_t)
+            errors = 0
+            for t in range(trials):
+                frame = sample_frame(p=p, m_t=m_t, n=n, order=order, seed=7 * t + order)
+                y = add_noise(comm_forward(link, frame), es_n0_db, seed=7 * t + order + 1)
+                errors += np.count_nonzero(zf_benchmark(y, link.h, frame.c, order) != detect_symbols(frame.s_data, order))
+            measured = errors / (trials * p * m_t)
+            per_stream = [
+                1.0 - (1.0 - 2.0 * (1.0 - 1.0 / math.sqrt(order))
+                       * q_func(math.sqrt(3.0 * energy / ((order - 1) * n0)))) ** 2
+                for energy in np.sum(np.abs(link.h) ** 2, axis=0)
+            ]
+            expected = float(np.mean(per_stream))
+            se = math.sqrt(sum(r * (1.0 - r) for r in per_stream) * trials * p) / (trials * p * m_t)
+            assert abs(measured - expected) < 4.0 * se, (m_u, measured, expected, se)
 
-    def test_fewer_user_antennas_rejected(self):
-        frame, link, y = comm_instance(91, m_u=2, m_t=2)
-        with pytest.raises(IdentifiabilityError):
-            zf_benchmark(y[:1, :, :], link.h[:1, :], frame.c, 4)
-        # zf_detect judges the channel itself: it used to take the column
-        # energies as an argument and trust them.
-        q = estimate_symbol_channel_product(y[:1, :, :], frame.c)
-        with pytest.raises(IdentifiabilityError, match=r"^benchmark needs m_u >= m_t: 1 < 2$"):
-            zf_detect(q, link.h[:1, :], 4)
+    def test_fewer_user_antennas_decode(self):
+        # These used to raise "benchmark needs m_u >= m_t".  The orthonormal code
+        # separates the streams, so ZF is the per-stream matched filter for any
+        # m_u; both receivers are exact without noise.
+        for m_u, m_t in ((1, 2), (1, 3), (2, 3)):
+            frame, link, y = comm_instance(91, m_u=m_u, m_t=m_t, n=m_t + 1)
+            want = detect_symbols(frame.s_data, 4)
+            assert np.array_equal(zf_benchmark(y, link.h, frame.c, 4), want)
+            est = semi_blind_receive(y, frame.c, frame.s_data[0, :], 4)
+            assert np.array_equal(est.s_hat, want)
+            assert np.array_equal(zf_detect(est.q, link.h, 4), want)
 
     def test_channel_and_code_column_counts_must_match(self):
         # This used to fail inside numpy: "cannot reshape array of size 64 into shape (3,8,4)".

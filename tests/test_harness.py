@@ -150,10 +150,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n >= m_t"):
             load_config(path)
 
-    def test_benchmark_needs_enough_antennas(self, tmp_path):
-        path = write_config(tmp_path, dims={"m_u": 1})
-        with pytest.raises(ConfigError, match="m_u >= m_t"):
-            load_config(path)
+    def test_single_antenna_user_loads(self, tmp_path):
+        # It used to be rejected with "benchmark needs m_u >= m_t": ZF needs no
+        # more receive than transmit antennas behind the orthonormal code.
+        cfg = load_config(write_config(tmp_path, dims={"m_u": 1}))
+        assert cfg.m_u == 1 < cfg.m_t
+        assert all(point.link.h.shape == (1, cfg.m_t) for point in cfg.validate())
+
+    def test_comm_link_rejects_exactly_the_codes_with_too_few_slots(self):
+        # The end-to-end form of criterion 06's comm claim: of the shapes with
+        # m_u, m_t and n in 1..4, validate() rejects exactly those with n < m_t.
+        for m_u, m_t, n in itertools.product(range(1, 5), repeat=3):
+            cfg = replace(default_config(), m_u=m_u, m_t=m_t, n=n)
+            if n >= m_t:
+                cfg.validate()
+            else:
+                with pytest.raises(ConfigError, match=rf": slot code needs n >= m_t: {n} < {m_t}$"):
+                    cfg.validate()
 
     def test_unsorted_sweep_rejected(self, tmp_path):
         # [10, 10] used to run both points with the same seeds, so summary.csv
@@ -165,9 +178,9 @@ class TestConfig:
         load_config(write_config(tmp_path, sweep={"values": [10.0, 10.000001]}))
 
     def test_sweep_point_validated_not_just_base(self, tmp_path):
-        # base dims fine, but the m_u sweep dips below m_t
-        path = write_config(tmp_path, sweep={"variable": "m_u", "values": [1.0, 2.0]})
-        with pytest.raises(ConfigError, match="m_u >= m_t"):
+        # base dims fine, but the n sweep dips below m_t
+        path = write_config(tmp_path, sweep={"variable": "n", "values": [1.0, 3.0]})
+        with pytest.raises(ConfigError, match="n >= m_t"):
             load_config(path)
 
     @pytest.mark.parametrize("variable, values, message", [
@@ -177,12 +190,11 @@ class TestConfig:
         # This used to be reported as "benchmark needs m_u >= m_t: -1 < 2".
         ("m_u", [-1, 2], "sweep point m_u=-1.0: array needs at least one element, got -1"),
         ("n", [1, 4], "sweep point n=1.0: slot code needs n >= m_t: 1 < 2"),
-        ("m_u", [1, 4], "sweep point m_u=1.0: benchmark needs m_u >= m_t: 1 < 2"),
-        # This used to pass and then fail every trial with an OverflowError.
-        ("es_n0", [-3100.0, 0.0], "sweep point es_n0=-3100.0: noise variance 10 ** (3100.0 / 10) overflows"),
         # With one symbol row there is no unknown symbol to score.
         ("p", [1, 8], "sweep point p=1.0: p must be at least 2: SER scores symbol rows 1..p-1, "
                       "since row 0 is the semi-blind receiver's known reference"),
+        # This used to pass and then fail every trial with an OverflowError.
+        ("es_n0", [-3100.0, 0.0], "sweep point es_n0=-3100.0: noise variance 10 ** (3100.0 / 10) overflows"),
     ])
     def test_sweep_point_reports_the_rule_its_trial_breaks(self, tmp_path, variable, values, message):
         path = write_config(tmp_path, sweep={"variable": variable, "values": values})
@@ -665,6 +677,16 @@ class TestRunSweep:
         assert len(summaries) == 2
         assert os.path.exists(summary_path)
 
+    def test_noiseless_user_antenna_sweep_decodes_exactly(self, tmp_path):
+        # m_u = 1 < m_t used to be rejected; without noise every trial decodes exactly.
+        cfg = replace(self.sweep_cfg(tmp_path / "out", trials=2), es_n0_db=math.inf,
+                      sweep_variable="m_u", sweep_values=[1.0, 2.0, 4.0])
+        results_path, _ = run_sweep(cfg)
+        with open(results_path, newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if int(r["trial"]) >= 0]
+        assert [float(r["sweep_value"]) for r in rows] == [1.0, 1.0, 2.0, 2.0, 4.0, 4.0]
+        assert all(float(r["ser_krf"]) == 0.0 and float(r["ser_zf"]) == 0.0 for r in rows)
+
     def test_summary_matches_recomputation(self, tmp_path):
         cfg = self.sweep_cfg(tmp_path / "out")
         results_path, summary_path = run_sweep(cfg)
@@ -803,6 +825,10 @@ class TestEmitPlotData:
         # An empty out_dir is rejected before the CSV is read; it used to fail in os.makedirs("").
         with pytest.raises(ValueError, match="^out_dir must be a non-empty path$"):
             emit_plot_data(str(tmp_path / "missing.csv"), out_dir="")
+        # So is one that is not a string; it used to fail in os.makedirs with a TypeError.
+        for bad in (5, b"x", ["a"]):
+            with pytest.raises(ValueError, match=f"^out_dir: {re.escape(repr(bad))} is not a string$"):
+                emit_plot_data(str(tmp_path / "missing.csv"), out_dir=bad)
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -845,10 +871,10 @@ class TestCli:
         assert (proc.returncode, proc.stdout) == (0, "config ok\n")
 
     def test_check_bad_config(self, tmp_path):
-        path = write_config(tmp_path, dims={"m_u": 1})
+        path = write_config(tmp_path, dims={"n": 1})
         proc = self.run_cli("check", "--config", path)
         assert proc.returncode == 2
-        assert "m_u >= m_t" in proc.stderr
+        assert "slot code needs n >= m_t: 1 < 2" in proc.stderr
         path = write_config(tmp_path, sweep={"variable": "n", "values": [3.5, 4]})
         proc = self.run_cli("check", "--config", path)
         assert proc.returncode == 2

@@ -408,24 +408,19 @@ class TestGevdStart:
         fit = als_fit(y, frame, k, AlsConfig(init_seed=seed, max_iters=1))
         assert fit.nmse_trace[-1] < 1e-10
 
-    @pytest.mark.parametrize("m_r, m_t, k, n, p, defect", [
+    @pytest.mark.parametrize("m_r, m_t, k, n, p, parallel", [
         (1, 2, 3, 2, 8, False),   # k > min(m_r, m_t): als_fit skips the closed form
         (2, 1, 1, 1, 4, False),   # one slot: als_fit skips it
         (2, 4, 2, 4, 3, False),   # p < m_t: als_fit skips it
         (2, 3, 2, 3, 8, True),    # two parallel pilot columns: als_fit skips it
-        (2, 2, 2, 3, 8, "zero_code"),  # a zero code entry: als_fit skips it
     ])
-    def test_fallback_is_seeded_random_start(self, m_r, m_t, k, n, p, defect):
+    def test_fallback_is_seeded_random_start(self, m_r, m_t, k, n, p, parallel):
         # The start restart 0 of the fit used is bit-identical to the seeded
         # random draws of restart 0.
         scene = sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=12)
         frame = sample_frame(p=p, m_t=m_t, n=n, order=4, seed=13)
-        if defect is True:
+        if parallel:
             frame = parallel_pilot_columns(frame)
-        if defect == "zero_code":
-            frame = replace(frame)
-            frame.c = frame.c.copy()
-            frame.c[1, 0] = 0.0
         y = sensing_forward(scene, frame)
         _, (name, got) = fit_and_start(y, frame, k, AlsConfig(init_seed=14, max_iters=1))
         assert name == "_random_factors"
