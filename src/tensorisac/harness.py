@@ -366,7 +366,7 @@ def ser(s_hat: np.ndarray, s_true: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {s_hat.shape} vs {s_true.shape}")
     if s_true.size == 0:
         raise ValueError("no symbols to score")
-    return float(np.mean(np.abs(s_hat - s_true) > SYMBOL_ATOL))
+    return np.count_nonzero(np.abs(s_hat - s_true) > SYMBOL_ATOL) / s_true.size
 
 
 @dataclass
@@ -452,7 +452,7 @@ def run_trial(point: GridPoint, trial: int) -> MetricsRecord:
         nmse_ar=nmse(a_rx_hat, scene.a_rx),
         nmse_at=nmse(a_tx_hat, scene.a_tx),
         nmse_gamma=nmse(gamma_hat, scene.gamma),
-        angle_rmse_deg=float(np.sqrt(np.mean(angle_err**2))),
+        angle_rmse_deg=math.sqrt((angle_err**2).sum() / angle_err.size),
         nmse_h=nmse(comm.h_hat, link.h),
         ser_krf=ser(comm.s_hat[1:], frame.s_data[1:]),
         ser_zf=ser(zf_detect(comm.q, link.h, pt.constellation)[1:], frame.s_data[1:]),

@@ -28,12 +28,13 @@ Each iteration solves the damped normal equations
 slices ``Z_n ~ (A_rx diag(gamma[n])) (X_n A_tx)^T``, ``X_n = (U^H S)
 diag(code[n])``, and ``J`` the Jacobian of the model in the entries of the
 three blocks.  The model is holomorphic in them, so the complex normal
-equations give the Gauss-Newton step.  A step is kept only when it
-strictly lowers the error, so the error trace decreases strictly; ``mu``
-follows Nielsen's rule (Madsen, Nielsen & Tingleff, 2004): it starts at
-``DAMPING_START`` times the largest diagonal entry of ``J^H J``, shrinks
-after a step that the quadratic model predicted well and doubles, then
-quadruples, ... after each rejected one; it never falls below
+equations give the Gauss-Newton step.  A step is kept only when it strictly
+lowers the error, so the error trace decreases strictly; ``mu`` follows
+Nielsen's rule (Madsen, Nielsen & Tingleff, 2004): it starts at
+``DAMPING_START_CLOSED_FORM`` times the largest diagonal entry of ``J^H J``
+from the closed-form start below and ``DAMPING_START`` times it from a
+random one, shrinks after a step that the quadratic model predicted well and
+doubles, then quadruples, ... after each rejected one; it never falls below
 ``DAMPING_FLOOR`` times that entry.  Once the damped step falls to the
 rounding of the parameters (``||delta|| <= eps ||theta||``), it cannot
 change them, so the iteration records the unchanged error and the stopping
@@ -46,7 +47,9 @@ row ``i`` and on ``gamma`` only through row ``n``.  :func:`als_fit` allocates
 it once per call as a zero buffer and every iteration overwrites only its
 three blocks that can be nonzero, through writable views of the buffer,
 from the products ``a_rx * gamma`` and ``x @ a_tx`` that the residual of
-the current iterate already formed.
+the current iterate already formed.  The iterate and the trial point are two
+parameter buffers per restart with fixed views of the factors, residual and
+products; each trial is written in place, and an accepted step swaps them.
 
 The first restart starts from a closed-form estimate (:func:`gevd_start`).
 The compression's SVD ``S = U diag(s) Vh`` also inverts every slot's pilot
@@ -56,9 +59,10 @@ unmixed slice ``A_rx diag(gamma[n]) A_tx^T``.  When ``k <= min(m_r, m_t)``
 and there are at least two slots, simultaneous diagonalization of the two
 principal slot-mode combinations of the unmixed slices (a DTLD-style
 pencil) recovers all three factors, exactly on noiseless data, and draws no
-random numbers.  The iteration then refines that estimate to the
-least-squares fit.  Where the closed form does not apply, and for every
-further restart, the start is seeded random.
+random numbers; where ``k`` is a mode's array size, the identity replaces
+that mode's projection, a mere unitary rotation.  The iteration then
+refines that estimate to the least-squares fit.  Where the closed form does
+not apply, and for every further restart, the start is seeded random.
 
 Convergence is declared when the error change between consecutive
 iterations falls below ``tol`` relative to the previous error; an absolute
@@ -116,12 +120,14 @@ __all__ = [
 # the double-precision floor terminate instead of cycling on rounding noise.
 FLOOR_DELTA = 1e-20
 
-# Levenberg-Marquardt damping of :func:`als_fit` (Nielsen's rule): each
-# restart starts at DAMPING_START times the largest diagonal entry of J^H J,
-# and the damping never falls below DAMPING_FLOOR times it, which keeps the
+# Levenberg-Marquardt damping of :func:`als_fit` (Nielsen's rule): a restart
+# from a random start starts at DAMPING_START times the largest diagonal entry
+# of J^H J, one from the closed-form start, believed close to the solution, at
+# DAMPING_START_CLOSED_FORM times it (Madsen, Nielsen & Tingleff, 2004, 3.2);
+# the damping never falls below DAMPING_FLOOR times it, which keeps the
 # damped matrix positive definite although J^H J is singular (the column
 # scalings) and its rounding errors are a few eps times that entry.
-DAMPING_START, DAMPING_FLOOR = 1e-3, 1e-9
+DAMPING_START, DAMPING_START_CLOSED_FORM, DAMPING_FLOOR = 1e-3, 1e-6, 1e-9
 EPS = np.finfo(float).eps
 
 # extract_angles: grid spacing and largest returned magnitude in degrees, the
@@ -152,8 +158,9 @@ class AlsConfig:
     fallback), every further restart from an independent random start.
     ``init_seed`` (a non-negative integer) seeds the random starts: restart
     0 where the closed form does not apply, and every further restart; the
-    closed-form start draws nothing.  The damping is fixed by the module
-    constant ``DAMPING_START``, not configured here.
+    closed-form start draws nothing.  The damping is not configured here:
+    it starts at ``DAMPING_START_CLOSED_FORM`` from the closed-form start and
+    at ``DAMPING_START`` from a random one (module constants).
     """
 
     max_iters: int = 1000
@@ -251,7 +258,9 @@ def gevd_start(slices: np.ndarray, num_targets: int, rcond: float = 1e-12):
     ``k = 1``), complete the Tucker compression in the slot mode and drop
     its noise-only directions; the eigenvectors of ``G_a G_b^{-1}`` are the
     columns of ``B`` (Leurgans, Ross & Abel, 1993; the DTLD pencil of
-    Sanchez & Kowalski, 1990).  Row ``j`` of ``pinv(A_rx) M_n`` is
+    Sanchez & Kowalski, 1990).  Where ``k`` is a mode's size, ``U_1`` or
+    ``U_2`` would only rotate that mode, so the identity replaces it and its
+    SVD is skipped.  Row ``j`` of ``pinv(A_rx) M_n`` is
     ``gamma[n, j] A_tx[:, j]^T``, a rank-one matrix over the slots that its
     leading singular triple splits.  Exact on noiseless data; it draws no
     random numbers.
@@ -265,8 +274,8 @@ def gevd_start(slices: np.ndarray, num_targets: int, rcond: float = 1e-12):
     k = num_targets
     if k > min(m_r, m_t) or n_slots < 2:
         raise ValueError(f"gevd_start needs k <= min(m_r, m_t) and two slots, got k={k}, {m_r}x{m_t}, {n_slots} slots")
-    u1 = np.linalg.svd(slices.transpose(1, 2, 0).reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
-    u2 = np.linalg.svd(slices.transpose(2, 1, 0).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
+    u1, u2 = (np.eye(size) if k == size else np.linalg.svd(unfolding.reshape(size, -1), full_matrices=False)[0][:, :k]
+              for size, unfolding in ((m_r, slices.transpose(1, 2, 0)), (m_t, slices.transpose(2, 1, 0))))
     core = (u1.conj().T @ slices @ u2.conj()).reshape(n_slots, k * k)
     # full_matrices: a second combination exists also for k = 1.
     weights = np.linalg.svd(core, full_matrices=True)[0][:, :2].conj().T
@@ -362,35 +371,43 @@ def als_fit(
     # Inside the model (module docstring), pilots of full column rank make
     # every X_n invertible, so the closed-form start applies.
     closed_form = k <= min(m_r, m_t) and n_slots >= 2 and len(s) == m_t and s[-1] > cfg.rcond * s[0]
-    rx_end, tx_end = m_r * k, (m_r + m_t) * k
-    damping = np.eye((m_r + m_t + n_slots) * k)
-    jac = np.zeros((n_slots * m_r * x.shape[1], damping.shape[0]), dtype=complex)
+    rx_end, tx_end, size = m_r * k, (m_r + m_t) * k, (m_r + m_t + n_slots) * k
+    jac = np.zeros((n_slots * m_r * x.shape[1], size), dtype=complex)
     # J^H is written into the transpose of a buffer shaped like J: the layout
     # jac.conj().T has, so J^H J and J^H r run the same BLAS calls.
     jac_h = np.empty_like(jac).T
     blocks = _jacobian_blocks(jac, n_slots, m_r, m_t, k)
+    normal, damped = np.empty((2, size, size), dtype=complex)
+    grad, damped_diagonal = np.empty(size, dtype=complex), damped.reshape(-1)[:: size + 1]
 
-    def unpack(theta):
-        return theta[:rx_end].reshape(m_r, k), theta[rx_end:tx_end].reshape(m_t, k), theta[tx_end:].reshape(n_slots, k)
+    def point():
+        """Buffers of one point: ``theta``, its factor views, the residual ``Z - M`` and
+        the products ``(a_rx * gamma, x @ a_tx)`` that build it and the Jacobian."""
+        theta = np.empty(size, dtype=complex)
+        factors = theta[:rx_end].reshape(m_r, k), theta[rx_end:tx_end].reshape(m_t, k), theta[tx_end:].reshape(n_slots, k)
+        products = np.empty((n_slots, m_r, k), dtype=complex), np.empty((n_slots, x.shape[1], k), dtype=complex)
+        return theta, factors, np.empty_like(z), *products
 
-    def residual(theta):
-        """Residual slices ``Z_n - M_n``, the products ``(a_rx * gamma, x @ a_tx)``
-        that build them and the Jacobian, and the normalized error."""
-        a_rx, a_tx, gamma = unpack(theta)
-        a_gamma, g = a_rx * gamma[:, None, :], x @ a_tx
-        r = z - a_gamma @ g.transpose(0, 2, 1)
-        return r, (a_gamma, g), (np.vdot(r, r).real + outside) / y_energy
+    def residual(pt):
+        """Fill the residual and products of ``pt``'s parameters; return the normalized error."""
+        _, (a_rx, a_tx, gamma), r, a_gamma, g = pt
+        np.multiply(a_rx, gamma[:, None, :], out=a_gamma)
+        np.matmul(x, a_tx, out=g)
+        np.subtract(z, np.matmul(a_gamma, g.transpose(0, 2, 1), out=r), out=r)
+        return (np.vdot(r, r).real + outside) / y_energy
 
     best: SensingEstimate | None = None
     for restart in range(cfg.n_restarts):
         if restart == 0 and closed_form:
             # Z_n diag(1/s) conj(Vh) diag(1/code[n]) = A_rx diag(gamma[n]) A_tx^T
             start = gevd_start(z @ (vh.conj() / s[:, None]) / code[:, None, :], k, cfg.rcond)
+            damping_start = DAMPING_START_CLOSED_FORM
         else:
             rng = np.random.default_rng(np.random.SeedSequence([int(cfg.init_seed), restart]))
-            start = _random_factors(rng, m_r, m_t, n_slots, k)
-        theta = np.concatenate([f.ravel() for f in start])
-        r, products, err = residual(theta)
+            start, damping_start = _random_factors(rng, m_r, m_t, n_slots, k), DAMPING_START
+        current, candidate = point(), point()
+        np.concatenate([f.ravel() for f in start], out=current[0])
+        err = residual(current)
         if not math.isfinite(err):
             raise AlsDivergenceError(f"non-finite reconstruction error at the start of restart {restart}")
         trace: list[float] = []
@@ -398,27 +415,29 @@ def als_fit(
         prev_err = math.inf
         mu, nu = None, 2.0
         for _ in range(cfg.max_iters):
-            a_rx, _, gamma = unpack(theta)
-            _fill_jacobian(blocks, a_rx, gamma, x, *products)
+            theta, (a_rx, _, gamma), r, a_gamma, g = current
+            _fill_jacobian(blocks, a_rx, gamma, x, a_gamma, g)
             np.conjugate(jac.T, out=jac_h)
-            normal = jac_h @ jac
-            grad = jac_h @ r.reshape(-1)
+            np.matmul(jac_h, jac, out=normal)
+            np.matmul(jac_h, r.reshape(-1), out=grad)
             scale = normal.diagonal().real.max()
-            mu = DAMPING_START * scale if mu is None else max(mu, DAMPING_FLOOR * scale)
+            mu = damping_start * scale if mu is None else max(mu, DAMPING_FLOOR * scale)
             # Damp until the step lowers the error or can no longer change theta.
             while True:
-                step = np.linalg.solve(normal + mu * damping, grad)
+                np.copyto(damped, normal)
+                damped_diagonal += mu
+                step = np.linalg.solve(damped, grad)
                 step_sq = np.vdot(step, step).real
                 if step_sq <= EPS**2 * np.vdot(theta, theta).real:
                     break
-                trial = theta + step
-                r_new, products_new, err_new = residual(trial)
+                np.add(theta, step, out=candidate[0])
+                err_new = residual(candidate)
                 if err_new < err:
                     # Gain ratio: actual over predicted decrease of ||r||^2.
                     rho = (err - err_new) * y_energy / (np.vdot(step, grad).real + mu * step_sq)
                     mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
                     nu = 2.0
-                    theta, r, products, err = trial, r_new, products_new, err_new
+                    current, candidate, err = candidate, current, err_new
                     break
                 mu *= nu
                 nu *= 2.0
@@ -428,7 +447,7 @@ def als_fit(
                 break
             prev_err = err
         if best is None or trace[-1] < best.nmse_trace[-1]:
-            best = SensingEstimate(*unpack(theta), trace, converged)
+            best = SensingEstimate(*current[1], trace, converged)
     assert best is not None
     return best
 
@@ -448,7 +467,7 @@ def remove_sensing_ambiguity(est: SensingEstimate) -> SensingEstimate:
     """
     rx_row = est.a_rx_hat[0, :]
     tx_row = est.a_tx_hat[0, :]
-    if np.any(np.abs(rx_row) == 0.0) or np.any(np.abs(tx_row) == 0.0):
+    if not (rx_row.all() and tx_row.all()):
         raise ValueError("a steering estimate has a zero first-row entry")
     return SensingEstimate(
         est.a_rx_hat / rx_row[None, :],

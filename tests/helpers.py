@@ -366,8 +366,9 @@ def oracle_lm_steps(tensor, frame, start, steps, damping_start=1e-3):
 def oracle_gevd_start(tensor, x, num_targets, rcond=1e-12):
     """``einsum`` formulation of ``sensing_als.gevd_start``, the closed-form
     start before it moved to batched matrix products: the same gate, the
-    principal slot-mode pencil and the same SVD-family calls, contracted
-    index by index on the ``(m_r, m_t, n)`` slice stack ``M``.  ``None``
+    principal slot-mode pencil, the same SVD-family calls and the identity
+    basis of a mode whose size is ``k``, contracted index by index on the
+    ``(m_r, m_t, n)`` slice stack ``M``.  ``None``
     where the gate fails, so ``als_fit`` starts at random."""
     from tensorisac.tensor_ops import pinv
 
@@ -381,8 +382,10 @@ def oracle_gevd_start(tensor, x, num_targets, rcond=1e-12):
     if np.any(s[:, -1] <= rcond * s[:, 0]):
         return None
     m = np.einsum("ipn,npr,nrt->itn", tensor, u.conj(), vh.conj() / s[:, :, None])
-    u1 = np.linalg.svd(m.reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
-    u2 = np.linalg.svd(m.transpose(1, 0, 2).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
+    # The identity basis where k is the mode's size: there the projection only rotates.
+    u1 = np.eye(m_r) if k == m_r else np.linalg.svd(m.reshape(m_r, m_t * n_slots), full_matrices=False)[0][:, :k]
+    u2 = np.eye(m_t) if k == m_t else np.linalg.svd(
+        m.transpose(1, 0, 2).reshape(m_t, m_r * n_slots), full_matrices=False)[0][:, :k]
     core = np.einsum("ik,itn,tl->nkl", u1.conj(), m, u2.conj())
     weights = np.linalg.svd(core.reshape(n_slots, k * k), full_matrices=True)[0][:, :2]
     g_b, g_a = np.einsum("nw,nkl->wkl", weights.conj(), core)

@@ -1104,6 +1104,16 @@ class TestReplayTool:
         assert proc.stderr == "error: trials must be at least 1\n"
 
 
+def src_copy_with(tmp_path, module, old, new):
+    """A copy of ``src`` with ``old`` replaced by ``new`` in ``tensorisac/<module>.py``."""
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    path = copy / "tensorisac" / f"{module}.py"
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    return copy
+
+
 class TestAbSweepTool:
     """``tools/ab.py`` run end to end against another checkout: one sweep per
     side, its fits and its artifacts compared."""
@@ -1113,15 +1123,6 @@ class TestAbSweepTool:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
-
-    def copy_with(self, tmp_path, module, old, new):
-        """A copy of ``src`` with ``old`` replaced by ``new`` in ``tensorisac/<module>.py``."""
-        copy = tmp_path / "src"
-        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        path = copy / "tensorisac" / f"{module}.py"
-        assert old in path.read_text()
-        path.write_text(path.read_text().replace(old, new))
-        return copy
 
     def test_repo_against_itself_and_against_a_changed_copy(self, tmp_path):
         values, artifacts = default_config().sweep_values, 2 + len(METRIC_COLUMNS)
@@ -1133,7 +1134,7 @@ class TestAbSweepTool:
         assert not [line for line in out if line.startswith("# moved:")]
         assert all(line.startswith("#") for line in out)  # nothing is timed
         # A copy that writes 16 significant digits fits alike, but its artifacts differ.
-        out = self.run_tool(self.copy_with(tmp_path, "harness", ':.17g}"', ':.16g}"'))
+        out = self.run_tool(src_copy_with(tmp_path, "harness", ':.17g}"', ':.16g}"'))
         assert f"# against: fits identical {len(values)} of {len(values)}" in out
         (line,) = [line for line in out if line.startswith("# against: artifacts SHA-identical ")]
         same = re.fullmatch(rf"# against: artifacts SHA-identical (\d+) of {artifacts}", line)
@@ -1142,7 +1143,7 @@ class TestAbSweepTool:
     def test_every_fit_that_moves_is_listed(self, tmp_path):
         # Without the closed-form start every fit takes other steps.
         values = default_config().sweep_values
-        out = self.run_tool(self.copy_with(tmp_path, "sensing_als", "if restart == 0 and closed_form:", "if False:"))
+        out = self.run_tool(src_copy_with(tmp_path, "sensing_als", "if restart == 0 and closed_form:", "if False:"))
         assert f"# against: fits identical 0 of {len(values)}" in out
         assert f"# against: fits with a different iteration count {len(values)}" in out
         moved = [line for line in out if line.startswith("# moved:")]
@@ -1154,3 +1155,48 @@ class TestAbSweepTool:
                               capture_output=True, text=True, timeout=300)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "error: unrecognized arguments: --steps 2" in proc.stderr
+
+
+class TestAbShapeReplay:
+    """``tools/ab.py --shapes N``: the same seeded random-shape fits on both
+    sides, every fit off the parent's objective listed with its shape."""
+
+    def run_tool(self, parent_src, shapes):
+        proc = subprocess.run([sys.executable, AB_TOOL, str(parent_src), "--shapes", str(shapes)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_instances_are_seeded_and_inside_the_stated_shapes(self, ab):
+        instances = ab.random_instances(200)
+        for (label, tensor, frame, k), (label2, tensor2, _, _) in zip(instances, ab.random_instances(200)):
+            assert label == label2 and np.array_equal(tensor, tensor2)
+            m_r, p, n = tensor.shape
+            m_t = frame.c.shape[1]
+            assert m_r <= 4 and m_t <= 4 and 1 <= k <= min(m_r, m_t)
+            assert max(2, m_t) <= n <= 6 and m_t <= p <= 8
+            assert 0.0 <= float(label.split()[-2]) <= 40.0
+        # every kind of shape the bounds allow turns up
+        assert {inst[3] for inst in instances} == {1, 2, 3, 4}
+        assert {inst[1].shape[2] for inst in instances} == {2, 3, 4, 5, 6}
+
+    def test_repo_against_itself_is_identical(self):
+        out = self.run_tool(SRC, 20)
+        assert out[0].startswith("# parent: fits 20, iters total ") and out[0][len("# parent"):] == out[1][len("# change"):]
+        assert "# against: fits identical 20 of 20" in out
+        assert "# against: fits more than 1e-05 above the parent's objective 0" in out
+        assert "# against: fits more than 1e-05 below the parent's objective 0" in out
+        assert not [line for line in out if line.startswith(("# above:", "# below:"))]
+
+    def test_every_fit_off_the_parent_is_listed(self, tmp_path):
+        # A parent that stops at a loose tolerance ends fits above this checkout's.
+        out = self.run_tool(src_copy_with(tmp_path, "sensing_als", "tol: float = 1e-6", "tol: float = 0.5"), 20)
+        below = [line for line in out if line.startswith("# below:")]
+        assert below and f"# against: fits more than 1e-05 below the parent's objective {len(below)}" in out
+        assert all(re.match(r"# below: m_r=\d m_t=\d k=\d n=\d p=\d \d+\.\d dB: iters \d+ -> \d+, ", line)
+                   for line in below)
+
+    def test_shape_count_validated(self):
+        proc = subprocess.run([sys.executable, AB_TOOL, SRC, "--shapes", "0"], capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "error: --shapes must be at least 1, got 0" in proc.stderr

@@ -16,11 +16,19 @@ the largest relative ``nmse_ar`` difference, identical fits, artifacts whose
 SHA-256 is identical) and a ``# moved:`` line per fit that differs in
 iterations or flag or ends more than ``WORSE_REL`` above the parent.
 
+With ``--shapes N`` it fits ``N`` seeded random instances instead of a
+config's sweep (``random_instances``: shapes beyond the configs', the same
+tensors on both sides) and prints per side the iterations and capped fits,
+then the ``# against:`` counts and one ``# above:`` or ``# below:`` line,
+with shape and Es/N0, per fit more than ``WORSE_REL`` off the parent's
+objective.
+
 It times nothing: speed is measured by ``bench/run.py`` in both checkouts
 (README).  Run from the repository root::
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python3 tools/ab.py ../parent/src --config bench/configs/snr_sweep.json --trials 60
+    python3 tools/ab.py ../parent/src --shapes 2500
 """
 
 from __future__ import annotations
@@ -50,6 +58,8 @@ import tensorisac  # noqa: E402  (this checkout, from the path set above)
 
 # A fit ending more than this fraction above (below) the parent's objective is worse (better) than the parent's.
 WORSE_REL = 1e-5
+# Seed of the random-shape instances of --shapes.
+SHAPES_SEED = 20240
 
 
 def load_package(src: Path, name: str):
@@ -130,16 +140,72 @@ def compare(rows: list[tuple], hashes: dict[str, str], parent: list[tuple], pare
     ]
 
 
+def random_instances(count: int) -> list[tuple]:
+    """``count`` fit instances ``(label, tensor, frame, k)``, drawn from
+    ``SHAPES_SEED`` by this checkout: ``m_r, m_t <= 4``, ``k <= min(m_r, m_t)``,
+    ``max(2, m_t) <= n <= 6``, ``m_t <= p <= 8``, Es/N0 uniform in 0-40 dB,
+    QPSK pilots and unit-std reflections.  Every such shape passes the
+    identifiability gate."""
+    sm, rng, instances = tensorisac.signal_model, np.random.default_rng(SHAPES_SEED), []
+    for i in range(count):
+        m_r, m_t = (int(v) for v in rng.integers(1, 5, size=2))
+        k, n, p = int(rng.integers(1, min(m_r, m_t) + 1)), int(rng.integers(max(2, m_t), 7)), int(rng.integers(m_t, 9))
+        snr_db = float(rng.uniform(0.0, 40.0))
+        scene = sm.sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=[SHAPES_SEED, i, 0])
+        frame = sm.sample_frame(p=p, m_t=m_t, n=n, order=4, seed=[SHAPES_SEED, i, 1])
+        tensor = sm.add_noise(sm.sensing_forward(scene, frame), snr_db, seed=[SHAPES_SEED, i, 2])
+        instances.append((f"m_r={m_r} m_t={m_t} k={k} n={n} p={p} {snr_db:.1f} dB", tensor, frame, k))
+    return instances
+
+
+def fit_instances(package, instances: list[tuple]) -> list[tuple]:
+    """One row ``(label, iterations, converged, final objective)`` per
+    instance, fitted by ``package``'s ``als_fit`` with its default config
+    seeded by the instance index."""
+    als, rows = package.sensing_als, []
+    for i, (label, tensor, frame, k) in enumerate(instances):
+        est = als.als_fit(tensor, frame, k, als.AlsConfig(init_seed=i))
+        rows.append((label, est.iters, est.converged, float(est.nmse_trace[-1])))
+    return rows
+
+
+def compare_shapes(rows: list[tuple], parent: list[tuple]) -> list[str]:
+    """The per-side lines and the ``# against:``, ``# above:`` and ``# below:``
+    lines of the change's random-shape fits against the parent's."""
+    lines = [f"# {name}: fits {len(side)}, iters total {sum(r[1] for r in side)}, capped {sum(not r[2] for r in side)}"
+             for name, side in (("parent", parent), ("change", rows))]
+    total, parent_total = sum(r[1] for r in rows), sum(p[1] for p in parent)
+    ratios = [r[3] / p[3] for r, p in zip(rows, parent)]
+    off = [(("above" if q > 1.0 else "below"), r, p, q) for r, p, q in zip(rows, parent, ratios)
+           if abs(q - 1.0) > WORSE_REL]
+    return lines + [
+        f"# against: iters total {parent_total} -> {total} ({100.0 * (total - parent_total) / parent_total:+.1f} %)",
+        f"# against: capped {sum(not p[2] for p in parent)} -> {sum(not r[2] for r in rows)}",
+        f"# against: fits more than {WORSE_REL:g} above the parent's objective {sum(o[0] == 'above' for o in off)}",
+        f"# against: fits more than {WORSE_REL:g} below the parent's objective {sum(o[0] == 'below' for o in off)}",
+        f"# against: fits identical {sum(r[1:] == p[1:] for r, p in zip(rows, parent))} of {len(rows)}",
+    ] + [f"# {side}: {r[0]}: iters {p[1]} -> {r[1]}, converged {p[2]} -> {r[2]}, objective ratio - 1 {q - 1.0:.3g}"
+         for side, r, p, q in off]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path, help="the other checkout's src directory")
     parser.add_argument("--config", default=str(ROOT / "bench" / "configs" / "snr_sweep.json"),
                         help="experiment config (JSON); default: bench/configs/snr_sweep.json")
     parser.add_argument("--trials", type=int, default=None, help="trials per grid point (default: from config)")
+    parser.add_argument("--shapes", type=int, default=None,
+                        help="fit this many seeded random-shape instances instead of the config's sweep")
     args = parser.parse_args(argv)
     if not (args.parent_src / "tensorisac" / "__init__.py").is_file():
         parser.error(f"{args.parent_src} holds no tensorisac package")
+    if args.shapes is not None and args.shapes < 1:
+        parser.error(f"--shapes must be at least 1, got {args.shapes}")
     sides = {"parent": load_package(args.parent_src.resolve(), "tensorisac_parent"), "change": tensorisac}
+    if args.shapes is not None:
+        instances = random_instances(args.shapes)
+        print("\n".join(compare_shapes(*(fit_instances(sides[name], instances) for name in ("change", "parent")))))
+        return 0
     cfgs = {}
     for name, package in sides.items():
         try:
