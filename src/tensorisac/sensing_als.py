@@ -577,14 +577,16 @@ def extract_angles(a_hat: np.ndarray) -> np.ndarray:
     +-ANGLE_CLIP degrees, by safeguarded Newton steps on the slope of the
     squared correlation (:func:`_refine`) until a step moves the angle by
     at most ANGLE_TOL radians.  Returns one angle per column, in column order;
-    raises ``ValueError`` naming a column with one element or all zero.
+    raises ``ValueError`` naming a column with fewer than two nonzero entries.
+    Such a column correlates equally with every steering vector, since a
+    polynomial of constant modulus on the unit circle is a monomial.
     """
     a = np.asarray(a_hat)
     if a.ndim != 2:
         raise ValueError("expected a steering-matrix estimate")
-    if a.shape[0] < 2 or not all(map(any, coeffs := a[::-1].T.tolist())):  # per column, last entry first
-        bad = f"0 has {a.shape[0]} element(s)" if a.shape[0] < 2 else f"{[*map(any, coeffs)].index(False)} is all zero"
-        raise ValueError(f"column {bad}: it resolves no angle")
+    coeffs = a[::-1].T.tolist()  # per column, last entry first
+    if (bad := next((j for j, c in enumerate(coeffs) if len(c) - c.count(0) < 2), None)) is not None:
+        raise ValueError(f"column {bad} has fewer than two nonzero entries: it resolves no angle")
     grid, manifold_h = _scan_grid(a.shape[0])
     # The correlation's normalization by both norms is constant per column,
     # so it changes neither the grid winner nor the refinement.

@@ -99,15 +99,10 @@ def pinv(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     a stack ``(..., rows, cols)``.
 
     Singular values at or below ``rcond`` times the largest singular value
-    are treated as zero.  The arithmetic is ``numpy.linalg.pinv``'s, bit for
-    bit, without its argument handling.  Raises
+    are treated as zero.  This is ``numpy.linalg.pinv``.  Raises
     ``numpy.linalg.LinAlgError`` if the SVD fails to converge.
     """
-    u, s, vh = np.linalg.svd(np.conj(m), full_matrices=False)
-    # LAPACK returns the singular values in descending order, so the first
-    # is the largest; a dropped value gets 1/inf = 0.
-    s_inv = 1.0 / np.where(s > rcond * s[..., :1], s, np.inf)
-    return vh.swapaxes(-1, -2) @ (s_inv[..., None] * u.swapaxes(-1, -2))
+    return np.linalg.pinv(m, rcond=rcond)
 
 
 def best_rank_one(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:

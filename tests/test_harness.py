@@ -990,20 +990,26 @@ def ab():
     return load_ab_tool()
 
 
+def at(row, index, value):
+    """``row`` with entry ``index`` replaced by ``value``."""
+    return (*row[:index], value, *row[index + 1:])
+
+
 class TestReplayTool:
     """``tools/ab.py`` keeps the fits and artifacts of one sweep per checkout
     and compares them fit by fit and file by file."""
 
-    # (sweep value, trial, iterations, converged, final objective, nmse_ar)
-    ROWS = [(0.0, 0, 5, True, 0.25, 0.01), (0.0, 1, 7, True, 0.125, 0.04),
-            (10.0, 0, 4, True, 0.0625, 0.02), (10.0, 1, 9, False, 0.03125, 0.02)]
+    # (label, iterations, converged, final objective, nmse_ar)
+    ROWS = [("sweep_value 0, trial 0", 5, True, 0.25, 0.01), ("sweep_value 0, trial 1", 7, True, 0.125, 0.04),
+            ("sweep_value 10, trial 0", 4, True, 0.0625, 0.02), ("sweep_value 10, trial 1", 9, False, 0.03125, 0.02)]
     HASHES = {"results.csv": "0a", "summary.csv": "0b"}
 
     def test_rows_match_run_trial(self, ab, tmp_path):
         cfg = replace(default_config(), trials=2)
         rows, hashes = ab.replay(ab.tensorisac, cfg, str(tmp_path))
-        assert [row[:2] for row in rows] == [(value, trial) for value in cfg.sweep_values for trial in range(2)]
-        for value, trial, iters, converged, objective, nmse_ar in rows:
+        keys = list(itertools.product(cfg.sweep_values, range(2)))
+        assert [row[0] for row in rows] == [f"sweep_value {value:g}, trial {trial}" for value, trial in keys]
+        for (_, iters, converged, objective, nmse_ar), (value, trial) in zip(rows, keys, strict=True):
             record = run_trial(grid_point(cfg, value), trial)
             assert (iters, converged, nmse_ar) == (record.als_iters, record.converged, record.nmse_ar)
             assert 0.0 < objective < 1.0
@@ -1020,7 +1026,7 @@ class TestReplayTool:
             "capped 1",
             "nmse_ar geomean 0.02 over nonzero fits, exactly zero 0",
         ]
-        assert ab.compare(self.ROWS, self.HASHES, self.ROWS, self.HASHES) == [
+        assert ab.compare(self.ROWS, self.ROWS) == [
             "# against: iters total 25 -> 25 (+0.0 %)",
             "# against: capped 1 -> 1",
             "# against: worst objective ratio 1.000000 (sweep_value 0, trial 0)",
@@ -1032,44 +1038,47 @@ class TestReplayTool:
             "# against: fits with a different converged flag 0",
             "# against: largest relative nmse_ar difference 0 (sweep_value 0, trial 0)",
             "# against: fits identical 4 of 4",
-            "# against: artifacts SHA-identical 2 of 2",
         ]
+        assert ab.compare_artifacts(self.HASHES, self.HASHES) == "# against: artifacts SHA-identical 2 of 2"
 
     def test_compare_counts_artifacts_by_name(self, ab):
         # A file with another hash, or on one side only, is not identical.
         parent = {**self.HASHES, "summary.csv": "1b", "plot.txt": "0c"}
-        assert "# against: artifacts SHA-identical 1 of 3" in ab.compare(self.ROWS, self.HASHES, self.ROWS, parent)
-        assert "# against: artifacts SHA-identical 1 of 3" in ab.compare(self.ROWS, parent, self.ROWS, self.HASHES)
+        line = "# against: artifacts SHA-identical 1 of 3"
+        assert ab.compare_artifacts(self.HASHES, parent) == ab.compare_artifacts(parent, self.HASHES) == line
+
+    def test_rows_that_do_not_pair_are_rejected(self, ab):
+        for rows, parent in ((self.ROWS[:3], self.ROWS), (self.ROWS, self.ROWS[:3])):
+            with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (longer|shorter) than argument 1$"):
+                ab.compare(rows, parent)
+        with pytest.raises(ValueError, match=r"^row 'sweep_value 0, trial 1' is paired with the parent's 'sweep_value 0, trial 0'$"):
+            ab.compare(self.ROWS[1:], self.ROWS[:3])
 
     def test_compare_counts_objectives_that_moved(self, ab):
         # One parent objective one ulp higher: that fit alone is no longer
-        # identical, and it ended lower, so it did not move.
-        parent = list(self.ROWS)
-        parent[0] = (*parent[0][:4], math.nextafter(parent[0][4], math.inf), parent[0][5])
-        lines = ab.compare(self.ROWS, self.HASHES, parent, self.HASHES)
+        # identical, and it is not off the parent's, so it did not move.
+        parent = [at(self.ROWS[0], 3, math.nextafter(self.ROWS[0][3], math.inf)), *self.ROWS[1:]]
+        lines = ab.compare(self.ROWS, parent)
         assert "# against: fits identical 3 of 4" in lines
         assert "# against: fits more than 1e-05 above the parent's objective 0" in lines
         assert "# against: fits more than 1e-05 below the parent's objective 0" in lines
         assert not [line for line in lines if line.startswith("# moved:")]
         # Against parent objectives twice as large, every fit ends below its parent's.
-        parent = [(*row[:4], row[4] * 2, row[5]) for row in self.ROWS]
-        lines = ab.compare(self.ROWS, self.HASHES, parent, self.HASHES)
+        parent = [at(row, 3, row[3] * 2) for row in self.ROWS]
+        lines = ab.compare(self.ROWS, parent)
         assert "# against: fits more than 1e-05 above the parent's objective 0" in lines
         assert "# against: fits more than 1e-05 below the parent's objective 4" in lines
         # With one parent objective only 5e-6 above this run's, three are counted.
-        parent[1] = (*parent[1][:4], self.ROWS[1][4] * (1 + 5e-6), parent[1][5])
-        assert "# against: fits more than 1e-05 below the parent's objective 3" in ab.compare(
-            self.ROWS, self.HASHES, parent, self.HASHES)
+        parent[1] = at(parent[1], 3, self.ROWS[1][3] * (1 + 5e-6))
+        assert "# against: fits more than 1e-05 below the parent's objective 3" in ab.compare(self.ROWS, parent)
         # Against parent objectives half as large, every fit ends above its parent's.
-        parent = [(*row[:4], row[4] / 2, row[5]) for row in self.ROWS]
-        lines = ab.compare(self.ROWS, self.HASHES, parent, self.HASHES)
+        parent = [at(row, 3, row[3] / 2) for row in self.ROWS]
+        lines = ab.compare(self.ROWS, parent)
         assert "# against: fits more than 1e-05 above the parent's objective 4" in lines
         assert "# against: fits more than 1e-05 below the parent's objective 0" in lines
         assert "# against: objective ratio - 1 in [1, 1]" in lines
-        assert lines[-4:] == [
-            f"# moved: sweep_value {v:g}, trial {t}: iters {i} -> {i}, converged {c} -> {c}, objective ratio - 1 1"
-            for v, t, i, c, _, _ in self.ROWS
-        ]
+        assert lines[-4:] == [f"# moved: {label}: iters {i} -> {i}, converged {c} -> {c}, objective ratio - 1 1"
+                              for label, i, c, _, _ in self.ROWS]
 
     def test_exact_fits_on_both_sides_are_counted_apart(self, ab):
         # Fits at the rounding floor on both sides differ by ratios of no
@@ -1077,9 +1086,9 @@ class TestReplayTool:
         # and 29 % above parent objectives near 1e-31); they move neither way.
         # A zero parent objective divides nothing.
         objectives = [(1e-31, 0.0), (1.6e-31, 2.0e-31), (0.0, 0.0), (1e-20, 1e-30)]
-        rows = [(*row[:4], obj, row[5]) for row, (obj, _) in zip(self.ROWS, objectives)]
-        parent = [(*row[:4], obj, row[5]) for row, (_, obj) in zip(self.ROWS, objectives)]
-        lines = ab.compare(rows, self.HASHES, parent, self.HASHES)
+        rows = [at(row, 3, obj) for row, (obj, _) in zip(self.ROWS, objectives)]
+        parent = [at(row, 3, obj) for row, (_, obj) in zip(self.ROWS, objectives)]
+        lines = ab.compare(rows, parent)
         assert "# against: fits exact on both sides (objective <= 1e-20) 4" in lines
         assert "# against: objective ratio - 1 in [0, 0]" in lines
         assert "# against: fits more than 1e-05 above the parent's objective 0" in lines
@@ -1087,34 +1096,33 @@ class TestReplayTool:
         assert not [line for line in lines if line.startswith("# moved:")]
         # One side above EXACT is a real difference: above a zero parent, the
         # ratio is inf; below a parent at 1e-3, it is listed below.
-        rows[0], parent[1] = (*rows[0][:4], 1e-3, rows[0][5]), (*parent[1][:4], 1e-3, parent[1][5])
-        lines = ab.compare(rows, self.HASHES, parent, self.HASHES)
+        rows[0], parent[1] = at(rows[0], 3, 1e-3), at(parent[1], 3, 1e-3)
+        lines = ab.compare(rows, parent)
         assert "# against: fits exact on both sides (objective <= 1e-20) 2" in lines
         assert "# against: fits more than 1e-05 above the parent's objective 1" in lines
         assert "# against: fits more than 1e-05 below the parent's objective 1" in lines
         assert "# against: worst objective ratio inf (sweep_value 0, trial 0)" in lines
         assert [line for line in lines if line.startswith("# moved:")] == [
-            "# moved: sweep_value 0, trial 0: iters 5 -> 5, converged True -> True, objective ratio - 1 inf"]
+            "# moved: sweep_value 0, trial 0: iters 5 -> 5, converged True -> True, objective ratio - 1 inf",
+            "# moved: sweep_value 0, trial 1: iters 7 -> 7, converged True -> True, objective ratio - 1 -1"]
 
     def test_exact_random_shape_fits_are_counted_apart(self, ab):
-        # (label, iterations, converged, final objective), as fit_instances returns them
-        parent = [("a", 2, True, 1.6e-31), ("b", 2, True, 0.0), ("c", 3, True, 0.0), ("d", 9, True, 0.5)]
-        rows = [("a", 2, True, 2.0e-31), ("b", 2, True, 0.0), ("c", 3, True, 0.25), ("d", 9, True, 0.25)]
-        lines = ab.compare_shapes(rows, parent)
+        # Rows labelled by shape, as fit_instances returns them, are compared alike.
+        parent = [("a", 2, True, 1.6e-31, 0.1), ("b", 2, True, 0.0, 0.1), ("c", 3, True, 0.0, 0.1), ("d", 9, True, 0.5, 0.1)]
+        rows = [at(parent[0], 3, 2.0e-31), parent[1], at(parent[2], 3, 0.25), at(parent[3], 3, 0.25)]
+        lines = ab.compare(rows, parent)
         assert "# against: fits exact on both sides (objective <= 1e-20) 2" in lines
         assert "# against: fits more than 1e-05 above the parent's objective 1" in lines
         assert "# against: fits more than 1e-05 below the parent's objective 1" in lines
-        assert lines[-2:] == ["# above: c: iters 3 -> 3, converged True -> True, objective ratio - 1 inf",
-                              "# below: d: iters 9 -> 9, converged True -> True, objective ratio - 1 -0.5"]
+        assert lines[-2:] == ["# moved: c: iters 3 -> 3, converged True -> True, objective ratio - 1 inf",
+                              "# moved: d: iters 9 -> 9, converged True -> True, objective ratio - 1 -0.5"]
 
     def test_counts_fits_whose_iterations_flag_or_nmse_differ(self, ab):
         # Parent fit 0 took one more iteration, fit 1 has the other flag and
         # fit 2 an nmse_ar 0.1 % above this run's.
-        parent = list(self.ROWS)
-        parent[0] = (*parent[0][:2], parent[0][2] + 1, *parent[0][3:])
-        parent[1] = (*parent[1][:3], not parent[1][3], *parent[1][4:])
-        parent[2] = (*parent[2][:5], parent[2][5] * 1.001)
-        lines = ab.compare(self.ROWS, self.HASHES, parent, self.HASHES)
+        rows = self.ROWS
+        parent = [at(rows[0], 1, rows[0][1] + 1), at(rows[1], 2, not rows[1][2]), at(rows[2], 4, rows[2][4] * 1.001), rows[3]]
+        lines = ab.compare(rows, parent)
         assert "# against: iters total 26 -> 25 (-3.8 %)" in lines
         assert "# against: capped 2 -> 1" in lines
         assert "# against: fits with a different iteration count 1" in lines
@@ -1134,14 +1142,13 @@ class TestReplayTool:
         config = write_config(tmp_path, dims={"k": 1}, angles={"sensing_aoa": [15.0], "sensing_aod": [-37.0]},
                               sweep={"variable": "es_n0", "values": [math.inf]}, trials=12)
         rows, _ = ab.replay(ab.tensorisac, load_config(config), str(tmp_path / "out"))
-        zeros = sum(row[5] == 0.0 for row in rows)
+        zeros = sum(row[4] == 0.0 for row in rows)
         assert len(rows) == 12 and zeros > 0
         assert ab.summary(rows)[-1].endswith(f" over nonzero fits, exactly zero {zeros}")
         # A zero matched exactly differs by 0; a parent zero the change misses, by inf.
-        zero = [(*self.ROWS[0][:5], 0.0)]
-        lines = ab.compare(zero, {}, zero, {})
-        assert "# against: largest relative nmse_ar difference 0 (sweep_value 0, trial 0)" in lines
-        lines = ab.compare(self.ROWS[:1], {}, zero, {})
+        zero = [at(self.ROWS[0], 4, 0.0)]
+        assert "# against: largest relative nmse_ar difference 0 (sweep_value 0, trial 0)" in ab.compare(zero, zero)
+        lines = ab.compare(self.ROWS[:1], zero)
         assert "# against: largest relative nmse_ar difference inf (sweep_value 0, trial 0)" in lines
         assert ab.summary(zero)[-1] == "nmse_ar geomean nan over nonzero fits, exactly zero 1"
 
@@ -1208,7 +1215,7 @@ class TestAbSweepTool:
 
 class TestAbShapeReplay:
     """``tools/ab.py --shapes N``: the same seeded random-shape fits on both
-    sides, every fit off the parent's objective listed with its shape."""
+    sides, compared as a sweep's are, each listed with its shape."""
 
     def run_tool(self, parent_src, shapes):
         proc = subprocess.run([sys.executable, AB_TOOL, str(parent_src), "--shapes", str(shapes)],
@@ -1218,11 +1225,11 @@ class TestAbShapeReplay:
 
     def test_instances_are_seeded_and_inside_the_stated_shapes(self, ab):
         instances = ab.random_instances(200)
-        for (label, tensor, frame, k), (label2, tensor2, _, _) in zip(instances, ab.random_instances(200)):
+        for (label, tensor, frame, k, a_rx), (label2, tensor2, *_) in zip(instances, ab.random_instances(200)):
             assert label == label2 and np.array_equal(tensor, tensor2)
             m_r, p, n = tensor.shape
             m_t = frame.c.shape[1]
-            assert m_r <= 4 and m_t <= 4 and 1 <= k <= min(m_r, m_t)
+            assert m_r <= 4 and m_t <= 4 and 1 <= k <= min(m_r, m_t) and a_rx.shape == (m_r, k)
             assert max(2, m_t) <= n <= 6 and m_t <= p <= 8
             assert 0.0 <= float(label.split()[-2]) <= 40.0
         # every kind of shape the bounds allow turns up
@@ -1231,21 +1238,26 @@ class TestAbShapeReplay:
 
     def test_repo_against_itself_is_identical(self):
         out = self.run_tool(SRC, 20)
-        assert out[0].startswith("# parent: fits 20, iters total ") and out[0][len("# parent"):] == out[1][len("# change"):]
+        assert out[0] == "# parent: fits 20" and [line[8:] for line in out[:4]] == [line[8:] for line in out[4:8]]
         assert "# against: fits identical 20 of 20" in out
         assert "# against: fits more than 1e-05 above the parent's objective 0" in out
         assert "# against: fits more than 1e-05 below the parent's objective 0" in out
-        assert not [line for line in out if line.startswith(("# above:", "# below:"))]
+        assert not [line for line in out if line.startswith("# moved:")]
 
     def test_every_fit_off_the_parent_is_listed(self, tmp_path):
         # A parent that stops at a loose tolerance ends fits above this checkout's.
         out = self.run_tool(src_copy_with(tmp_path, "sensing_als", "tol: float = 1e-6", "tol: float = 0.5"), 20)
-        below = [line for line in out if line.startswith("# below:")]
+        below = [line for line in out if line.startswith("# moved:") and float(line.split()[-1]) < -1e-5]
         assert below and f"# against: fits more than 1e-05 below the parent's objective {len(below)}" in out
-        assert all(re.match(r"# below: m_r=\d m_t=\d k=\d n=\d p=\d \d+\.\d dB: iters \d+ -> \d+, ", line)
-                   for line in below)
+        assert all(re.match(r"# moved: m_r=\d m_t=\d k=\d n=\d p=\d \d+\.\d dB: iters \d+ -> \d+, ", line) for line in below)
 
     def test_shape_count_validated(self):
         proc = subprocess.run([sys.executable, AB_TOOL, SRC, "--shapes", "0"], capture_output=True, text=True, timeout=300)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "error: --shapes must be at least 1, got 0" in proc.stderr
+
+    @pytest.mark.parametrize("option", [["--trials", "3"], ["--config", CONFIG_PATH]])
+    def test_sweep_options_rejected(self, option):
+        proc = subprocess.run([sys.executable, AB_TOOL, SRC, "--shapes", "2", *option], capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "error: --shapes fits no sweep: it takes neither --config nor --trials" in proc.stderr

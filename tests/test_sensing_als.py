@@ -497,7 +497,7 @@ class TestGevdStart:
         # The split solves with the eigenbasis E, since pinv(U_1 E) = E^{-1} U_1^H;
         # the oracle takes the pseudoinverse of the receive estimate U_1 E.
         compared = 0
-        for _, y, frame, k in load_ab_tool().random_instances(60):
+        for _, y, frame, k, _ in load_ab_tool().random_instances(60):
             x = frame.s_data * frame.c[:, None, :]
             want = oracle_gevd_start(y, x, k)
             if want is None:
@@ -831,14 +831,19 @@ class TestAngleExtraction:
         cols = np.concatenate([random_complex(rng, m, 4), near], axis=1)
         assert np.abs(extract_angles(cols) - golden_section_angles(cols)).max() < 1e-5
 
-    @pytest.mark.parametrize("a, message", [
-        (np.ones((1, 2), dtype=complex), r"^column 0 has 1 element\(s\): it resolves no angle$"),
-        (np.ones((0, 1), dtype=complex), r"^column 0 has 0 element\(s\): it resolves no angle$"),
-        (build_steering_matrix([15.0, 27.0, 40.0], 4) * [1.0, 0.0, 1.0], r"^column 1 is all zero: it resolves no angle$"),
-    ])
-    def test_unresolvable_column_named(self, a, message):
-        # Such columns used to read -89.999 deg, an angle made up.
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize("a, column", [
+        (np.ones((1, 2), dtype=complex), 0),
+        (np.ones((0, 1), dtype=complex), 0),
+        (build_steering_matrix([15.0, 27.0, 40.0], 4) * [1.0, 0.0, 1.0], 1),
+        (np.array([[1.0], [0.0]]), 0),
+        (np.array([[0.0], [1.0]]), 0),
+        (np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 2.0]]), 1),
+    ], ids=["one-element", "no-element", "all-zero", "entries-1-0", "entries-0-1", "entries-0-0-2"])
+    def test_unresolvable_column_named(self, a, column):
+        # Such columns used to read angles made up: -89.999 deg for one
+        # element or all zero, and -89.999, -88.974 and -87.1 deg for the
+        # single-entry columns [1, 0], [0, 1] and [0, 0, 2].
+        with pytest.raises(ValueError, match=rf"^column {column} has fewer than two nonzero entries: it resolves no angle$"):
             extract_angles(a)
 
 

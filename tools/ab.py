@@ -2,29 +2,28 @@
 """Compare this checkout with another one: the same sensing fits and the same artifacts.
 
 Imports this checkout's ``src/tensorisac`` and the package under
-``PARENT_SRC`` (as ``tensorisac_parent``) in one process.  Each side runs
-its own ``harness.run_sweep`` + ``emit_plot_data`` once on one config
-(``--trials`` replaces its trial count, ``jobs`` is forced to 1), with its
-``run_trial`` and ``als_fit`` wrapped so that every trial's record and fit
-are kept.  A trial's inputs depend only on the config, grid value and
-trial index, so a change to the fit shows per fit, not as noise.  Prints
-per side the fits, their iterations, capped fits and the geometric mean of
-the nonzero ``nmse_ar``; then ``# against:`` lines (iteration totals,
-objective ratios, fits more than ``WORSE_REL`` above and below the
-parent's objective, fits exact on both sides, fits whose iteration count or
-converged flag differs, the largest relative ``nmse_ar`` difference,
-identical fits, artifacts whose SHA-256 is identical) and a ``# moved:``
-line per fit that differs in iterations or flag or ends more than
-``WORSE_REL`` above the parent.  Two fits whose objectives are both at most
-``EXACT`` are exact on both sides: their ratio is rounding noise, so they
-count as neither above nor below.
+``PARENT_SRC`` (as ``tensorisac_parent``) in one process, and fits the same
+inputs on both sides.  By default each side runs its own
+``harness.run_sweep`` + ``emit_plot_data`` once on one config (``--trials``
+replaces its trial count, ``jobs`` is forced to 1), with its ``run_trial``
+and ``als_fit`` wrapped so that every trial's fit is kept; a trial's inputs
+depend only on the config, grid value and trial index.  With ``--shapes N``
+each side instead fits ``N`` seeded random instances (``random_instances``:
+shapes beyond the configs', the same tensors on both sides).
 
-With ``--shapes N`` it fits ``N`` seeded random instances instead of a
-config's sweep (``random_instances``: shapes beyond the configs', the same
-tensors on both sides) and prints per side the iterations and capped fits,
-then the ``# against:`` counts and one ``# above:`` or ``# below:`` line,
-with shape and Es/N0, per fit more than ``WORSE_REL`` off the parent's
-objective.
+Either way each fit is one row (label, iterations, converged, final
+objective, ``nmse_ar``), labelled ``sweep_value <v>, trial <t>`` or by its
+shape and Es/N0.  Per side the tool prints the fits, their iterations,
+capped fits and the geometric mean of the nonzero ``nmse_ar``; then
+``# against:`` lines (iteration totals, objective ratios, fits more than
+``WORSE_REL`` above and below the parent's objective, fits exact on both
+sides, fits whose iteration count or converged flag differs, the largest
+relative ``nmse_ar`` difference, identical fits) and a ``# moved:`` line
+per fit whose iteration count or flag differs or whose objective is more
+than ``WORSE_REL`` off the parent's.  Two fits whose objectives are both at
+most ``EXACT`` are exact on both sides: their ratio is rounding noise, so
+they count as neither above nor below.  A sweep also counts the artifacts
+whose SHA-256 is identical.
 
 It times nothing: speed is measured by ``bench/run.py`` in both checkouts
 (README).  Run from the repository root::
@@ -79,8 +78,9 @@ def load_package(src: Path, name: str):
 
 def replay(package, cfg, out: str) -> tuple[list[tuple], dict[str, str]]:
     """Run the config's sweep and its plot data once into ``out``.  Returns
-    one row (sweep value, trial, iterations, converged, final objective,
-    ``nmse_ar``) per trial and the SHA-256 of each artifact by file name."""
+    one row (``sweep_value <v>, trial <t>``, iterations, converged, final
+    objective, ``nmse_ar``) per trial and the SHA-256 of each artifact by
+    file name."""
     harness, fits, rows = package.harness, [], []
     fit, trial = harness.als_fit, harness.run_trial
 
@@ -90,8 +90,8 @@ def replay(package, cfg, out: str) -> tuple[list[tuple], dict[str, str]]:
 
     def recording_trial(*args, **kwargs):
         record, est = trial(*args, **kwargs), fits.pop()
-        rows.append((record.sweep_value, record.trial, est.iters, est.converged, float(est.nmse_trace[-1]),
-                     record.nmse_ar))
+        rows.append((f"sweep_value {record.sweep_value:g}, trial {record.trial}", est.iters, est.converged,
+                     float(est.nmse_trace[-1]), record.nmse_ar))
         return record
 
     with mock.patch.object(harness, "als_fit", recording_fit), mock.patch.object(harness, "run_trial", recording_trial):
@@ -102,14 +102,14 @@ def replay(package, cfg, out: str) -> tuple[list[tuple], dict[str, str]]:
 
 
 def summary(rows: list[tuple]) -> list[str]:
-    iters = np.array([r[2] for r in rows])
+    iters = np.array([r[1] for r in rows])
     # A noiseless fit can recover a_rx to the last bit (k = 1 at +inf dB); zeros are counted apart.
-    nonzero = [r[5] for r in rows if r[5] != 0.0]
+    nonzero = [r[4] for r in rows if r[4] != 0.0]
     geomean = math.exp(sum(map(math.log, nonzero)) / len(nonzero)) if nonzero else math.nan
     return [
         f"fits {len(rows)}",
         f"iters total {iters.sum()} p50 {np.percentile(iters, 50):g} p90 {np.percentile(iters, 90):g} max {iters.max()}",
-        f"capped {sum(not r[3] for r in rows)}",
+        f"capped {sum(not r[2] for r in rows)}",
         f"nmse_ar geomean {geomean:.8g} over nonzero fits, exactly zero {len(rows) - len(nonzero)}",
     ]
 
@@ -122,40 +122,45 @@ def objective_ratio(objective: float, parent: float) -> float:
     return objective / parent if parent else math.inf
 
 
-def compare(rows: list[tuple], hashes: dict[str, str], parent: list[tuple], parent_hashes: dict[str, str]) -> list[str]:
-    """The ``# against:`` and ``# moved:`` lines of the change's rows and
-    artifact hashes against the parent's."""
-    total, parent_total = sum(r[2] for r in rows), sum(p[2] for p in parent)
-    pairs = list(zip(rows, parent))
-    ratios = [objective_ratio(r[4], p[4]) for r, p in pairs]
+def compare(rows: list[tuple], parent: list[tuple]) -> list[str]:
+    """The ``# against:`` and ``# moved:`` lines of the change's rows against
+    the parent's.  Raises ``ValueError`` unless the rows pair up by label."""
+    pairs = list(zip(rows, parent, strict=True))
+    for r, p in pairs:
+        if r[0] != p[0]:
+            raise ValueError(f"row {r[0]!r} is paired with the parent's {p[0]!r}")
+    total, parent_total = sum(r[1] for r in rows), sum(p[1] for p in parent)
+    ratios = [objective_ratio(r[3], p[3]) for r, p in pairs]
     worst = int(np.argmax(ratios))
     # Relative nmse_ar difference; a parent zero counts as 0 when matched exactly, else inf.
-    nmse_rel = [abs(r[5] - p[5]) / abs(p[5]) if p[5] else (0.0 if r[5] == 0.0 else math.inf) for r, p in pairs]
+    nmse_rel = [abs(r[4] - p[4]) / abs(p[4]) if p[4] else (0.0 if r[4] == 0.0 else math.inf) for r, p in pairs]
     most = int(np.argmax(nmse_rel))
     return [
         f"# against: iters total {parent_total} -> {total} ({100.0 * (total - parent_total) / parent_total:+.1f} %)",
-        f"# against: capped {sum(not p[3] for p in parent)} -> {sum(not r[3] for r in rows)}",
-        f"# against: worst objective ratio {ratios[worst]:.6f} (sweep_value {rows[worst][0]:g}, trial {rows[worst][1]})",
+        f"# against: capped {sum(not p[2] for p in parent)} -> {sum(not r[2] for r in rows)}",
+        f"# against: worst objective ratio {ratios[worst]:.6f} ({rows[worst][0]})",
         f"# against: objective ratio - 1 in [{min(ratios) - 1.0:.3g}, {max(ratios) - 1.0:.3g}]",
         f"# against: fits more than {WORSE_REL:g} above the parent's objective {sum(q > 1.0 + WORSE_REL for q in ratios)}",
         f"# against: fits more than {WORSE_REL:g} below the parent's objective {sum(q < 1.0 - WORSE_REL for q in ratios)}",
-        f"# against: fits exact on both sides (objective <= {EXACT:g}) {sum(max(r[4], p[4]) <= EXACT for r, p in pairs)}",
-        f"# against: fits with a different iteration count {sum(r[2] != p[2] for r, p in pairs)}",
-        f"# against: fits with a different converged flag {sum(r[3] != p[3] for r, p in pairs)}",
-        f"# against: largest relative nmse_ar difference {nmse_rel[most]:.3g} "
-        f"(sweep_value {rows[most][0]:g}, trial {rows[most][1]})",
-        f"# against: fits identical {sum(r[2:] == p[2:] for r, p in pairs)} of {len(rows)}",
-        f"# against: artifacts SHA-identical {sum(hashes.get(k) == v for k, v in parent_hashes.items())} "
-        f"of {len(hashes.keys() | parent_hashes.keys())}",
+        f"# against: fits exact on both sides (objective <= {EXACT:g}) {sum(max(r[3], p[3]) <= EXACT for r, p in pairs)}",
+        f"# against: fits with a different iteration count {sum(r[1] != p[1] for r, p in pairs)}",
+        f"# against: fits with a different converged flag {sum(r[2] != p[2] for r, p in pairs)}",
+        f"# against: largest relative nmse_ar difference {nmse_rel[most]:.3g} ({rows[most][0]})",
+        f"# against: fits identical {sum(r[1:] == p[1:] for r, p in pairs)} of {len(rows)}",
     ] + [
-        f"# moved: sweep_value {r[0]:g}, trial {r[1]}: iters {p[2]} -> {r[2]}, "
-        f"converged {p[3]} -> {r[3]}, objective ratio - 1 {q - 1.0:.3g}"
-        for (r, p), q in zip(pairs, ratios) if r[2] != p[2] or r[3] != p[3] or q > 1.0 + WORSE_REL
+        f"# moved: {r[0]}: iters {p[1]} -> {r[1]}, converged {p[2]} -> {r[2]}, objective ratio - 1 {q - 1.0:.3g}"
+        for (r, p), q in zip(pairs, ratios) if r[1:3] != p[1:3] or abs(q - 1.0) > WORSE_REL
     ]
 
 
+def compare_artifacts(hashes: dict[str, str], parent: dict[str, str]) -> str:
+    """The ``# against:`` line of the artifacts whose SHA-256 is the parent's, by file name."""
+    return (f"# against: artifacts SHA-identical {sum(hashes.get(k) == v for k, v in parent.items())} "
+            f"of {len(hashes.keys() | parent.keys())}")
+
+
 def random_instances(count: int) -> list[tuple]:
-    """``count`` fit instances ``(label, tensor, frame, k)``, drawn from
+    """``count`` fit instances ``(label, tensor, frame, k, a_rx)``, drawn from
     ``SHAPES_SEED`` by this checkout: ``m_r, m_t <= 4``, ``k <= min(m_r, m_t)``,
     ``max(2, m_t) <= n <= 6``, ``m_t <= p <= 8``, Es/N0 uniform in 0-40 dB,
     QPSK pilots and unit-std reflections.  Every such shape passes the
@@ -168,46 +173,28 @@ def random_instances(count: int) -> list[tuple]:
         scene = sm.sample_scene(k=k, n=n, sigma=1.0, m_r=m_r, m_t=m_t, seed=[SHAPES_SEED, i, 0])
         frame = sm.sample_frame(p=p, m_t=m_t, n=n, order=4, seed=[SHAPES_SEED, i, 1])
         tensor = sm.add_noise(sm.sensing_forward(scene, frame), snr_db, seed=[SHAPES_SEED, i, 2])
-        instances.append((f"m_r={m_r} m_t={m_t} k={k} n={n} p={p} {snr_db:.1f} dB", tensor, frame, k))
+        instances.append((f"m_r={m_r} m_t={m_t} k={k} n={n} p={p} {snr_db:.1f} dB", tensor, frame, k, scene.a_rx))
     return instances
 
 
 def fit_instances(package, instances: list[tuple]) -> list[tuple]:
-    """One row ``(label, iterations, converged, final objective)`` per
-    instance, fitted by ``package``'s ``als_fit`` with its default config
-    seeded by the instance index."""
+    """One row (label, iterations, converged, final objective, ``nmse_ar``)
+    per instance, fitted by ``package``'s ``als_fit`` with its default
+    config seeded by the instance index; ``nmse_ar`` as ``run_trial`` scores
+    it, after ambiguity removal and alignment against the instance's ``a_rx``."""
     als, rows = package.sensing_als, []
-    for i, (label, tensor, frame, k) in enumerate(instances):
+    for i, (label, tensor, frame, k, a_rx) in enumerate(instances):
         est = als.als_fit(tensor, frame, k, als.AlsConfig(init_seed=i))
-        rows.append((label, est.iters, est.converged, float(est.nmse_trace[-1])))
+        a_rx_hat = als.remove_sensing_ambiguity(est).a_rx_hat
+        nmse_ar = package.harness.nmse(a_rx_hat[:, list(als.align_permutation(a_rx_hat, a_rx))], a_rx)
+        rows.append((label, est.iters, est.converged, float(est.nmse_trace[-1]), nmse_ar))
     return rows
-
-
-def compare_shapes(rows: list[tuple], parent: list[tuple]) -> list[str]:
-    """The per-side lines and the ``# against:``, ``# above:`` and ``# below:``
-    lines of the change's random-shape fits against the parent's."""
-    lines = [f"# {name}: fits {len(side)}, iters total {sum(r[1] for r in side)}, capped {sum(not r[2] for r in side)}"
-             for name, side in (("parent", parent), ("change", rows))]
-    total, parent_total = sum(r[1] for r in rows), sum(p[1] for p in parent)
-    ratios = [objective_ratio(r[3], p[3]) for r, p in zip(rows, parent)]
-    off = [(("above" if q > 1.0 else "below"), r, p, q) for r, p, q in zip(rows, parent, ratios)
-           if abs(q - 1.0) > WORSE_REL]
-    return lines + [
-        f"# against: iters total {parent_total} -> {total} ({100.0 * (total - parent_total) / parent_total:+.1f} %)",
-        f"# against: capped {sum(not p[2] for p in parent)} -> {sum(not r[2] for r in rows)}",
-        f"# against: fits more than {WORSE_REL:g} above the parent's objective {sum(o[0] == 'above' for o in off)}",
-        f"# against: fits more than {WORSE_REL:g} below the parent's objective {sum(o[0] == 'below' for o in off)}",
-        f"# against: fits exact on both sides (objective <= {EXACT:g}) {sum(max(r[3], p[3]) <= EXACT for r, p in zip(rows, parent))}",
-        f"# against: fits identical {sum(r[1:] == p[1:] for r, p in zip(rows, parent))} of {len(rows)}",
-    ] + [f"# {side}: {r[0]}: iters {p[1]} -> {r[1]}, converged {p[2]} -> {r[2]}, objective ratio - 1 {q - 1.0:.3g}"
-         for side, r, p, q in off]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path, help="the other checkout's src directory")
-    parser.add_argument("--config", default=str(ROOT / "bench" / "configs" / "snr_sweep.json"),
-                        help="experiment config (JSON); default: bench/configs/snr_sweep.json")
+    parser.add_argument("--config", default=None, help="experiment config (JSON); default: bench/configs/snr_sweep.json")
     parser.add_argument("--trials", type=int, default=None, help="trials per grid point (default: from config)")
     parser.add_argument("--shapes", type=int, default=None,
                         help="fit this many seeded random-shape instances instead of the config's sweep")
@@ -216,26 +203,31 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.parent_src} holds no tensorisac package")
     if args.shapes is not None and args.shapes < 1:
         parser.error(f"--shapes must be at least 1, got {args.shapes}")
+    if args.shapes is not None and (args.config, args.trials) != (None, None):
+        parser.error("--shapes fits no sweep: it takes neither --config nor --trials")
     sides = {"parent": load_package(args.parent_src.resolve(), "tensorisac_parent"), "change": tensorisac}
+    extra = []
     if args.shapes is not None:
         instances = random_instances(args.shapes)
-        print("\n".join(compare_shapes(*(fit_instances(sides[name], instances) for name in ("change", "parent")))))
-        return 0
-    cfgs = {}
-    for name, package in sides.items():
-        try:
-            cfg = package.harness.load_config(args.config)
-            cfgs[name] = replace(cfg, trials=cfg.trials if args.trials is None else args.trials)
-            cfgs[name].validate()
-        except (package.exceptions.ConfigError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    with tempfile.TemporaryDirectory() as work:
-        runs = {name: replay(package, cfgs[name], f"{work}/{name}") for name, package in sides.items()}
+        rows = {name: fit_instances(package, instances) for name, package in sides.items()}
+    else:
+        config = ROOT / "bench" / "configs" / "snr_sweep.json" if args.config is None else args.config
+        cfgs = {}
+        for name, package in sides.items():
+            try:
+                cfg = package.harness.load_config(config)
+                cfgs[name] = replace(cfg, trials=cfg.trials if args.trials is None else args.trials)
+                cfgs[name].validate()
+            except (package.exceptions.ConfigError, OSError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+        with tempfile.TemporaryDirectory() as work:
+            runs = {name: replay(package, cfgs[name], f"{work}/{name}") for name, package in sides.items()}
+        rows = {name: run[0] for name, run in runs.items()}
+        extra.append(compare_artifacts(runs["change"][1], runs["parent"][1]))
     for name in sides:
-        print("\n".join(f"# {name}: {line}" for line in summary(runs[name][0])))
-    print("\n".join(compare(*runs["change"], *runs["parent"])))
+        print("\n".join(f"# {name}: {line}" for line in summary(rows[name])))
+    print("\n".join(extra + compare(rows["change"], rows["parent"])))
     return 0
 
 
